@@ -15,9 +15,7 @@ failure, 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -133,25 +131,6 @@ class FlatField:
         return out.reshape(x.shape)
 
 
-def resolve_threads(cli_value: int | None) -> int:
-    if cli_value is not None:
-        return max(1, int(cli_value))
-    env = os.environ.get("SPDM_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items, threads: int) -> list:
-    """Map preserving input order; workers only help for independent items."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _chain_seed(seed: int, index: int) -> int:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(9, index))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -251,8 +230,7 @@ def build_bridge_score(cfg: dict, s: Schedule, group: IsometryGroup | None):
 # ---- commands ------------------------------------------------------------
 
 
-def cmd_gen_data(cfg: dict, out_dir: Path, seed_override: int | None,
-                 threads: int) -> int:
+def cmd_gen_data(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     chash = io.config_hash(cfg)
     group = build_group(cfg)
     mix = build_mixture(cfg, group)
@@ -287,8 +265,7 @@ def cmd_gen_data(cfg: dict, out_dir: Path, seed_override: int | None,
     return EXIT_OK
 
 
-def cmd_train(cfg: dict, out_dir: Path, seed_override: int | None,
-              threads: int) -> int:
+def cmd_train(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     chash = io.config_hash(cfg)
     s = build_schedule(cfg)
     group = build_group(cfg)
@@ -358,25 +335,37 @@ def cmd_train(cfg: dict, out_dir: Path, seed_override: int | None,
     return EXIT_OK
 
 
-def _prior_draws(s: Schedule, n: int, dim: int, seed: int) -> np.ndarray:
+def _event_shape(group: IsometryGroup | None) -> tuple[int, ...]:
+    """Shape of one state: the grid shape for a grid group, else a 2-D point."""
+    if group is not None and group.elements[0].kind == "grid":
+        return group.elements[0].grid_shape
+    return (2,)
+
+
+def _prior_draws(s: Schedule, n: int, event_shape: tuple[int, ...],
+                 seed: int) -> np.ndarray:
     sig = float(np.sqrt(s.sigma2(s.T)))
-    return sig * _aux_rng(seed).standard_normal((n, dim))
+    dim = int(np.prod(event_shape))
+    return (sig * _aux_rng(seed).standard_normal((n, dim))).reshape(n, *event_shape)
 
 
-def _delta_x0_probe(run_one, probes: np.ndarray, group: IsometryGroup,
+def _delta_x0_probe(run, starts: np.ndarray, group: IsometryGroup,
                     seed: int) -> float:
-    """Average worst-entry equivariance gap of the chain map on probes."""
+    """Average worst-entry equivariance gap of the chain map on probe starts.
+
+    ``run`` maps a batch of starts to their terminal states.  Start i is
+    moved by a random non-identity element k_i, and its gap compares the
+    chain from k_i x_i with k_i applied to the chain from x_i.
+    """
     rng = _aux_rng(seed + 1)
-    gaps = []
-    for i, x in enumerate(probes):
-        k = group.elements[1 + int(rng.integers(len(group) - 1))]
-        gap = np.max(np.abs(run_one(i, k.apply(x)) - k.apply(run_one(i, x))))
-        gaps.append(float(gap))
-    return float(np.mean(gaps))
+    ks = [group.elements[1 + int(rng.integers(len(group) - 1))] for _ in starts]
+    ends = run(starts)
+    moved_ends = run(np.stack([k.apply(x) for k, x in zip(ks, starts)]))
+    return float(np.mean([np.max(np.abs(m - k.apply(e)))
+                          for k, m, e in zip(ks, moved_ends, ends)]))
 
 
-def cmd_sample(cfg: dict, out_dir: Path, seed_override: int | None,
-               threads: int) -> int:
+def cmd_sample(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     chash = io.config_hash(cfg)
     s = build_schedule(cfg)
     group = build_group(cfg)
@@ -387,43 +376,39 @@ def cmd_sample(cfg: dict, out_dir: Path, seed_override: int | None,
     n = sp.get("n_samples", 512)
     use_en = sp.get("equivariant_noise", False)
 
-    event_shape = (2,)
-    if group is not None and group.elements[0].kind == "grid":
-        event_shape = group.elements[0].grid_shape
+    event_shape = _event_shape(group)
     score = build_score(cfg, s, group, out_dir, event_shape)
     grid = sampling.sampling_grid(s, steps)
-    dim = int(np.prod(event_shape))
-    x_T = _prior_draws(s, n, dim, seed).reshape(n, *event_shape)
+    x_T = _prior_draws(s, n, event_shape, seed)
 
     if use_en:
         if group is None:
             raise ConfigError("equivariant_noise needs a group section")
         canon = sampling.default_canonicalizer(group)
 
-        def run_one(i, start):
-            seq = sampling.equivariant_noise_sequence(
-                start, _chain_seed(seed, i), group, canon, grid.n_steps)
-            return sampling.reverse_sde_sample(score, s, lam, grid, start,
-                                               noise=seq).terminal
-
-        outs = parallel_map(lambda a: run_one(*a), list(enumerate(x_T)), threads)
-        samples = np.stack(outs)
+        def run(starts):
+            outs = []
+            for i, start in enumerate(starts):
+                seq = sampling.equivariant_noise_sequence(
+                    start, _chain_seed(seed, i), group, canon, grid.n_steps)
+                outs.append(sampling.reverse_sde_sample(score, s, lam, grid, start,
+                                                        noise=seq).terminal)
+            return np.stack(outs)
     else:
+        # One batched stream: row i of a batch sees the same noise whatever
+        # the batch size, so the probe below measures this very map.
+        def run(starts):
+            return sampling.reverse_sde_sample(score, s, lam, grid, starts,
+                                               noise=seed).terminal
 
-        def run_one(i, start):
-            return sampling.reverse_sde_sample(score, s, lam, grid, start,
-                                               noise=_chain_seed(seed, i)).terminal
-
-        samples = sampling.reverse_sde_sample(score, s, lam, grid, x_T,
-                                              noise=seed).terminal
-
+    samples = run(x_T)
     summary = {"config_hash": chash, "seed": seed, "lam": lam, "steps": steps,
                "n_samples": n, "equivariant_noise": use_en,
                "mean_norm": float(np.mean(np.linalg.norm(
                    samples.reshape(n, -1), axis=1)))}
     if group is not None and lam > 0:
         n_probe = min(4, n)
-        summary["delta_x0"] = _delta_x0_probe(run_one, x_T[:n_probe], group, seed)
+        summary["delta_x0"] = _delta_x0_probe(run, x_T[:n_probe], group, seed)
     io.write_spdt(out_dir / "samples.spdt", samples)
     io.write_json(out_dir / "sample_summary.json", summary)
     _write_manifest(out_dir, "sample", chash, seed, ["samples.spdt",
@@ -433,8 +418,7 @@ def cmd_sample(cfg: dict, out_dir: Path, seed_override: int | None,
     return EXIT_OK
 
 
-def cmd_bridge(cfg: dict, out_dir: Path, seed_override: int | None,
-               threads: int) -> int:
+def cmd_bridge(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     chash = io.config_hash(cfg)
     s = build_schedule(cfg)
     group = build_group(cfg)
@@ -447,7 +431,7 @@ def cmd_bridge(cfg: dict, out_dir: Path, seed_override: int | None,
 
     cond_score = build_bridge_score(cfg, s, group)
     grid = sampling.bridge_grid(s, steps)
-    x_T = _prior_draws(s, n, 2, seed)
+    x_T = _prior_draws(s, n, _event_shape(group), seed)
 
     canon = None
     if use_en:
@@ -455,18 +439,20 @@ def cmd_bridge(cfg: dict, out_dir: Path, seed_override: int | None,
             raise ConfigError("equivariant_noise needs a group section")
         canon = sampling.default_canonicalizer(group)
 
-    def run_one(i, endpoint):
-        if canon is not None:
-            noise = sampling.equivariant_noise_sequence(
-                endpoint, _chain_seed(seed, i), group, canon, grid.n_steps)
-        else:
-            noise = _chain_seed(seed, i)
-        return sampling.ddbm_reverse_sample(cond_score, s, endpoint, tau, grid,
-                                            noise=noise).terminal
+    def run_chains(endpoints):
+        outs = []
+        for i, endpoint in enumerate(endpoints):
+            if canon is not None:
+                noise = sampling.equivariant_noise_sequence(
+                    endpoint, _chain_seed(seed, i), group, canon, grid.n_steps)
+            else:
+                noise = _chain_seed(seed, i)
+            outs.append(sampling.ddbm_reverse_sample(cond_score, s, endpoint, tau,
+                                                     grid, noise=noise).terminal)
+        return np.stack(outs)
 
     if use_en or tau == 0:
-        outs = parallel_map(lambda a: run_one(*a), list(enumerate(x_T)), threads)
-        samples = np.stack(outs)
+        samples = run_chains(x_T)
     else:
         samples = sampling.ddbm_reverse_sample(cond_score, s, x_T, tau, grid,
                                                noise=seed).terminal
@@ -475,7 +461,7 @@ def cmd_bridge(cfg: dict, out_dir: Path, seed_override: int | None,
                "n_samples": n, "equivariant_noise": use_en}
     if group is not None:
         n_probe = min(8, n)
-        summary["delta_x0"] = _delta_x0_probe(run_one, x_T[:n_probe], group, seed)
+        summary["delta_x0"] = _delta_x0_probe(run_chains, x_T[:n_probe], group, seed)
     io.write_spdt(out_dir / "bridge_samples.spdt", samples)
     io.write_json(out_dir / "bridge_summary.json", summary)
     _write_manifest(out_dir, "bridge", chash, seed,
@@ -485,8 +471,7 @@ def cmd_bridge(cfg: dict, out_dir: Path, seed_override: int | None,
     return EXIT_OK
 
 
-def cmd_nll(cfg: dict, out_dir: Path, seed_override: int | None,
-            threads: int) -> int:
+def cmd_nll(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     chash = io.config_hash(cfg)
     s = build_schedule(cfg)
     group = build_group(cfg)
@@ -504,14 +489,9 @@ def cmd_nll(cfg: dict, out_dir: Path, seed_override: int | None,
         lambda x, t: score(x.reshape(x.shape[0], *event_shape), t).reshape(
             x.shape[0], -1), (int(np.prod(event_shape)),))
 
-    grid = sampling.nll_grid(s, steps)
-    chunks = np.array_split(flat, min(threads, len(flat))) if len(flat) else []
-    reports = parallel_map(
-        lambda chunk: metrics.pf_ode_nll(field, s, chunk, grid,
-                                         div_mode=div_mode, seed=seed),
-        [c for c in chunks if len(c)], threads)
-    ll = np.concatenate([r.log_likelihood for r in reports])
-    bpd = np.concatenate([r.bits_per_dim for r in reports])
+    report = metrics.pf_ode_nll(field, s, flat, sampling.nll_grid(s, steps),
+                                div_mode=div_mode, seed=seed)
+    ll, bpd = report.log_likelihood, report.bits_per_dim
     d = flat.shape[1]
     rows = [[i, float(ll[i]), float(-ll[i] / d), float(bpd[i]), chash, seed]
             for i in range(len(ll))]
@@ -540,8 +520,7 @@ def _tweedie_denoiser(score, s: Schedule):
     return model
 
 
-def cmd_metrics(cfg: dict, out_dir: Path, seed_override: int | None,
-                threads: int) -> int:
+def cmd_metrics(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     chash = io.config_hash(cfg)
     s = build_schedule(cfg)
     group = build_group(cfg)
@@ -585,7 +564,7 @@ def cmd_metrics(cfg: dict, out_dir: Path, seed_override: int | None,
         elif name == "nll_table":
             if group is None:
                 raise ConfigError("nll_table needs a group section")
-            _nll_table(cfg, s, group, out_dir, data, chash, seed, threads)
+            _nll_table(cfg, s, group, out_dir, data, chash, seed)
             emit("nll_table_rows", len(group))
     io.write_csv(out_dir / "metrics.csv",
                  ["name", "value", "config_hash", "seed"], rows)
@@ -620,11 +599,12 @@ def cmd_metrics(cfg: dict, out_dir: Path, seed_override: int | None,
 
 
 def _nll_table(cfg, s, group, out_dir: Path, data: np.ndarray, chash: str,
-               seed: int, threads: int) -> None:
+               seed: int) -> None:
     """Mean NLL of the dataset under every orientation of the inputs."""
     spec = cfg.get("nll", {})
     n_points = min(spec.get("points", 16), data.shape[0])
     steps = spec.get("steps", 200)
+    div_mode = spec.get("div_mode", "exact_fd")
     event_shape = data.shape[1:]
     score = build_score(cfg, s, group, out_dir, event_shape)
     field = score if len(event_shape) == 1 else FlatField(
@@ -633,19 +613,18 @@ def _nll_table(cfg, s, group, out_dir: Path, data: np.ndarray, chash: str,
     grid = sampling.nll_grid(s, steps)
     d = int(np.prod(event_shape))
 
-    def one(el):
+    rows = []
+    for el in group.elements:
         moved = el.apply(data[:n_points]).reshape(n_points, -1)
-        rep = metrics.pf_ode_nll(field, s, moved, grid, seed=seed)
-        return [el.name, float(np.mean(-rep.log_likelihood / d)), chash, seed]
-
-    rows = parallel_map(one, list(group.elements), threads)
+        rep = metrics.pf_ode_nll(field, s, moved, grid, div_mode=div_mode,
+                                 seed=seed)
+        rows.append([el.name, float(np.mean(-rep.log_likelihood / d)), chash, seed])
     io.write_csv(out_dir / "nll_table.csv",
                  ["kappa", "mean_nll_nats_per_dim", "config_hash", "seed"],
                  rows)
 
 
-def cmd_verify(cfg: dict, out_dir: Path, seed_override: int | None,
-               threads: int) -> int:
+def cmd_verify(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     chash = io.config_hash(cfg)
     results = verify_mod.run_all()
     all_passed = all(r.passed for r in results)
@@ -695,8 +674,6 @@ def main(argv=None) -> int:
                        help="output directory (default: config out_dir or ./out)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the command's seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: SPDM_THREADS or 1)")
     args = parser.parse_args(argv)
 
     out_dir = None
@@ -704,8 +681,7 @@ def main(argv=None) -> int:
         cfg = io.load_config(args.config) if args.config else {}
         out_dir = Path(args.out) if args.out else Path(cfg.get("out_dir", "out"))
         out_dir.mkdir(parents=True, exist_ok=True)
-        code = HANDLERS[args.command](cfg, out_dir, args.seed,
-                                      resolve_threads(args.threads))
+        code = HANDLERS[args.command](cfg, out_dir, args.seed)
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_NUMERIC

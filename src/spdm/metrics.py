@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NonFiniteState, NonPsd, ShapeMismatch
+from .errors import InvalidParams, NonPsd, ShapeMismatch
 from .groups import IsometryGroup
 from .process import Schedule
-from .sampling import TimeGrid
+from .sampling import TimeGrid, _flow_drift, _integrate
 
 
 # ---- divergence and likelihood ------------------------------------------
@@ -97,8 +97,9 @@ def pf_ode_nll(score, s: Schedule, x0: np.ndarray, grid: TimeGrid,
     """Log-likelihood of data points under the PF-ODE flow of a score field.
 
     Integrates dx = [u - g^2 s / 2] dt forward along an ascending grid
-    with Heun steps while accumulating the divergence integral by the
-    trapezoid rule, then adds the terminal Gaussian log-density
+    with Heun steps, takes the divergence integral over the recorded
+    states by the trapezoid rule (the divergence at grid index j uses seed
+    ``seed + j``), then adds the terminal Gaussian log-density
     log N(x_T; 0, sigma_T^2 I).
 
     ``dequant_offset`` is added to bits-per-dim when discrete data was
@@ -110,29 +111,19 @@ def pf_ode_nll(score, s: Schedule, x0: np.ndarray, grid: TimeGrid,
         raise InvalidParams("NLL integration needs an ascending grid")
     x0 = np.asarray(x0, dtype=float)
     single = x0.ndim == 1
-    xs = np.atleast_2d(x0).copy()
+    xs = np.atleast_2d(x0)
     n, d = xs.shape
-
-    def f(x, t):
-        return s.drift(x, t) - 0.5 * float(s.g2(t)) * np.asarray(score(x, t))
-
+    f, _ = _flow_drift(score, s, grid, 0.5)
+    states = _integrate(f, grid, xs, heun=True)
     times = grid.times
+    divs = [_div_eval(lambda y, t, j=j: f(y, j), states[j], times[j], div_mode,
+                      probes, seed + j) for j in range(grid.n_steps + 1)]
     integral = np.zeros(n)
-    div_prev = _div_eval(f, xs, times[0], div_mode, probes, seed)
     for i in range(grid.n_steps):
-        t, t_next = times[i], times[i + 1]
-        dt = t_next - t
-        k1 = f(xs, t)
-        k2 = f(xs + dt * k1, t_next)
-        xs = xs + 0.5 * dt * (k1 + k2)
-        if not np.all(np.isfinite(xs)):
-            raise NonFiniteState(f"trajectory became non-finite at step {i}")
-        div_next = _div_eval(f, xs, t_next, div_mode, probes, seed + i + 1)
-        integral += 0.5 * dt * (div_prev + div_next)
-        div_prev = div_next
+        integral += 0.5 * (times[i + 1] - times[i]) * (divs[i] + divs[i + 1])
     s2_T = float(s.sigma2(s.T))
     log_prior = -0.5 * d * np.log(2.0 * np.pi * s2_T) \
-        - 0.5 * np.sum(xs**2, axis=1) / s2_T
+        - 0.5 * np.sum(states[-1]**2, axis=1) / s2_T
     ll = log_prior + integral
     bpd = -ll / (d * np.log(2.0)) + dequant_offset
     if single:

@@ -27,7 +27,7 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import correlate2d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DivergedLoss, InvalidParams, ShapeMismatch, UnsupportedSize
 from .groups import GroupElement, IsometryGroup
@@ -575,6 +575,18 @@ def make_tied_kernel(tag: str, size: int) -> TiedKernel:
                       params=np.arange(1.0, n_free + 1.0))
 
 
+def _correlate_same(img: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """2-D cross-correlation of one plane with zero fill, cropped to its size.
+
+    The kernel anchor sits at ((kh - 1) // 2, (kw - 1) // 2), the centre of
+    an odd kernel.
+    """
+    kh, kw = k.shape
+    top, left = (kh - 1) // 2, (kw - 1) // 2
+    padded = np.pad(img, ((top, kh - 1 - top), (left, kw - 1 - left)))
+    return np.einsum("ijab,ab->ij", sliding_window_view(padded, k.shape), k)
+
+
 def conv2d(kernel, image: np.ndarray) -> np.ndarray:
     """Cross-correlation with same-size zero padding.
 
@@ -586,11 +598,11 @@ def conv2d(kernel, image: np.ndarray) -> np.ndarray:
     img = np.asarray(image, dtype=float)
     if k.ndim == 2:
         if img.ndim == 2:
-            return correlate2d(img, k, mode="same", boundary="fill")
+            return _correlate_same(img, k)
         if img.ndim == 3:
             return np.stack(
-                [correlate2d(img[..., c], k, mode="same", boundary="fill")
-                 for c in range(img.shape[2])], axis=-1)
+                [_correlate_same(img[..., c], k) for c in range(img.shape[2])],
+                axis=-1)
         raise ShapeMismatch(f"image must be (H, W) or (H, W, C), got {img.shape}")
     if k.ndim == 4:
         if img.ndim != 3 or img.shape[2] != k.shape[2]:
@@ -600,8 +612,7 @@ def conv2d(kernel, image: np.ndarray) -> np.ndarray:
         for co in range(k.shape[3]):
             acc = np.zeros(img.shape[:2])
             for ci in range(k.shape[2]):
-                acc += correlate2d(img[..., ci], k[..., ci, co],
-                                   mode="same", boundary="fill")
+                acc += _correlate_same(img[..., ci], k[..., ci, co])
             outs.append(acc)
         return np.stack(outs, axis=-1)
     raise ShapeMismatch(f"kernel must be (k, k) or (k, k, C_in, C_out), got {k.shape}")

@@ -9,7 +9,9 @@ use Euler-Maruyama with the update
 
 and the PF-ODE uses Heun's second-order rule.  Bridge sampling follows the
 backward family ``u + g^2 h - ((1 + tau^2)/2) g^2 s(x | x_T, t)`` with
-noise ``tau g``.
+noise ``tau g``.  Every integrator, the likelihood flow in ``metrics``
+included, supplies only its drift and noise scale to one stepper,
+``_integrate``; the schedule coefficients are evaluated once per grid.
 
 Noise sequences are regenerated from a counter-based PRNG keyed by
 (seed, step index), so a group orientation can be applied lazily and the
@@ -147,6 +149,50 @@ def _resolve_noise(noise, shape, n_steps: int):
     return NoiseSequence(seed=int(noise), n=n_steps, shape=tuple(shape))
 
 
+def _coefficients(s: Schedule, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(d log alpha/dt, g^2) at every grid time, evaluated once per grid."""
+    return s.dlog_alpha_dt(grid.times), s.g2(grid.times)
+
+
+def _flow_drift(score, s: Schedule, grid: TimeGrid, weight: float):
+    """Drift ``u - weight g^2 s`` at grid index i, and the g^2 table."""
+    dla, g2 = _coefficients(s, grid)
+    times = grid.times
+
+    def f(x, i):
+        return dla[i] * x - weight * g2[i] * np.asarray(score(x, times[i]))
+
+    return f, g2
+
+
+def _integrate(f, grid: TimeGrid, x: np.ndarray, scale=None, seq=None,
+               heun: bool = False, record: bool = True) -> np.ndarray:
+    """The one time-stepping loop behind every integrator.
+
+    ``f(x, i)`` is the drift at grid time ``times[i]``.  Each step is an
+    Euler step, or a Heun step with ``heun``; an Euler step then adds
+    ``scale[i] sqrt(|dt|) seq.get(i)`` when ``scale`` is given.  Returns the
+    states at every grid time, or only the terminal state (leading axis of
+    length 1) without ``record``.
+    """
+    times = grid.times
+    states = np.empty((grid.n_steps + 1 if record else 1, *x.shape))
+    states[0] = x
+    for i in range(grid.n_steps):
+        dt = times[i + 1] - times[i]
+        k1 = f(x, i)
+        if heun:
+            k2 = f(x + dt * k1, i + 1)
+            x = x + 0.5 * dt * (k1 + k2)
+        else:
+            x = x + k1 * dt
+            if scale is not None:
+                x = x + scale[i] * np.sqrt(abs(dt)) * seq.get(i)
+        _check_finite(x, i)
+        states[i + 1 if record else 0] = x
+    return states
+
+
 def reverse_sde_sample(score, s: Schedule, lam: float, grid: TimeGrid,
                        x_T, noise=None) -> Trajectory:
     """Integrate the reverse-time SDE family from the terminal state down.
@@ -174,19 +220,8 @@ def reverse_sde_sample(score, s: Schedule, lam: float, grid: TimeGrid,
     seq = _resolve_noise(noise, x.shape, grid.n_steps)
     if lam > 0 and seq is None:
         raise InvalidParams("lambda > 0 needs a noise sequence or seed")
-    states = np.empty((grid.n_steps + 1, *x.shape))
-    states[0] = x
-    times = grid.times
-    for i in range(grid.n_steps):
-        t, t_next = times[i], times[i + 1]
-        dt = t_next - t
-        g2 = float(s.g2(t))
-        drift = s.drift(x, t) - 0.5 * (1.0 + lam**2) * g2 * np.asarray(score(x, t))
-        x = x + drift * dt
-        if lam > 0:
-            x = x + lam * np.sqrt(g2) * np.sqrt(-dt) * seq.get(i)
-        _check_finite(x, i)
-        states[i + 1] = x
+    f, g2 = _flow_drift(score, s, grid, 0.5 * (1.0 + lam**2))
+    states = _integrate(f, grid, x, lam * np.sqrt(g2) if lam > 0 else None, seq)
     return Trajectory(grid=grid, states=states,
                       metadata={"lam": lam, "seed": seed, "kind": "reverse_sde"})
 
@@ -206,22 +241,8 @@ def pf_ode_solve(score, s: Schedule, grid: TimeGrid, x_start,
             raise InvalidParams("forward integration needs an ascending grid")
         if direction == "backward" and ascending:
             raise InvalidParams("backward integration needs a descending grid")
-    x = np.asarray(x_start, dtype=float).copy()
-
-    def f(x, t):
-        return s.drift(x, t) - 0.5 * float(s.g2(t)) * np.asarray(score(x, t))
-
-    states = np.empty((grid.n_steps + 1, *x.shape))
-    states[0] = x
-    times = grid.times
-    for i in range(grid.n_steps):
-        t, t_next = times[i], times[i + 1]
-        dt = t_next - t
-        k1 = f(x, t)
-        k2 = f(x + dt * k1, t_next)
-        x = x + 0.5 * dt * (k1 + k2)
-        _check_finite(x, i)
-        states[i + 1] = x
+    f, _ = _flow_drift(score, s, grid, 0.5)
+    states = _integrate(f, grid, np.asarray(x_start, dtype=float), heun=True)
     return Trajectory(grid=grid, states=states,
                       metadata={"direction": direction, "kind": "pf_ode"})
 
@@ -243,25 +264,19 @@ def ddbm_reverse_sample(cond_score, s: Schedule, x_T, tau: float,
         raise TimeOutOfRange("bridge grid must lie within [t_clip, T - t_clip]")
     seed = noise.seed if isinstance(noise, NoiseSequence) else noise
     x_T = np.asarray(x_T, dtype=float)
-    x = x_T.copy()
-    seq = _resolve_noise(noise, x.shape, grid.n_steps)
+    seq = _resolve_noise(noise, x_T.shape, grid.n_steps)
     if tau > 0 and seq is None:
         raise InvalidParams("tau > 0 needs a noise sequence or seed")
-    states = np.empty((grid.n_steps + 1, *x.shape))
-    states[0] = x
+    dla, g2 = _coefficients(s, grid)
     times = grid.times
-    for i in range(grid.n_steps):
-        t, t_next = times[i], times[i + 1]
-        dt = t_next - t
-        g2 = float(s.g2(t))
+    weight = 0.5 * (1.0 + tau**2)
+
+    def f(x, i):
+        t = times[i]
         h = grad_log_transition_h(s, x, x_T, t)
-        drift = s.drift(x, t) + g2 * h \
-            - 0.5 * (1.0 + tau**2) * g2 * np.asarray(cond_score(x, x_T, t))
-        x = x + drift * dt
-        if tau > 0:
-            x = x + tau * np.sqrt(g2) * np.sqrt(-dt) * seq.get(i)
-        _check_finite(x, i)
-        states[i + 1] = x
+        return dla[i] * x + g2[i] * h - weight * g2[i] * np.asarray(cond_score(x, x_T, t))
+
+    states = _integrate(f, grid, x_T, tau * np.sqrt(g2) if tau > 0 else None, seq)
     return Trajectory(grid=grid, states=states,
                       metadata={"tau": tau, "seed": seed, "kind": "ddbm"})
 
@@ -446,8 +461,5 @@ def simulate_drift_only(drift, x0_sampler, grid: TimeGrid, n_chains: int,
         if x.shape[0] != n_chains:
             raise InvalidParams(f"expected {n_chains} chains, got {x.shape[0]}")
     times = grid.times
-    for i in range(grid.n_steps):
-        dt = times[i + 1] - times[i]
-        x = x + dt * np.asarray(drift(x, times[i]))
-        _check_finite(x, i)
-    return x
+    return _integrate(lambda y, i: np.asarray(drift(y, times[i])), grid, x,
+                      record=False)[0]

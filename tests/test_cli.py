@@ -249,6 +249,20 @@ def test_sample_plain_noise_breaks_chain_equivariance(tmp_path):
     assert summary["delta_x0"] > 1e-3
 
 
+def test_sample_plain_noise_rows_do_not_depend_on_batch_size(tmp_path):
+    # The plain-noise delta_x0 probe reruns the batched sampler on the
+    # first rows only; that is the map that wrote samples.spdt because the
+    # first rows of a batch are the same whatever its size.
+    rows = {}
+    for n in (4, 16):
+        out = tmp_path / str(n)
+        cfg = sample_config(equivariant_noise=False, n_samples=n)
+        assert run("gen-data", cfg, out) == 0
+        assert run("sample", cfg, out) == 0
+        rows[n] = read_spdt(out / "samples.spdt")
+    np.testing.assert_array_equal(rows[4], rows[16][:4])
+
+
 def test_sample_ode_has_no_delta_probe(tmp_path):
     out = tmp_path / "run"
     cfg = sample_config(lam=0.0)
@@ -282,6 +296,23 @@ def test_bridge_outputs(tmp_path):
             (tmp_path / "b" / fname).read_bytes()
 
 
+@pytest.mark.parametrize("use_en", [True, False])
+def test_bridge_on_grid_group(tmp_path, use_en):
+    cfg = {"schedule": {"kind": "vp"}, "group": {"name": "C4", "shape": [4, 4]},
+           "model": {"kind": "oracle+FA",
+                     "coupling": {"matrix": 0.5, "noise_var": 0.04}},
+           "sampler": {"tau": 1.0, "steps": 20, "n_samples": 4, "seed": 4,
+                       "equivariant_noise": use_en}}
+    out = tmp_path / "run"
+    assert run("bridge", cfg, out) == 0
+    assert read_spdt(out / "bridge_samples.spdt").shape == (4, 4, 4)
+    summary = json.loads((out / "bridge_summary.json").read_text("utf-8"))
+    if use_en:
+        assert summary["delta_x0"] == 0.0
+    else:
+        assert summary["delta_x0"] > 0.0
+
+
 def test_bridge_without_coupling_exits_2(tmp_path):
     cfg = base_config()
     del cfg["data"]
@@ -292,14 +323,14 @@ def test_bridge_without_coupling_exits_2(tmp_path):
 # ---- nll -----------------------------------------------------------------
 
 
-def test_nll_outputs_and_thread_invariance(tmp_path):
+def test_nll_outputs_byte_identical_across_dirs(tmp_path):
     cfg = base_config()
     cfg["data"]["n_samples"] = 64
     cfg["nll"] = {"points": 4, "steps": 50}
-    for name, extra in (("a", ["--threads", "1"]), ("b", ["--threads", "2"])):
+    for name in ("a", "b"):
         out = tmp_path / name
         assert run("gen-data", cfg, out) == 0
-        assert run("nll", cfg, out, extra) == 0
+        assert run("nll", cfg, out) == 0
     header, rows = read_rows(tmp_path / "a" / "nll.csv")
     assert header == ["index", "log_likelihood", "nll_nats_per_dim",
                       "bits_per_dim", "config_hash", "seed"]
@@ -310,7 +341,6 @@ def test_nll_outputs_and_thread_invariance(tmp_path):
     assert summary["points"] == 4
     assert summary["mean_nll_nats_per_dim"] == pytest.approx(
         np.mean(vals[:, 1]), abs=1e-12)
-    # worker count must not change the numbers
     assert (tmp_path / "a" / "nll.csv").read_bytes() == \
         (tmp_path / "b" / "nll.csv").read_bytes()
 
@@ -364,6 +394,24 @@ def test_metrics_nll_table_invariance(tmp_path):
     vals = [float(r[1]) for r in rows]
     # symmetrized oracle: likelihood does not depend on orientation
     assert max(vals) - min(vals) < 1e-6
+
+
+def test_metrics_nll_table_uses_div_mode(tmp_path):
+    # Row e of the table is the nll command's mean under the same div_mode.
+    out = tmp_path / "run"
+    cfg = base_config()
+    cfg["data"]["n_samples"] = 32
+    cfg["sampler"] = {"lam": 0.0, "steps": 10, "n_samples": 8, "seed": 5}
+    cfg["metrics"] = ["nll_table"]
+    cfg["nll"] = {"points": 2, "steps": 10, "div_mode": "hutchinson"}
+    assert run("gen-data", cfg, out) == 0
+    assert run("sample", cfg, out) == 0
+    assert run("nll", cfg, out) == 0
+    assert run("metrics", cfg, out) == 0
+    _, rows = read_rows(out / "nll_table.csv")
+    summary = json.loads((out / "nll_summary.json").read_text("utf-8"))
+    assert rows[0][0] == "e"
+    assert float(rows[0][1]) == summary["mean_nll_nats_per_dim"]
 
 
 def test_metrics_inv_fid_without_group_exits_2(tmp_path):

@@ -1,5 +1,9 @@
 """Tests for the MLP score net, manual gradients, tying and training."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -415,6 +419,32 @@ def test_conv2d_identity_kernel():
     k[1, 1] = 1.0
     img = np.random.default_rng(29).standard_normal((8, 8))
     np.testing.assert_allclose(conv2d(k, img), img, atol=1e-15)
+
+
+def test_conv2d_matches_direct_sum():
+    # Zero-filled cross-correlation anchored at the kernel centre, written
+    # out as the defining double sum.
+    rng = np.random.default_rng(33)
+    img = rng.standard_normal((6, 7))
+    k = rng.standard_normal((3, 5))
+    ref = np.zeros_like(img)
+    for i in range(6):
+        for j in range(7):
+            for a in range(3):
+                for b in range(5):
+                    y, x = i + a - 1, j + b - 2
+                    if 0 <= y < 6 and 0 <= x < 7:
+                        ref[i, j] += k[a, b] * img[y, x]
+    np.testing.assert_allclose(conv2d(k, img), ref, atol=1e-13)
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, spdm, spdm.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_tied_conv_commutes_with_group_action():

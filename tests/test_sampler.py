@@ -25,6 +25,7 @@ from spdm import (
     make_d4_group,
     make_point_group_2d,
     nll_grid,
+    pf_ode_nll,
     pf_ode_solve,
     reverse_sde_sample,
     sampling_grid,
@@ -163,11 +164,29 @@ def test_pf_ode_direction_validation():
         pf_ode_solve(field, s, sampling_grid(s, 5), np.zeros(2), direction="forward")
 
 
+def _blow_up(x, *args):
+    return 1e160 * x
+
+
+NON_FINITE_RUNS = {
+    "reverse_sde_sample": lambda s: reverse_sde_sample(
+        _blow_up, s, 0.0, sampling_grid(s, 20), np.ones(2)),
+    "pf_ode_solve": lambda s: pf_ode_solve(
+        _blow_up, s, sampling_grid(s, 20), np.ones(2), direction="backward"),
+    "ddbm_reverse_sample": lambda s: ddbm_reverse_sample(
+        _blow_up, s, np.ones(2), 0.0, bridge_grid(s, 20)),
+    "simulate_drift_only": lambda s: simulate_drift_only(
+        _blow_up, np.ones((1, 2)), nll_grid(s, 20), 1),
+    "pf_ode_nll": lambda s: pf_ode_nll(_blow_up, s, np.ones(2), nll_grid(s, 20)),
+}
+
+
 def test_non_finite_state_detected():
-    s = vp_schedule()
-    grid = sampling_grid(s, 20)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteState):
-        reverse_sde_sample(lambda x, t: 1e160 * x, s, 0.0, grid, np.ones(2))
+    # Every integrator runs through the shared stepper and its check.
+    for name, run in NON_FINITE_RUNS.items():
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteState, match="non-finite at step"):
+            run(vp_schedule())
 
 
 def test_ddbm_validation():
