@@ -12,20 +12,20 @@ from .errors import (ConfigError, DegenerateCoupling, DivergedLoss, IoError,
                      ShapeMismatch, SingularAtTerminal, SpdmError,
                      TimeOutOfRange, UnsupportedSize)
 from .groups import (FrameAveragedField, GroupCheckReport, GroupElement,
-                     IsometryGroup, PairedGroup, apply, diagonal_pair_group,
+                     IsometryGroup, PairedGroup, diagonal_pair_group,
                      frame_average, make_c4_group, make_d4_group,
-                     make_flip_group, make_point_group_2d, verify_group_axioms)
+                     make_flip_group, make_group, make_point_group_2d,
+                     verify_group_axioms)
 from .io import (config_hash, load_config, read_spdt, validate_config,
                  write_spdt)
 from .metrics import (FeatureSpec, FeatureStats, FpResidual, NllReport,
                       dataset_stats, delta_x0_gap, divergence,
-                      energy_distance_test, feature_map,
-                      fokker_planck_residual, frechet_distance,
-                      group_averaged_stats, inv_fid, pf_ode_nll)
+                      energy_distance_test, fokker_planck_residual,
+                      frechet_distance, group_averaged_stats, inv_fid,
+                      pf_ode_nll)
 from .nets import (Adam, Mlp, MlpGrads, TiedKernel, TrainResult, TrainerConfig,
                    conv2d, dsm_loss, ema_update, equivariance_gap,
-                   equivariance_regularizer, make_tied_kernel, mlp_backward,
-                   mlp_forward, train)
+                   equivariance_regularizer, make_tied_kernel, train)
 from .oracle import (AnalyticScoreField, BridgeScoreField, GaussianCoupling,
                      GaussianMixture, bridge_conditional_params,
                      bridge_score_oracle, diffused_score, log_density,
@@ -37,9 +37,8 @@ from .process import (GaussianParams, Schedule, T_CLIP_FRACTION,
 from .sampling import (Canonicalizer, NoiseSequence, TimeGrid, Trajectory,
                        bridge_grid, canonicalize, ddbm_reverse_sample,
                        default_canonicalizer, equivariant_noise_sequence,
-                       make_canonicalizer, nll_grid, pf_ode_solve,
-                       reverse_sde_sample, sampling_grid, sdedit_denoise,
-                       simulate_drift_only)
+                       nll_grid, pf_ode_solve, reverse_sde_sample,
+                       sampling_grid, sdedit_denoise, simulate_drift_only)
 from .verify import CheckResult, run_all
 
 __version__ = "0.1.0"

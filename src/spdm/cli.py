@@ -15,6 +15,7 @@ failure, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -26,8 +27,7 @@ from .errors import (ConfigError, DegenerateCoupling, DivergedLoss, IoError,
                      NonFiniteState, NonPsd, SingularAtTerminal, SpdmError,
                      TimeOutOfRange)
 from .groups import (IsometryGroup, diagonal_pair_group, frame_average,
-                     make_c4_group, make_d4_group, make_flip_group,
-                     make_point_group_2d)
+                     make_group)
 from .nets import Mlp, TrainerConfig, train
 from .oracle import (AnalyticScoreField, BridgeScoreField, GaussianCoupling,
                      GaussianMixture, symmetrize)
@@ -65,24 +65,7 @@ def build_schedule(cfg: dict) -> Schedule:
 
 def build_group(cfg: dict) -> IsometryGroup | None:
     spec = cfg.get("group")
-    if spec is None:
-        return None
-    name = spec["name"]
-    shape = spec.get("shape")
-    if shape is not None:
-        shape = tuple(int(v) for v in shape)
-        if name == "flip_v":
-            return make_flip_group("vertical", shape)
-        if name == "flip_h":
-            return make_flip_group("horizontal", shape)
-        if name == "C4":
-            return make_c4_group(shape)
-        return make_d4_group(shape)
-    if name == "C4":
-        return make_point_group_2d(4)
-    if name == "D4":
-        return make_point_group_2d(4, with_reflection=True)
-    raise ConfigError(f"group {name!r} needs a grid shape")
+    return None if spec is None else make_group(spec["name"], spec.get("shape"))
 
 
 def build_mixture(cfg: dict, group: IsometryGroup | None) -> GaussianMixture:
@@ -99,8 +82,8 @@ def build_mixture(cfg: dict, group: IsometryGroup | None) -> GaussianMixture:
     weights = weights / total
     means = np.array([c["mean"] for c in comps], dtype=float)
     variances = np.array([c["variance"] for c in comps], dtype=float)
-    if group is not None and group.elements[0].kind == "grid":
-        shape = group.elements[0].grid_shape
+    if group is not None and group.grid_shape is not None:
+        shape = group.grid_shape
         d = shape[0] * shape[1]
         if means.shape[1] != d:
             raise ConfigError(f"grid group {group.name} needs means of length {d}")
@@ -164,18 +147,19 @@ def _checkpoint_path(cfg: dict, out_dir: Path) -> Path:
 
 
 def load_checkpoint(path: Path) -> dict:
-    """Load a checkpoint manifest plus its tensor files; returns nets and state."""
-    _require_file(path, "checkpoint manifest")
-    import json
+    """Load a checkpoint manifest plus its tensor files; returns nets and state.
 
-    manifest = json.loads(path.read_text("utf-8"))
+    An unreadable manifest raises IoError; a missing or malformed entry,
+    an unknown ``tie_tag`` included, raises ConfigError.
+    """
+    _require_file(path, "checkpoint manifest")
+    try:
+        manifest = json.loads(path.read_text("utf-8"))
+    except (OSError, ValueError) as exc:
+        raise IoError(f"checkpoint manifest {path} is unreadable: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise IoError(f"checkpoint manifest {path} is not a JSON object")
     base = path.parent
-    tie_tag = manifest.get("tie_tag")
-    tie_group = None
-    if tie_tag == "C4":
-        tie_group = make_point_group_2d(4)
-    elif tie_tag == "D4":
-        tie_group = make_point_group_2d(4, with_reflection=True)
 
     def rebuild(file_key):
         net = Mlp(manifest["x_dim"], hidden=tuple(manifest["hidden"]),
@@ -185,13 +169,21 @@ def load_checkpoint(path: Path) -> dict:
             _require_file(base / manifest[file_key], "checkpoint tensor")))
         return net
 
-    net = rebuild("params_file")
-    ema = rebuild("ema_file")
-    adam = io.read_spdt(_require_file(base / manifest["adam_file"],
-                                      "optimizer state"))
-    opt_state = (adam[0], adam[1], manifest["adam_step_count"])
+    try:
+        tie_tag = manifest.get("tie_tag")
+        tie_group = None if tie_tag is None else make_group(tie_tag)
+        net = rebuild("params_file")
+        ema = rebuild("ema_file")
+        adam = io.read_spdt(_require_file(base / manifest["adam_file"],
+                                          "optimizer state"))
+        opt_state = (adam[0], adam[1], manifest["adam_step_count"])
+        steps_done = int(manifest["steps_done"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"checkpoint manifest {path} has a missing or malformed entry: {exc!r}"
+        ) from exc
     return {"net": net, "ema": ema, "opt_state": opt_state,
-            "manifest": manifest}
+            "steps_done": steps_done}
 
 
 def build_score(cfg: dict, s: Schedule, group: IsometryGroup | None,
@@ -251,13 +243,10 @@ def cmd_gen_data(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     }
     if group is not None:
         spec_doc["group"] = group.name
-        try:
-            c = sampling.default_canonicalizer(group)
-            names = [sampling.canonicalize(c, x).name for x in samples]
-            counts = {el.name: names.count(el.name) for el in group.elements}
-            spec_doc["orientation_counts"] = counts
-        except SpdmError:
-            pass
+        c = sampling.default_canonicalizer(group)
+        names = [sampling.canonicalize(c, x).name for x in samples]
+        spec_doc["orientation_counts"] = {el.name: names.count(el.name)
+                                          for el in group.elements}
     io.write_json(out_dir / "data_spec.json", spec_doc)
     _write_manifest(out_dir, "gen-data", chash, seed,
                     ["data.spdt", "data_spec.json"],
@@ -283,7 +272,7 @@ def cmd_train(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
 
     if mode in ("WT", "regularized") and group is None:
         raise ConfigError(f"train mode {mode!r} needs a group section")
-    if mode == "WT" and group is not None and group.elements[0].kind != "matrix":
+    if mode == "WT" and group is not None and group.grid_shape is not None:
         raise ConfigError("WT mode needs a 2-D point group (C4 or D4 without shape)")
 
     resume = {}
@@ -291,7 +280,7 @@ def cmd_train(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
         ck = load_checkpoint(Path(init_path))
         resume = {"init_net": ck["net"], "init_ema": ck["ema"],
                   "init_opt_state": ck["opt_state"],
-                  "start_step": ck["manifest"]["steps_done"]}
+                  "start_step": ck["steps_done"]}
     result = train(tcfg, flat, s, group=group, mode=mode, **resume)
 
     io.write_spdt(out_dir / "checkpoint.spdt", result.net.flat_parameters())
@@ -299,9 +288,6 @@ def cmd_train(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
                   result.ema_net.flat_parameters())
     m, v, step_count = result.opt_state
     io.write_spdt(out_dir / "checkpoint_adam.spdt", np.stack([m, v]))
-    tie_tag = None
-    if mode == "WT":
-        tie_tag = "D4" if len(group) == 8 else "C4"
     manifest = {
         "config_hash": chash,
         "seed": tcfg.seed,
@@ -311,7 +297,7 @@ def cmd_train(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
         "sizes": list(result.net.sizes),
         "horizon": s.T,
         "schedule_kind": s.kind,
-        "tie_tag": tie_tag,
+        "tie_tag": group.tag if mode == "WT" else None,
         "free_parameters": result.free_parameters,
         "steps_done": result.steps_done,
         "adam_step_count": step_count,
@@ -337,8 +323,8 @@ def cmd_train(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
 
 def _event_shape(group: IsometryGroup | None) -> tuple[int, ...]:
     """Shape of one state: the grid shape for a grid group, else a 2-D point."""
-    if group is not None and group.elements[0].kind == "grid":
-        return group.elements[0].grid_shape
+    if group is not None and group.grid_shape is not None:
+        return group.grid_shape
     return (2,)
 
 
@@ -365,6 +351,31 @@ def _delta_x0_probe(run, starts: np.ndarray, group: IsometryGroup,
                           for k, m, e in zip(ks, moved_ends, ends)]))
 
 
+def _chain_map(integrate, group: IsometryGroup | None, use_en: bool, seed: int,
+               n_steps: int):
+    """Map from a batch of starts to terminal states: what a command writes.
+
+    ``integrate(starts, noise)`` runs the sampler.  With equivariant noise
+    each chain i runs alone on the stream of ``_chain_seed(seed, i)``,
+    oriented by its start.  Otherwise the batch shares one stream keyed by
+    ``seed``, whose row i is the same whatever the batch size, so the
+    ``delta_x0`` probe on the first rows measures this very map.
+    """
+    if not use_en:
+        return lambda starts: integrate(starts, seed)
+    if group is None:
+        raise ConfigError("equivariant_noise needs a group section")
+    canon = sampling.default_canonicalizer(group)
+
+    def run(starts):
+        return np.stack([
+            integrate(x, sampling.equivariant_noise_sequence(
+                x, _chain_seed(seed, i), group, canon, n_steps))
+            for i, x in enumerate(starts)])
+
+    return run
+
+
 def cmd_sample(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     chash = io.config_hash(cfg)
     s = build_schedule(cfg)
@@ -380,27 +391,9 @@ def cmd_sample(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     score = build_score(cfg, s, group, out_dir, event_shape)
     grid = sampling.sampling_grid(s, steps)
     x_T = _prior_draws(s, n, event_shape, seed)
-
-    if use_en:
-        if group is None:
-            raise ConfigError("equivariant_noise needs a group section")
-        canon = sampling.default_canonicalizer(group)
-
-        def run(starts):
-            outs = []
-            for i, start in enumerate(starts):
-                seq = sampling.equivariant_noise_sequence(
-                    start, _chain_seed(seed, i), group, canon, grid.n_steps)
-                outs.append(sampling.reverse_sde_sample(score, s, lam, grid, start,
-                                                        noise=seq).terminal)
-            return np.stack(outs)
-    else:
-        # One batched stream: row i of a batch sees the same noise whatever
-        # the batch size, so the probe below measures this very map.
-        def run(starts):
-            return sampling.reverse_sde_sample(score, s, lam, grid, starts,
-                                               noise=seed).terminal
-
+    run = _chain_map(lambda x, noise: sampling.reverse_sde_sample(
+        score, s, lam, grid, x, noise=noise).terminal,
+        group, use_en, seed, grid.n_steps)
     samples = run(x_T)
     summary = {"config_hash": chash, "seed": seed, "lam": lam, "steps": steps,
                "n_samples": n, "equivariant_noise": use_en,
@@ -432,36 +425,16 @@ def cmd_bridge(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     cond_score = build_bridge_score(cfg, s, group)
     grid = sampling.bridge_grid(s, steps)
     x_T = _prior_draws(s, n, _event_shape(group), seed)
-
-    canon = None
-    if use_en:
-        if group is None:
-            raise ConfigError("equivariant_noise needs a group section")
-        canon = sampling.default_canonicalizer(group)
-
-    def run_chains(endpoints):
-        outs = []
-        for i, endpoint in enumerate(endpoints):
-            if canon is not None:
-                noise = sampling.equivariant_noise_sequence(
-                    endpoint, _chain_seed(seed, i), group, canon, grid.n_steps)
-            else:
-                noise = _chain_seed(seed, i)
-            outs.append(sampling.ddbm_reverse_sample(cond_score, s, endpoint, tau,
-                                                     grid, noise=noise).terminal)
-        return np.stack(outs)
-
-    if use_en or tau == 0:
-        samples = run_chains(x_T)
-    else:
-        samples = sampling.ddbm_reverse_sample(cond_score, s, x_T, tau, grid,
-                                               noise=seed).terminal
+    run = _chain_map(lambda x, noise: sampling.ddbm_reverse_sample(
+        cond_score, s, x, tau, grid, noise=noise).terminal,
+        group, use_en, seed, grid.n_steps)
+    samples = run(x_T)
 
     summary = {"config_hash": chash, "seed": seed, "tau": tau, "steps": steps,
                "n_samples": n, "equivariant_noise": use_en}
     if group is not None:
         n_probe = min(8, n)
-        summary["delta_x0"] = _delta_x0_probe(run_chains, x_T[:n_probe], group, seed)
+        summary["delta_x0"] = _delta_x0_probe(run, x_T[:n_probe], group, seed)
     io.write_spdt(out_dir / "bridge_samples.spdt", samples)
     io.write_json(out_dir / "bridge_summary.json", summary)
     _write_manifest(out_dir, "bridge", chash, seed,
@@ -570,13 +543,8 @@ def cmd_metrics(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
                  ["name", "value", "config_hash", "seed"], rows)
 
     series = [("data", data_flat[:, :2], "#999999")]
-    canon = None
     if group is not None:
-        try:
-            canon = sampling.default_canonicalizer(group)
-        except SpdmError:
-            canon = None
-    if canon is not None:
+        canon = sampling.default_canonicalizer(group)
         by_orient = {}
         for x in samples:
             gid = sampling.canonicalize(canon, x).gid

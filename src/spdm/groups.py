@@ -12,6 +12,7 @@ The 2x2 point rotation ``r1`` is the matrix ``[[0, -1], [1, 0]]``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,11 +79,6 @@ class GroupElement:
         return x @ self.matrix.T
 
 
-def apply(element: GroupElement, x: np.ndarray) -> np.ndarray:
-    """Apply a group element to an array (see GroupElement.apply)."""
-    return element.apply(x)
-
-
 @dataclass(frozen=True)
 class IsometryGroup:
     """A finite group of isometries with precomputed composition tables.
@@ -98,15 +94,25 @@ class IsometryGroup:
         where ``(a o b)(x) = a(b(x))``.
     inverse_table : ndarray
         ``inverse_table[i]`` is the id of the inverse of ``elements[i]``.
+    tag : str
+        The ``make_group`` tag that rebuilds the group with its grid shape:
+        ``flip_v``, ``flip_h``, ``C4`` or ``D4`` on grids, ``C{n}`` or
+        ``D{n}`` for point groups; empty for hand-built groups.
     """
 
     name: str
     elements: tuple[GroupElement, ...]
     compose_table: np.ndarray
     inverse_table: np.ndarray
+    tag: str = ""
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @property
+    def grid_shape(self) -> tuple[int, int] | None:
+        """The (H, W) grid the group permutes; None for a point group."""
+        return self.elements[0].grid_shape
 
     @property
     def identity(self) -> GroupElement:
@@ -169,7 +175,7 @@ def _identify(elements: list[GroupElement], perm=None, matrix=None) -> int:
     raise InvalidParams("composition left the element set; group is not closed")
 
 
-def _build_group(name: str, elements: list[GroupElement]) -> IsometryGroup:
+def _build_group(name: str, tag: str, elements: list[GroupElement]) -> IsometryGroup:
     n = len(elements)
     table = np.zeros((n, n), dtype=np.int64)
     for a in elements:
@@ -186,7 +192,7 @@ def _build_group(name: str, elements: list[GroupElement]) -> IsometryGroup:
         if len(hits) != 1:
             raise InvalidParams(f"element {a.name} has no unique inverse")
         inv[a.gid] = hits[0]
-    return IsometryGroup(name, tuple(elements), table, inv)
+    return IsometryGroup(name, tuple(elements), table, inv, tag)
 
 
 def _grid_perm(shape: tuple[int, int], op) -> np.ndarray:
@@ -217,7 +223,8 @@ def make_flip_group(axis: str, shape: tuple[int, int]) -> IsometryGroup:
         _grid_element(0, "e", shape, lambda a: a),
         _grid_element(1, "f", shape, op),
     ]
-    return _build_group(f"flip-{axis[0]}-grid-{shape[0]}x{shape[1]}", els)
+    return _build_group(f"flip-{axis[0]}-grid-{shape[0]}x{shape[1]}",
+                        f"flip_{axis[0]}", els)
 
 
 def make_c4_group(shape: tuple[int, int]) -> IsometryGroup:
@@ -233,7 +240,7 @@ def make_c4_group(shape: tuple[int, int]) -> IsometryGroup:
         _grid_element(k, f"r{k}" if k else "e", shape, lambda a, k=k: np.rot90(a, -k))
         for k in range(4)
     ]
-    return _build_group(f"C4-grid-{shape[0]}x{shape[1]}", els)
+    return _build_group(f"C4-grid-{shape[0]}x{shape[1]}", "C4", els)
 
 
 def make_d4_group(shape: tuple[int, int]) -> IsometryGroup:
@@ -256,7 +263,7 @@ def make_d4_group(shape: tuple[int, int]) -> IsometryGroup:
         )
         for k in range(4)
     ]
-    return _build_group(f"D4-grid-{shape[0]}x{shape[1]}", els)
+    return _build_group(f"D4-grid-{shape[0]}x{shape[1]}", "D4", els)
 
 
 def _snap_integers(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -292,8 +299,34 @@ def make_point_group_2d(n_rotations: int, with_reflection: bool = False) -> Isom
             m = _snap_integers(s @ els[k].matrix)
             els.append(GroupElement(gid=n_rotations + k,
                                     name=f"sr{k}" if k else "s", matrix=m))
-    label = f"D{n_rotations}-point" if with_reflection else f"C{n_rotations}-point"
-    return _build_group(label, els)
+    tag = f"{'D' if with_reflection else 'C'}{n_rotations}"
+    return _build_group(f"{tag}-point", tag, els)
+
+
+def make_group(tag: str, shape=None) -> IsometryGroup:
+    """The group a tag names; the one place a tag becomes a group.
+
+    With ``shape`` (H, W) the tag names a grid group: ``flip_v``,
+    ``flip_h``, ``C4`` or ``D4``.  Without it, ``C{n}`` names the n
+    rotations of the plane and ``D{n}`` adds the n reflections.
+    ``make_group(g.tag, g.grid_shape)`` rebuilds any built-in group ``g``.
+    """
+    if shape is not None:
+        shape = tuple(int(v) for v in shape)
+        if tag in ("flip_v", "flip_h"):
+            return make_flip_group("vertical" if tag == "flip_v" else "horizontal",
+                                   shape)
+        if tag == "C4":
+            return make_c4_group(shape)
+        if tag == "D4":
+            return make_d4_group(shape)
+        raise InvalidParams(
+            f"unknown grid group tag {tag!r}; expected flip_v, flip_h, C4 or D4")
+    m = re.fullmatch(r"([CD])([1-9][0-9]*)", tag) if isinstance(tag, str) else None
+    if m is None:
+        raise InvalidParams(f"unknown point group tag {tag!r}; expected C<n> or D<n> "
+                            "(flip_v and flip_h need a grid shape)")
+    return make_point_group_2d(int(m.group(2)), with_reflection=m.group(1) == "D")
 
 
 def _validate_shape(shape) -> None:

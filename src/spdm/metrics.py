@@ -163,11 +163,6 @@ class FeatureSpec:
         return np.tanh(flat @ w.T + b)
 
 
-def feature_map(x: np.ndarray, spec: FeatureSpec) -> np.ndarray:
-    """Deterministic feature vectors for a batch (rows) or single input."""
-    return spec.project(x)
-
-
 @dataclass
 class FeatureStats:
     """Mean and covariance (1/N convention) of a feature cloud."""
@@ -214,7 +209,7 @@ def frechet_distance(a: FeatureStats, b: FeatureStats) -> float:
 
 def dataset_stats(dataset: np.ndarray, spec: FeatureSpec) -> FeatureStats:
     """Feature statistics T(D) of a dataset (leading axis indexes samples)."""
-    return FeatureStats.from_features(feature_map(dataset, spec))
+    return FeatureStats.from_features(spec.project(dataset))
 
 
 def group_averaged_stats(dataset: np.ndarray, group: IsometryGroup,
@@ -232,7 +227,7 @@ def group_averaged_stats(dataset: np.ndarray, group: IsometryGroup,
         raise InvalidParams("dataset must be nonempty")
     mus, raws = [], []
     for k in group.elements:
-        f = feature_map(k.apply(dataset), spec)
+        f = spec.project(k.apply(dataset))
         mus.append(f.mean(axis=0))
         raws.append(f.T @ f / f.shape[0])
     mu = np.mean(np.stack(mus), axis=0)

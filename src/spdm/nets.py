@@ -30,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DivergedLoss, InvalidParams, ShapeMismatch, UnsupportedSize
-from .groups import GroupElement, IsometryGroup
+from .groups import IsometryGroup, make_group
 from .process import Schedule
 
 
@@ -45,7 +45,7 @@ def apply_elements(group: IsometryGroup, ids: np.ndarray, x: np.ndarray) -> np.n
     """Apply a per-row group element: row i of x gets elements[ids[i]]."""
     ids = np.asarray(ids)
     x = np.asarray(x, dtype=float)
-    if group.elements[0].kind == "matrix":
+    if group.grid_shape is None:
         mats = np.stack([el.matrix for el in group.elements])
         return np.einsum("nij,nj->ni", mats[ids], x)
     perms = np.stack([el.perm for el in group.elements])
@@ -101,7 +101,7 @@ class Mlp:
     # ---- weight tying ----------------------------------------------------
 
     def _build_representations(self, group: IsometryGroup) -> None:
-        if group.elements[0].kind != "matrix":
+        if group.grid_shape is not None:
             raise InvalidParams("weight tying needs a matrix point group")
         d = group.elements[0].matrix.shape[0]
         if self.x_dim != d or (self.y_dim not in (0, d)):
@@ -135,11 +135,11 @@ class Mlp:
 
     def _project_weight(self, layer: int, w: np.ndarray) -> np.ndarray:
         ro, ri = self._rout[layer], self._rin[layer]
-        return np.einsum("gao,ab,gbi->oi", ro, w, ri) / len(ro)
+        return np.sum(ro.transpose(0, 2, 1) @ w @ ri, axis=0) / len(ro)
 
     def _project_bias(self, layer: int, b: np.ndarray) -> np.ndarray:
         ro = self._rout[layer]
-        return np.einsum("gba,b->a", ro, b) / len(ro)
+        return np.sum(ro.transpose(0, 2, 1) @ b, axis=0) / len(ro)
 
     def effective_parameters(self):
         """Weights and biases actually used in the forward pass."""
@@ -261,16 +261,6 @@ class MlpGrads:
             weights=[a + factor * b for a, b in zip(self.weights, other.weights)],
             biases=[a + factor * b for a, b in zip(self.biases, other.biases)],
         )
-
-
-def mlp_forward(net: Mlp, x, y=None, t=0.0):
-    """Evaluate s_theta(x, [y], t); batch rows carried through."""
-    return net.forward(x, y, t)
-
-
-def mlp_backward(net: Mlp, cache, out_adjoint) -> MlpGrads:
-    """Exact reverse-mode gradients given the forward cache and adjoint."""
-    return net.backward(cache, out_adjoint)
 
 
 # ---- losses --------------------------------------------------------------
@@ -495,19 +485,8 @@ def train(config: TrainerConfig, data, schedule: Schedule,
 # ---- tied convolution kernels --------------------------------------------
 
 
-_KERNEL_TAGS = ("flip", "C4", "D4")
-
-
-def _kernel_ops(tag: str):
-    if tag == "flip":
-        return [lambda a: a, np.fliplr]
-    if tag == "C4":
-        return [lambda a, k=k: np.rot90(a, -k) for k in range(4)]
-    if tag == "D4":
-        ops = [lambda a, k=k: np.rot90(a, -k) for k in range(4)]
-        ops += [lambda a, k=k: np.fliplr(np.rot90(a, -k)) for k in range(4)]
-        return ops
-    raise InvalidParams(f"unknown kernel tag {tag!r}; expected one of {_KERNEL_TAGS}")
+# Kernel tag -> make_group tag of the grid group the kernel is fixed by.
+_KERNEL_GROUPS = {"flip": "flip_h", "C4": "C4", "D4": "D4"}
 
 
 @dataclass
@@ -545,32 +524,20 @@ def make_tied_kernel(tag: str, size: int) -> TiedKernel:
     row-major order of the first position of each orbit, and default to
     1..n so patterns are visible without further setup.
     """
-    if tag not in _KERNEL_TAGS:
-        raise InvalidParams(f"unknown kernel tag {tag!r}; expected one of {_KERNEL_TAGS}")
+    if tag not in _KERNEL_GROUPS:
+        raise InvalidParams(
+            f"unknown kernel tag {tag!r}; expected one of {tuple(_KERNEL_GROUPS)}")
     if size < 3 or size % 2 == 0:
         raise UnsupportedSize(f"kernel size must be odd and >= 3, got {size}")
-    ops = _kernel_ops(tag)
-    idx = np.arange(size * size).reshape(size, size)
-    perms = [np.ascontiguousarray(op(idx)).ravel() for op in ops]
+    group = make_group(_KERNEL_GROUPS[tag], (size, size))
+    perms = np.stack([el.perm for el in group.elements])
     orbit = -np.ones(size * size, dtype=np.int64)
     n_free = 0
     for pos in range(size * size):
-        if orbit[pos] >= 0:
-            continue
-        members = {int(p[pos]) for p in perms} | {pos}
-        # close under the group in case compositions reach further positions
-        frontier = set(members)
-        while frontier:
-            nxt = set()
-            for q in frontier:
-                for p in perms:
-                    if int(p[q]) not in members:
-                        nxt.add(int(p[q]))
-            members |= nxt
-            frontier = nxt
-        for q in members:
-            orbit[q] = n_free
-        n_free += 1
+        if orbit[pos] < 0:
+            # The group is closed, so one gather is the whole orbit of pos.
+            orbit[perms[:, pos]] = n_free
+            n_free += 1
     return TiedKernel(tag=tag, size=size, orbit_index=orbit.reshape(size, size),
                       params=np.arange(1.0, n_free + 1.0))
 

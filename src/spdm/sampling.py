@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParams, NonFiniteState, TimeOutOfRange
-from .groups import (GroupElement, IsometryGroup, make_c4_group, make_d4_group,
-                     make_flip_group, make_point_group_2d)
+from .groups import GroupElement, IsometryGroup
 from .process import Schedule, grad_log_transition_h
 
 
@@ -288,14 +287,12 @@ def ddbm_reverse_sample(cond_score, s: Schedule, x_T, tau: float,
 class Canonicalizer:
     """Assigns to each x the group element giving its orientation.
 
-    ``canonicalize(c, x)`` returns the first element k (ascending id) whose
-    inverse moves x into the reference region: for grids the region holding
-    the entry of maximum value (upper half, upper-left quadrant, or its
+    ``canonicalize(c, x)`` returns an element k whose inverse moves x into
+    the reference region: for grids the region holding the entry of
+    maximum value (upper half, left half, upper-left quadrant, or its
     above-diagonal wedge), for 2-D points an angular sector at the origin.
-    Ties (max on a region boundary) resolve to the smallest element id.
     """
 
-    tag: str
     group: IsometryGroup
     _in_region: callable = field(repr=False, default=None)
 
@@ -303,99 +300,65 @@ class Canonicalizer:
         return canonicalize(self, x)
 
 
-def _grid_region_test(tag: str, shape: tuple[int, int]):
-    h, w = shape
-
-    def upper(i, j):
-        return i < h / 2.0
-
-    def left(i, j):
-        return j < w / 2.0
-
-    def quadrant(i, j):
-        return i < h / 2.0 and j < w / 2.0
-
-    def wedge(i, j):
-        return i < h / 2.0 and j < w / 2.0 and j >= i
-
-    return {"flip_v": upper, "flip_h": left, "C4": quadrant, "D4": wedge}[tag]
+# Reference regions for the grid peak at row i, column j of an h x w grid.
+_GRID_REGIONS = {
+    "flip_v": lambda i, j, h, w: i < h / 2.0,
+    "flip_h": lambda i, j, h, w: j < w / 2.0,
+    "C4": lambda i, j, h, w: i < h / 2.0 and j < w / 2.0,
+    "D4": lambda i, j, h, w: i < h / 2.0 and j < w / 2.0 and j >= i,
+}
 
 
-def make_canonicalizer(tag: str, shape: tuple[int, int] | None = None) -> Canonicalizer:
-    """Build a canonicalizer and its matching group.
+def default_canonicalizer(group: IsometryGroup) -> Canonicalizer:
+    """The canonicalizer of a built-in group, chosen by ``group.tag``.
 
-    With ``shape`` given the tag names a grid group (flip_v, flip_h, C4,
-    D4) and orientation is decided by the location of the maximum entry.
-    Without ``shape`` the tag must be C4 or D4 and the canonicalizer acts
-    on 2-D points through angular sectors.
+    On grids (flip_v, flip_h, C4, D4) orientation is decided by the
+    location of the maximum entry; on 2-D points (C4, D4) by the angular
+    sector of the point.
     """
-    if shape is not None:
-        if tag == "flip_v":
-            group = make_flip_group("vertical", shape)
-        elif tag == "flip_h":
-            group = make_flip_group("horizontal", shape)
-        elif tag == "C4":
-            group = make_c4_group(shape)
-        elif tag == "D4":
-            group = make_d4_group(shape)
-        else:
-            raise InvalidParams(f"unknown grid canonicalizer tag {tag!r}")
-        region = _grid_region_test(tag, shape)
+    shape = group.grid_shape
+    if shape is not None and group.tag in _GRID_REGIONS:
+        region = _GRID_REGIONS[group.tag]
+        h, w = shape
 
         def in_region(y: np.ndarray) -> bool:
             # Channels collapse by max so the decision uses the global peak.
             plane = y if y.ndim == 2 else np.max(y, axis=-1)
-            pos = int(np.argmax(plane))
-            i, j = divmod(pos, shape[1])
-            return region(i, j)
+            i, j = divmod(int(np.argmax(plane)), w)
+            return region(i, j, h, w)
 
-        return Canonicalizer(tag=tag, group=group, _in_region=in_region)
+        return Canonicalizer(group=group, _in_region=in_region)
+    if shape is None and group.tag in ("C4", "D4"):
+        sector = np.pi / 2.0 if group.tag == "C4" else np.pi / 4.0
 
-    if tag not in ("C4", "D4"):
-        raise InvalidParams(f"point canonicalizer tag must be C4 or D4, got {tag!r}")
-    n = 4
-    group = make_point_group_2d(n, with_reflection=(tag == "D4"))
-    sector = 2.0 * np.pi / n if tag == "C4" else np.pi / n
+        def in_region(y: np.ndarray) -> bool:
+            return float(np.arctan2(y[1], y[0])) % (2.0 * np.pi) < sector
 
-    def in_region(y: np.ndarray) -> bool:
-        ang = float(np.arctan2(y[1], y[0])) % (2.0 * np.pi)
-        return ang < sector
-
-    return Canonicalizer(tag=tag, group=group, _in_region=in_region)
-
-
-def default_canonicalizer(group: IsometryGroup) -> Canonicalizer:
-    """Infer the canonicalizer matching one of the built-in groups."""
-    name = group.name
-    el = group.elements[0]
-    if el.kind == "grid":
-        shape = el.grid_shape
-        if name.startswith("flip-v"):
-            return make_canonicalizer("flip_v", shape)
-        if name.startswith("flip-h"):
-            return make_canonicalizer("flip_h", shape)
-        if name.startswith("C4"):
-            return make_canonicalizer("C4", shape)
-        if name.startswith("D4"):
-            return make_canonicalizer("D4", shape)
-    else:
-        if name.startswith("C4"):
-            return make_canonicalizer("C4")
-        if name.startswith("D4"):
-            return make_canonicalizer("D4")
-    raise InvalidParams(f"no default canonicalizer for group {name!r}")
+        return Canonicalizer(group=group, _in_region=in_region)
+    raise InvalidParams(f"no default canonicalizer for group {group.name!r}")
 
 
 def canonicalize(c: Canonicalizer, x: np.ndarray) -> GroupElement:
-    """Return the unique k with x in orientation k (ties: smallest id)."""
+    """Return the orientation k of x.
+
+    Among the elements k whose inverse moves x into the reference region,
+    the one with the lexicographically largest ``k^-1 x`` wins, so
+    ``canonicalize(c, g x) = g canonicalize(c, x)`` also when the peak
+    sits on a cell that a group element fixes.  Equal candidates resolve
+    to the smallest id; with none, the identity is returned.
+    """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1 and c.group.elements[0].kind == "grid":
+    grid = c.group.grid_shape is not None
+    if x.ndim == 1 and grid:
         raise InvalidParams("grid canonicalizer needs a grid-shaped input")
+    best, best_key = c.group.identity, None
     for k in c.group.elements:
         y = c.group.inverse(k).apply(x)
-        if c._in_region(np.asarray(y).ravel() if k.kind == "matrix" else y):
-            return k
-    return c.group.identity
+        if c._in_region(y if grid else y.ravel()):
+            key = tuple(y.ravel())
+            if best_key is None or key > best_key:
+                best, best_key = k, key
+    return best
 
 
 def equivariant_noise_sequence(x_ref: np.ndarray, seed: int, G: IsometryGroup,

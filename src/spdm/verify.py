@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, oracle, sampling
-from .groups import (IsometryGroup, frame_average, make_c4_group,
-                     make_d4_group, make_flip_group, make_point_group_2d,
+from .groups import (IsometryGroup, frame_average, make_group,
                      verify_group_axioms)
 from .io import read_spdt, write_spdt
 from .nets import Mlp, conv2d, make_tied_kernel
@@ -42,14 +41,8 @@ class CheckResult:
 
 
 def default_groups() -> list[IsometryGroup]:
-    return [
-        make_flip_group("vertical", (4, 4)),
-        make_flip_group("horizontal", (4, 4)),
-        make_c4_group((4, 4)),
-        make_d4_group((4, 4)),
-        make_point_group_2d(4),
-        make_point_group_2d(4, with_reflection=True),
-    ]
+    grids = [make_group(tag, (4, 4)) for tag in ("flip_v", "flip_h", "C4", "D4")]
+    return grids + [make_group("C4"), make_group("D4")]
 
 
 def check_group_axioms(groups: list[IsometryGroup] | None = None) -> list[CheckResult]:
@@ -77,8 +70,8 @@ def check_tied_kernels(seed: int = 0) -> list[CheckResult]:
     out.append(CheckResult(name="tied_kernel_counts", tolerance=0.0,
                            observed=float(worst), passed=worst == 0))
     rng = np.random.default_rng(seed)
-    groups = {"flip": make_flip_group("horizontal", (8, 8)),
-              "C4": make_c4_group((8, 8)), "D4": make_d4_group((8, 8))}
+    groups = {"flip": make_group("flip_h", (8, 8)),
+              "C4": make_group("C4", (8, 8)), "D4": make_group("D4", (8, 8))}
     gap = 0.0
     for tag, size in [("flip", 3), ("C4", 5), ("D4", 5)]:
         kern = make_tied_kernel(tag, size)
@@ -104,7 +97,7 @@ def check_tied_kernels(seed: int = 0) -> list[CheckResult]:
 def check_frame_averaging(seed: int = 0, probes: int = 50) -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(seed)
-    grid_group = make_flip_group("vertical", (4, 4))
+    grid_group = make_group("flip_v", (4, 4))
     net = Mlp(16, hidden=(32,), seed=seed)
 
     def base_grid(x, t):
@@ -121,7 +114,7 @@ def check_frame_averaging(seed: int = 0, probes: int = 50) -> list[CheckResult]:
     out.append(CheckResult(name="frame_averaging[grid-flip]", tolerance=1e-12,
                            observed=gap, passed=gap <= 1e-12))
 
-    pt_group = make_point_group_2d(4)
+    pt_group = make_group("C4")
     net2 = Mlp(2, hidden=(32,), seed=seed + 1)
     fa2 = frame_average(lambda x, t: net2(x, t), pt_group)
     gap2 = 0.0
@@ -141,14 +134,14 @@ def _demo_mixture(symmetric: bool) -> oracle.GaussianMixture:
                                means=np.array([[1.5, 0.0], [0.5, 1.0]]),
                                variances=np.array([0.08, 0.12]))
     if symmetric:
-        return oracle.symmetrize(m, make_point_group_2d(4))
+        return oracle.symmetrize(m, make_group("C4"))
     return m
 
 
 def check_analytic_score(seed: int = 0) -> list[CheckResult]:
     out = []
     s = vp_schedule()
-    group = make_point_group_2d(4)
+    group = make_group("C4")
     sym = _demo_mixture(True)
     rng = np.random.default_rng(seed)
     xs = sym.sample(rng, 50)
@@ -322,7 +315,7 @@ def check_frechet_closed_form(seed: int = 0) -> list[CheckResult]:
 def check_inv_fid(seed: int = 0, n: int = 8000) -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(seed)
-    group = make_point_group_2d(4)
+    group = make_group("C4")
     spec = metrics.FeatureSpec(dim_in=2)
     sym = _demo_mixture(True).sample(rng, n)
     one = _demo_mixture(False).sample(rng, n)

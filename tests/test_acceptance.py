@@ -18,7 +18,7 @@ from spdm.metrics import (FeatureSpec, FeatureStats, energy_distance_test,
                           fokker_planck_residual, frechet_distance, inv_fid,
                           pf_ode_nll)
 from spdm.nets import (Mlp, TrainerConfig, conv2d, equivariance_gap,
-                       make_tied_kernel, mlp_backward, train)
+                       make_tied_kernel, train)
 from spdm.oracle import (AnalyticScoreField, BridgeScoreField, GaussianCoupling,
                          GaussianMixture, symmetrize)
 from spdm.process import (bridge_forward_drift, bridge_kernel, transition,
@@ -393,7 +393,7 @@ def test_criterion_10_training():
     for tie in (None, make_point_group_2d(4)):
         net = Mlp(2, hidden=(4, 4), seed=2, tie_group=tie)
         out, cache = net.forward(x, None, 0.3, want_cache=True)
-        grads = mlp_backward(net, cache, out - target).flat()
+        grads = net.backward(cache, out - target).flat()
         theta = net.flat_parameters()
         eps = 1e-6
         fd = np.zeros_like(theta)

@@ -211,6 +211,48 @@ def test_train_resume_matches_straight_run(tmp_path):
         assert (straight / fname).read_bytes() == (part / fname).read_bytes()
 
 
+def test_train_wt_writes_group_tag_and_reloads(tmp_path):
+    out = tmp_path / "run"
+    cfg = train_config(mode="WT", steps=5, hidden=[8])
+    cfg["group"] = {"name": "D4"}
+    assert run("gen-data", cfg, out) == 0
+    assert run("train", cfg, out) == 0
+    manifest = json.loads((out / "checkpoint.json").read_text("utf-8"))
+    assert manifest["tie_tag"] == "D4"
+    cfg["model"] = {"kind": "mlp+WT"}
+    cfg["sampler"] = {"lam": 1.0, "steps": 5, "n_samples": 4, "seed": 0,
+                      "equivariant_noise": True}
+    assert run("sample", cfg, out) == 0
+    summary = json.loads((out / "sample_summary.json").read_text("utf-8"))
+    assert summary["delta_x0"] <= 1e-12
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing_hidden", "missing_steps_done",
+                                    "tie_tag_C8", "not_an_object"])
+def test_damaged_checkpoint_exits_2(tmp_path, capsys, damage):
+    out = tmp_path / "run"
+    cfg = train_config(steps=5, hidden=[8])
+    assert run("gen-data", cfg, out) == 0
+    assert run("train", cfg, out) == 0
+    path = out / "checkpoint.json"
+    text = path.read_text("utf-8")
+    manifest = json.loads(text)
+    if damage == "truncated":
+        path.write_text(text[:len(text) // 2], "utf-8")
+    elif damage.startswith("missing_"):
+        del manifest[damage[len("missing_"):]]
+        path.write_text(json.dumps(manifest), "utf-8")
+    elif damage == "tie_tag_C8":
+        manifest["tie_tag"] = "C8"
+        path.write_text(json.dumps(manifest), "utf-8")
+    else:
+        path.write_text("[]", "utf-8")
+    cfg["model"] = {"kind": "mlp"}
+    cfg["sampler"] = {"steps": 5, "n_samples": 2, "seed": 0}
+    assert run("sample", cfg, out) == 2
+    assert "checkpoint manifest" in capsys.readouterr().err
+
+
 # ---- sample --------------------------------------------------------------
 
 
@@ -250,17 +292,23 @@ def test_sample_plain_noise_breaks_chain_equivariance(tmp_path):
 
 
 def test_sample_plain_noise_rows_do_not_depend_on_batch_size(tmp_path):
-    # The plain-noise delta_x0 probe reruns the batched sampler on the
-    # first rows only; that is the map that wrote samples.spdt because the
-    # first rows of a batch are the same whatever its size.
-    rows = {}
-    for n in (4, 16):
-        out = tmp_path / str(n)
-        cfg = sample_config(equivariant_noise=False, n_samples=n)
-        assert run("gen-data", cfg, out) == 0
-        assert run("sample", cfg, out) == 0
-        rows[n] = read_spdt(out / "samples.spdt")
-    np.testing.assert_array_equal(rows[4], rows[16][:4])
+    # The plain-noise delta_x0 probes of sample and bridge rerun the batched
+    # sampler on the first rows only; that is the map that wrote the
+    # samples because the first rows of a batch are the same whatever its
+    # size.  The bridge runs at tau > 0 and at tau = 0.
+    cases = [("sample", "samples.spdt", {})]
+    cases += [("bridge", "bridge_samples.spdt", {"tau": tau}) for tau in (1.0, 0.0)]
+    for cmd, fname, extra in cases:
+        rows = {}
+        for n in (4, 16):
+            out = tmp_path / f"{cmd}{extra.get('tau', '')}-{n}"
+            cfg = sample_config(equivariant_noise=False, n_samples=n, **extra)
+            cfg["model"]["coupling"] = {"matrix": [[0.5, 0.1], [-0.1, 0.5]],
+                                        "noise_var": 0.04}
+            assert run("gen-data", cfg, out) == 0
+            assert run(cmd, cfg, out) == 0
+            rows[n] = read_spdt(out / fname)
+        np.testing.assert_array_equal(rows[4], rows[16][:4])
 
 
 def test_sample_ode_has_no_delta_probe(tmp_path):
@@ -298,19 +346,22 @@ def test_bridge_outputs(tmp_path):
 
 @pytest.mark.parametrize("use_en", [True, False])
 def test_bridge_on_grid_group(tmp_path, use_en):
-    cfg = {"schedule": {"kind": "vp"}, "group": {"name": "C4", "shape": [4, 4]},
-           "model": {"kind": "oracle+FA",
-                     "coupling": {"matrix": 0.5, "noise_var": 0.04}},
-           "sampler": {"tau": 1.0, "steps": 20, "n_samples": 4, "seed": 4,
-                       "equivariant_noise": use_en}}
-    out = tmp_path / "run"
-    assert run("bridge", cfg, out) == 0
-    assert read_spdt(out / "bridge_samples.spdt").shape == (4, 4, 4)
-    summary = json.loads((out / "bridge_summary.json").read_text("utf-8"))
-    if use_en:
-        assert summary["delta_x0"] == 0.0
-    else:
-        assert summary["delta_x0"] > 0.0
+    # D4 on a 4x4 grid has peak cells on the diagonals that a reflection
+    # fixes; EN must stay exact there too.
+    for name in ("C4", "D4"):
+        cfg = {"schedule": {"kind": "vp"}, "group": {"name": name, "shape": [4, 4]},
+               "model": {"kind": "oracle+FA",
+                         "coupling": {"matrix": 0.5, "noise_var": 0.04}},
+               "sampler": {"tau": 1.0, "steps": 20, "n_samples": 4, "seed": 4,
+                           "equivariant_noise": use_en}}
+        out = tmp_path / name
+        assert run("bridge", cfg, out) == 0
+        assert read_spdt(out / "bridge_samples.spdt").shape == (4, 4, 4)
+        summary = json.loads((out / "bridge_summary.json").read_text("utf-8"))
+        if use_en:
+            assert summary["delta_x0"] == 0.0, name
+        else:
+            assert summary["delta_x0"] > 0.0, name
 
 
 def test_bridge_without_coupling_exits_2(tmp_path):

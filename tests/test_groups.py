@@ -14,9 +14,12 @@ from spdm import (
     make_c4_group,
     make_d4_group,
     make_flip_group,
+    make_group,
     make_point_group_2d,
     verify_group_axioms,
 )
+from spdm.io import _load_schema
+from spdm.sampling import default_canonicalizer
 
 GRID = np.array([[1.0, 2.0], [3.0, 4.0]])
 
@@ -195,6 +198,47 @@ def test_element_lookup():
         g.element_by_name("nope")
     el = g.random_element(np.random.default_rng(7))
     assert el.gid in range(4)
+
+
+def test_make_group_tags_round_trip():
+    built = [make_flip_group("vertical", (3, 5)), make_flip_group("horizontal", (4, 2)),
+             make_c4_group((5, 5)), make_d4_group((4, 4)), make_point_group_2d(4),
+             make_point_group_2d(3, with_reflection=True)]
+    tags = ["flip_v", "flip_h", "C4", "D4", "C4", "D3"]
+    for g, tag in zip(built, tags):
+        assert g.tag == tag
+        again = make_group(g.tag, g.grid_shape)
+        assert again.name == g.name and again.tag == g.tag
+        np.testing.assert_array_equal(again.compose_table, g.compose_table)
+        for a, b in zip(again.elements, g.elements):
+            if g.grid_shape is None:
+                np.testing.assert_array_equal(a.matrix, b.matrix)
+            else:
+                np.testing.assert_array_equal(a.perm, b.perm)
+    assert make_group("C4", [4, 4]).grid_shape == (4, 4)
+    assert make_group("D4").grid_shape is None
+
+
+def test_make_group_rejects_unknown_tags():
+    for tag, shape in (("C8", (4, 4)), ("flip_v", None), ("flip", (4, 4)),
+                       ("E4", None), ("C0", None), ("C4x", None), (None, None)):
+        with pytest.raises(InvalidParams):
+            make_group(tag, shape)
+    with pytest.raises(NonSquareGrid):
+        make_group("D4", (4, 5))
+
+
+def test_schema_group_names_match_registry():
+    # Every group the config schema admits builds on a grid and has a
+    # canonicalizer; the rotation groups also build as point groups.
+    names = _load_schema()["properties"]["group"]["properties"]["name"]["enum"]
+    assert names == ["flip_v", "flip_h", "C4", "D4"]
+    for name in names:
+        g = make_group(name, (4, 4))
+        assert g.tag == name and default_canonicalizer(g).group is g
+    for name in ("C4", "D4"):
+        g = make_group(name)
+        assert g.grid_shape is None and default_canonicalizer(g).group is g
 
 
 def test_flip_group_rejects_bad_axis():

@@ -15,7 +15,6 @@ from spdm import (
     delta_x0_gap,
     divergence,
     energy_distance_test,
-    feature_map,
     fokker_planck_residual,
     frechet_distance,
     group_averaged_stats,
@@ -109,12 +108,12 @@ def test_nll_invariant_under_rotations():
 def test_feature_map_deterministic_and_bounded():
     spec = FeatureSpec(dim_in=4, dim_out=16)
     x = np.random.default_rng(4).standard_normal((10, 4))
-    f = feature_map(x, spec)
+    f = spec.project(x)
     assert f.shape == (10, 16)
-    np.testing.assert_array_equal(f, feature_map(x, spec))
+    np.testing.assert_array_equal(f, spec.project(x))
     assert np.all(np.abs(f) < 1.0)
     with pytest.raises(ShapeMismatch):
-        feature_map(np.zeros((3, 5)), spec)
+        spec.project(np.zeros((3, 5)))
 
 
 def test_feature_stats_match_numpy():

@@ -26,8 +26,6 @@ from spdm import (
     make_flip_group,
     make_point_group_2d,
     make_tied_kernel,
-    mlp_backward,
-    mlp_forward,
     train,
     vp_schedule,
 )
@@ -82,7 +80,7 @@ def test_gradients_match_finite_differences():
     for tie in (None, make_point_group_2d(4)):
         net = Mlp(2, hidden=(4, 4), seed=2, tie_group=tie)
         out, cache = net.forward(x, None, 0.3, want_cache=True)
-        grads = mlp_backward(net, cache, out - target).flat()
+        grads = net.backward(cache, out - target).flat()
         theta = net.flat_parameters()
         eps = 1e-6
         fd = np.zeros_like(theta)
@@ -106,7 +104,7 @@ def test_linear_layer_gradients_analytic():
     target = rng.standard_normal((8, 2))
     out, cache = net.forward(x, None, 0.7, want_cache=True)
     adj = 2.0 * (out - target)
-    grads = mlp_backward(net, cache, adj)
+    grads = net.backward(cache, adj)
     feats = cache["inputs"][0]
     np.testing.assert_allclose(grads.weights[0], adj.T @ feats, atol=1e-12)
     np.testing.assert_allclose(grads.biases[0], adj.sum(axis=0), atol=1e-12)
@@ -341,6 +339,22 @@ def test_free_parameter_count_matches_projector_rank():
     assert net.free_parameter_count() == total
     full = Mlp(2, hidden=(4, 4), seed=0)
     assert net.free_parameter_count() < full.free_parameter_count()
+
+
+def test_tied_projection_matches_einsum():
+    # The matmul sums must reproduce the einsum they replaced bit for bit.
+    rng = np.random.default_rng(31)
+    for g, hidden in ((make_point_group_2d(4), (16, 16)),
+                      (make_point_group_2d(4, with_reflection=True), (32, 32))):
+        net = Mlp(2, hidden=hidden, seed=5, tie_group=g)
+        for layer, w in enumerate(net.weights):
+            ro, ri = net._rout[layer], net._rin[layer]
+            b = rng.standard_normal(w.shape[0])
+            np.testing.assert_array_equal(
+                net._project_weight(layer, w),
+                np.einsum("gao,ab,gbi->oi", ro, w, ri) / len(ro))
+            np.testing.assert_array_equal(
+                net._project_bias(layer, b), np.einsum("gba,b->a", ro, b) / len(ro))
 
 
 def test_train_weight_tied_mode():

@@ -9,6 +9,7 @@ from spdm import (
     GaussianCoupling,
     GaussianMixture,
     InvalidParams,
+    IsometryGroup,
     NoiseSequence,
     NonFiniteState,
     TimeGrid,
@@ -21,8 +22,9 @@ from spdm import (
     equivariant_noise_sequence,
     frame_average,
     make_c4_group,
-    make_canonicalizer,
     make_d4_group,
+    make_flip_group,
+    make_group,
     make_point_group_2d,
     nll_grid,
     pf_ode_nll,
@@ -246,21 +248,26 @@ def test_ddbm_equivariant_with_commuting_coupling():
 
 def test_grid_canonicalizer_property():
     # The element returned must move its input into the reference region,
-    # and relabeling the input by k must relabel the orientation by k.
+    # and relabeling the input by k must relabel the orientation by k.  The
+    # peak sits off every symmetry axis first, then on cells that some
+    # element fixes: diagonals, the middle row and column, the centre.
     rng = np.random.default_rng(1)
-    for tag, group in (("flip_v", None), ("flip_h", None), ("C4", None), ("D4", None)):
-        c = make_canonicalizer(tag, (4, 4))
-        x = rng.standard_normal((4, 4))
-        x[0, 1] = 10.0  # unique peak off every symmetry axis
-        k = canonicalize(c, x)
-        assert c._in_region(c.group.inverse(k).apply(x))
-        for el in c.group.elements:
-            got = canonicalize(c, el.apply(x))
-            assert got.gid == c.group.compose(el, k).gid
+    peaks = {4: [(0, 1), (0, 0), (1, 1)], 5: [(0, 1), (1, 1), (2, 0), (0, 2), (2, 2)]}
+    for tag in ("flip_v", "flip_h", "C4", "D4"):
+        for n, cells in peaks.items():
+            c = default_canonicalizer(make_group(tag, (n, n)))
+            for cell in cells:
+                x = rng.standard_normal((n, n))
+                x[cell] = 10.0
+                k = canonicalize(c, x)
+                assert c._in_region(c.group.inverse(k).apply(x))
+                for el in c.group.elements:
+                    got = canonicalize(c, el.apply(x))
+                    assert got.gid == c.group.compose(el, k).gid, (tag, n, cell)
 
 
 def test_point_canonicalizer_property():
-    c = make_canonicalizer("C4")
+    c = default_canonicalizer(make_group("C4"))
     rng = np.random.default_rng(2)
     for _ in range(20):
         x = rng.standard_normal(2)
@@ -274,19 +281,22 @@ def test_point_canonicalizer_property():
 
 def test_canonicalizer_validation():
     with pytest.raises(InvalidParams):
-        make_canonicalizer("C8", (4, 4))
+        default_canonicalizer(make_group("C8"))
+    g = make_c4_group((4, 4))
     with pytest.raises(InvalidParams):
-        make_canonicalizer("flip_v")
-    c = make_canonicalizer("C4", (4, 4))
+        default_canonicalizer(IsometryGroup(g.name, g.elements, g.compose_table,
+                                            g.inverse_table))
+    c = default_canonicalizer(g)
     with pytest.raises(InvalidParams):
         canonicalize(c, np.zeros(4))
 
 
 def test_default_canonicalizer_inference():
-    for g in (make_c4_group((4, 4)), make_d4_group((4, 4)),
+    for g in (make_flip_group("vertical", (4, 4)), make_flip_group("horizontal", (3, 5)),
+              make_c4_group((4, 4)), make_d4_group((4, 4)),
               make_point_group_2d(4), make_point_group_2d(4, with_reflection=True)):
         c = default_canonicalizer(g)
-        assert c.group.name == g.name
+        assert c.group is g
     with pytest.raises(InvalidParams):
         default_canonicalizer(make_point_group_2d(8))
 
