@@ -80,6 +80,11 @@ def build_mixture(cfg: dict, group: IsometryGroup | None) -> GaussianMixture:
     if total <= 0:
         raise ConfigError("component weights must sum to a positive value")
     weights = weights / total
+    lengths = [len(c["mean"]) for c in comps]
+    for i, n in enumerate(lengths):
+        if n != lengths[0]:
+            raise ConfigError(f"data.components[{i}].mean has length {n}, "
+                              f"component 0's has {lengths[0]}")
     means = np.array([c["mean"] for c in comps], dtype=float)
     variances = np.array([c["variance"] for c in comps], dtype=float)
     if group is not None and group.grid_shape is not None:
@@ -203,13 +208,25 @@ def build_score(cfg: dict, s: Schedule, group: IsometryGroup | None,
     return field
 
 
-def build_bridge_score(cfg: dict, s: Schedule, group: IsometryGroup | None):
+def build_bridge_score(cfg: dict, s: Schedule, group: IsometryGroup | None,
+                       event_shape: tuple[int, ...]):
+    """Conditional score (x, x_T, t) of the configured coupling.
+
+    A matrix coupling multiplies the last state axis, so it must be
+    square with the size of that axis (d for d-dimensional points).
+    """
     model = cfg.get("model", {})
     spec = model.get("coupling")
     if spec is None:
         raise ConfigError("bridge runs need model.coupling (matrix, noise_var)")
-    matrix = spec["matrix"]
-    matrix = float(matrix) if np.isscalar(matrix) else np.array(matrix, dtype=float)
+    matrix, m = spec["matrix"], event_shape[-1]
+    try:
+        matrix = float(matrix) if np.isscalar(matrix) else np.array(matrix, dtype=float)
+    except ValueError:  # ragged rows
+        matrix = np.empty(0)
+    if np.ndim(matrix) and matrix.shape != (m, m):
+        raise ConfigError(f"model.coupling.matrix must be a scalar or a ({m}, {m}) "
+                          f"matrix for states of shape {event_shape}")
     coupling = GaussianCoupling(matrix=matrix, noise_var=float(spec["noise_var"]))
     field = BridgeScoreField(coupling, s)
     if model.get("kind", "oracle").endswith("+FA"):
@@ -321,11 +338,16 @@ def cmd_train(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     return EXIT_OK
 
 
-def _event_shape(group: IsometryGroup | None) -> tuple[int, ...]:
-    """Shape of one state: the grid shape for a grid group, else a 2-D point."""
-    if group is not None and group.grid_shape is not None:
-        return group.grid_shape
-    return (2,)
+def _event_shape(cfg: dict, group: IsometryGroup | None,
+                 out_dir: Path) -> tuple[int, ...]:
+    """Shape of one state: the shape the group acts on, else the shape of
+    the mixture means, or the checkpoint's ``x_dim`` for a net model whose
+    config has no data section."""
+    if group is not None:
+        return group.state_shape
+    if "data" in cfg or cfg.get("model", {}).get("kind", "oracle").startswith("oracle"):
+        return build_mixture(cfg, None).event_shape
+    return (load_checkpoint(_checkpoint_path(cfg, out_dir))["ema"].x_dim,)
 
 
 def _prior_draws(s: Schedule, n: int, event_shape: tuple[int, ...],
@@ -387,7 +409,7 @@ def cmd_sample(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     n = sp.get("n_samples", 512)
     use_en = sp.get("equivariant_noise", False)
 
-    event_shape = _event_shape(group)
+    event_shape = _event_shape(cfg, group, out_dir)
     score = build_score(cfg, s, group, out_dir, event_shape)
     grid = sampling.sampling_grid(s, steps)
     x_T = _prior_draws(s, n, event_shape, seed)
@@ -422,9 +444,10 @@ def cmd_bridge(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     n = sp.get("n_samples", 256)
     use_en = sp.get("equivariant_noise", False)
 
-    cond_score = build_bridge_score(cfg, s, group)
+    event_shape = _event_shape(cfg, group, out_dir)
+    cond_score = build_bridge_score(cfg, s, group, event_shape)
     grid = sampling.bridge_grid(s, steps)
-    x_T = _prior_draws(s, n, _event_shape(group), seed)
+    x_T = _prior_draws(s, n, event_shape, seed)
     run = _chain_map(lambda x, noise: sampling.ddbm_reverse_sample(
         cond_score, s, x, tau, grid, noise=noise).terminal,
         group, use_en, seed, grid.n_steps)

@@ -115,6 +115,12 @@ class IsometryGroup:
         return self.elements[0].grid_shape
 
     @property
+    def state_shape(self) -> tuple[int, ...]:
+        """Shape of one state the group acts on: the grid, or (d,) for points."""
+        e = self.elements[0]
+        return e.grid_shape if e.grid_shape is not None else (len(e.matrix),)
+
+    @property
     def identity(self) -> GroupElement:
         return self.elements[0]
 

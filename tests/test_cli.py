@@ -110,6 +110,15 @@ def test_empty_components_exits_2(tmp_path):
     assert run("gen-data", cfg, tmp_path / "run") == 2
 
 
+def test_ragged_component_means_exit_2(tmp_path, capsys):
+    cfg = base_config()
+    cfg["data"]["symmetrize"] = False
+    cfg["data"]["components"].append(
+        {"weight": 1.0, "mean": [0.0, 1.0, 2.0], "variance": 0.1})
+    assert run("gen-data", cfg, tmp_path / "run") == 2
+    assert "data.components[1].mean has length 3" in capsys.readouterr().err
+
+
 def test_broken_json_exits_2(tmp_path):
     out = tmp_path / "run"
     out.mkdir()
@@ -364,6 +373,18 @@ def test_bridge_on_grid_group(tmp_path, use_en):
             assert summary["delta_x0"] > 0.0, name
 
 
+def test_bridge_coupling_matrix_shape_exits_2(tmp_path, capsys):
+    cfg = base_config()
+    cfg["sampler"] = {"tau": 1.0, "steps": 5, "n_samples": 2}
+    for matrix in (np.eye(3).tolist(), [[1.0, 0.0], [0.0]], [[1.0, 0.0]]):
+        cfg["model"] = {"kind": "oracle",
+                        "coupling": {"matrix": matrix, "noise_var": 0.04}}
+        assert run("bridge", cfg, tmp_path / "run") == 2
+        assert "(2, 2) matrix" in capsys.readouterr().err
+    cfg["model"]["coupling"]["matrix"] = [[0.5, 0.0], [0.0, 0.5]]
+    assert run("bridge", cfg, tmp_path / "run") == 0
+
+
 def test_bridge_without_coupling_exits_2(tmp_path):
     cfg = base_config()
     del cfg["data"]
@@ -394,6 +415,52 @@ def test_nll_outputs_byte_identical_across_dirs(tmp_path):
         np.mean(vals[:, 1]), abs=1e-12)
     assert (tmp_path / "a" / "nll.csv").read_bytes() == \
         (tmp_path / "b" / "nll.csv").read_bytes()
+
+
+def test_nll_point_row_does_not_depend_on_points(tmp_path):
+    # Every perturbed state of a step goes to the score in one batch; the
+    # row of point 0 must not feel the other points in that batch.
+    for mode in ("exact_fd", "hutchinson"):
+        rows = []
+        for points in (1, 4):
+            cfg = base_config()
+            cfg["data"]["n_samples"] = 16
+            cfg["nll"] = {"points": points, "steps": 12, "div_mode": mode}
+            out = tmp_path / f"{mode}_{points}"
+            assert run("gen-data", cfg, out) == 0
+            assert run("nll", cfg, out) == 0
+            _, got = read_rows(out / "nll.csv")
+            assert len(got) == points
+            rows.append(got[0][:4])  # without the config hash
+        assert rows[0] == rows[1], mode
+
+
+def test_three_dim_points_pipeline(tmp_path, capsys):
+    # No group: the state shape comes from the mixture means.
+    out = tmp_path / "run"
+    cfg = {"schedule": {"kind": "vp"},
+           "data": {"components": [
+               {"weight": 0.5, "mean": [1.0, -0.5, 0.3], "variance": 0.2},
+               {"weight": 0.5, "mean": [-1.0, 0.5, 0.0], "variance": 0.3}],
+               "n_samples": 32, "seed": 1},
+           "model": {"kind": "oracle"},
+           "sampler": {"lam": 1.0, "steps": 10, "n_samples": 6, "seed": 2},
+           "nll": {"points": 3, "steps": 10, "div_mode": "hutchinson"}}
+    for command in ("gen-data", "sample", "nll"):
+        assert run(command, cfg, out) == 0, capsys.readouterr().err
+    assert read_spdt(out / "data.spdt").shape == (32, 3)
+    samples = read_spdt(out / "samples.spdt")
+    assert samples.shape == (6, 3) and np.all(np.isfinite(samples))
+    _, rows = read_rows(out / "nll.csv")
+    assert len(rows) == 3
+    assert all(np.isfinite(float(r[1])) for r in rows)
+    # A net model without a data section takes it from the checkpoint.
+    cfg["train"] = {"steps": 10, "hidden": [8], "seed": 0, "batch_size": 16}
+    assert run("train", cfg, out) == 0
+    del cfg["data"]
+    cfg["model"] = {"kind": "mlp"}
+    assert run("sample", cfg, out) == 0, capsys.readouterr().err
+    assert read_spdt(out / "samples.spdt").shape == (6, 3)
 
 
 # ---- metrics -------------------------------------------------------------

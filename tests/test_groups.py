@@ -217,6 +217,8 @@ def test_make_group_tags_round_trip():
                 np.testing.assert_array_equal(a.perm, b.perm)
     assert make_group("C4", [4, 4]).grid_shape == (4, 4)
     assert make_group("D4").grid_shape is None
+    assert make_group("flip_v", (3, 5)).state_shape == (3, 5)
+    assert make_group("D3").state_shape == (2,)
 
 
 def test_make_group_rejects_unknown_tags():

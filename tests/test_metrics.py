@@ -15,12 +15,14 @@ from spdm import (
     delta_x0_gap,
     divergence,
     energy_distance_test,
+    frame_average,
     fokker_planck_residual,
     frechet_distance,
     group_averaged_stats,
     inv_fid,
     log_density,
     make_c4_group,
+    make_d4_group,
     make_flip_group,
     make_point_group_2d,
     nll_grid,
@@ -28,6 +30,7 @@ from spdm import (
     symmetrize,
     vp_schedule,
 )
+from spdm.metrics import _div_eval
 
 
 def test_divergence_of_linear_field():
@@ -39,6 +42,8 @@ def test_divergence_of_linear_field():
     assert abs(est - np.trace(a)) < 0.5
     with pytest.raises(InvalidParams):
         divergence(field, x, 0.0, mode="bogus")
+    with pytest.raises(InvalidParams):
+        divergence(field, x, 0.0, mode="hutchinson", probes=0)
 
 
 def test_nll_stationary_gaussian():
@@ -103,6 +108,99 @@ def test_nll_invariant_under_rotations():
     for k in g.elements:
         got = pf_ode_nll(field, s, k.apply(x0), grid).log_likelihood
         assert float(np.max(np.abs(got - ref))) < 1e-6
+
+
+def reference_divergence(f, xs, t, mode, probes=64, seed=0):
+    """One field call per point and per perturbed coordinate or probe state."""
+
+    def call(y):
+        return np.asarray(f(y[None], t), dtype=float)[0]
+
+    out = []
+    for x in xs:
+        total = 0.0
+        if mode == "exact_fd":
+            for j in range(x.size):
+                h = 1e-5 * (1.0 + abs(x[j]))
+                xp, xm = x.copy(), x.copy()
+                xp[j] += h
+                xm[j] -= h
+                total += (call(xp)[j] - call(xm)[j]) / (2.0 * h)
+        else:
+            rng = np.random.default_rng(seed)
+            h = 1e-5 * (1.0 + float(np.linalg.norm(x)))
+            for _ in range(probes):
+                v = rng.choice([-1.0, 1.0], size=x.shape)
+                jv = (call(x + h * v) - call(x - h * v)) / (2.0 * h)
+                total += float(np.sum(v * jv))
+            total /= probes
+        out.append(total)
+    return np.array(out)
+
+
+class CountingField:
+    def __init__(self, field):
+        self.field, self.calls = field, 0
+
+    def __call__(self, y, t):
+        self.calls += 1
+        return self.field(y, t)
+
+
+def point_field():
+    s = vp_schedule()
+    g = make_point_group_2d(4)
+    mix = symmetrize(GaussianMixture(np.array([0.6, 0.4]),
+                                     np.array([[2.4, 0.6], [0.6, 1.8]]),
+                                     np.array([0.4, 0.5])), g)
+    return frame_average(AnalyticScoreField(mix, s), g)
+
+
+def grid_field():
+    # No frame average here: on grids it gives a lone state different last
+    # bits than the same state inside a batch, which no reduction order fixes.
+    s = vp_schedule()
+    means = 0.4 * np.random.default_rng(0).standard_normal((2, 8, 8))
+    mix = symmetrize(GaussianMixture(np.array([0.5, 0.5]), means,
+                                     np.array([0.5, 0.5])), make_d4_group((8, 8)))
+    score = AnalyticScoreField(mix, s)
+    return lambda y, t: score(y.reshape(-1, 8, 8), t).reshape(len(y), -1)
+
+
+def test_div_eval_matches_reference_loop_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for field, d in ((point_field(), 2), (grid_field(), 64)):
+        xs = rng.standard_normal((3, d))
+        for mode, probes in (("exact_fd", 64), ("hutchinson", 16)):
+            got = _div_eval(field, xs, 0.4, mode, probes, 5)
+            want = reference_divergence(field, xs, 0.4, mode, probes, 5)
+            np.testing.assert_array_equal(got, want)
+
+
+def test_div_eval_one_field_call_per_recorded_state():
+    s = vp_schedule()
+    x0 = np.random.default_rng(9).standard_normal((4, 2))
+    grid = nll_grid(s, 12)
+    for mode in ("exact_fd", "hutchinson"):
+        field = CountingField(point_field())
+        pf_ode_nll(field, s, x0, grid, div_mode=mode)
+        # two Heun evaluations per step, then one per recorded state
+        assert field.calls == 2 * 12 + 13
+
+
+def test_div_eval_chunks_whole_points_on_large_states():
+    # d = 300 needs 2 d^2 = 180000 entries per point under exact_fd and
+    # 2 * 64 * 300 = 38400 under hutchinson: one point per field call.
+    def field(y, t):
+        return np.tanh(y) * np.roll(y, 1, axis=-1) + t * y**2
+
+    xs = np.random.default_rng(10).standard_normal((3, 300))
+    for mode in ("exact_fd", "hutchinson"):
+        counting = CountingField(field)
+        got = _div_eval(counting, xs, 0.3, mode, 64, 2)
+        assert counting.calls == 3
+        np.testing.assert_array_equal(
+            got, reference_divergence(field, xs, 0.3, mode, 64, 2))
 
 
 def test_feature_map_deterministic_and_bounded():
