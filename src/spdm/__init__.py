@@ -12,10 +12,10 @@ from .errors import (ConfigError, DegenerateCoupling, DivergedLoss, IoError,
                      ShapeMismatch, SingularAtTerminal, SpdmError,
                      TimeOutOfRange, UnsupportedSize)
 from .groups import (FrameAveragedField, GroupCheckReport, GroupElement,
-                     IsometryGroup, PairedGroup, diagonal_pair_group,
-                     frame_average, make_c4_group, make_d4_group,
-                     make_flip_group, make_group, make_point_group_2d,
-                     verify_group_axioms)
+                     IsometryGroup, PairedGroup, apply_elements,
+                     diagonal_pair_group, frame_average, make_c4_group,
+                     make_d4_group, make_flip_group, make_group,
+                     make_point_group_2d, verify_group_axioms)
 from .io import (config_hash, load_config, read_spdt, validate_config,
                  write_spdt)
 from .metrics import (FeatureSpec, FeatureStats, FpResidual, NllReport,
@@ -35,8 +35,9 @@ from .process import (GaussianParams, Schedule, T_CLIP_FRACTION,
                       grad_log_transition_h, transition, ve_schedule,
                       vp_schedule)
 from .sampling import (Canonicalizer, NoiseSequence, TimeGrid, Trajectory,
-                       bridge_grid, canonicalize, ddbm_reverse_sample,
-                       default_canonicalizer, equivariant_noise_sequence,
+                       bridge_grid, canonical_ids, canonicalize,
+                       ddbm_reverse_sample, default_canonicalizer,
+                       equivariant_noise_batch, equivariant_noise_sequence,
                        nll_grid, pf_ode_solve, reverse_sde_sample,
                        sampling_grid, sdedit_denoise, simulate_drift_only)
 from .verify import CheckResult, run_all

@@ -26,8 +26,8 @@ from . import verify as verify_mod
 from .errors import (ConfigError, DegenerateCoupling, DivergedLoss, IoError,
                      NonFiniteState, NonPsd, SingularAtTerminal, SpdmError,
                      TimeOutOfRange)
-from .groups import (IsometryGroup, diagonal_pair_group, frame_average,
-                     make_group)
+from .groups import (IsometryGroup, apply_elements, diagonal_pair_group,
+                     frame_average, make_group)
 from .nets import Mlp, TrainerConfig, train
 from .oracle import (AnalyticScoreField, BridgeScoreField, GaussianCoupling,
                      GaussianMixture, symmetrize)
@@ -117,11 +117,6 @@ class FlatField:
         lead = x.shape[:-ne]
         out = np.asarray(self.net(x.reshape(*lead, self.dim), t))
         return out.reshape(x.shape)
-
-
-def _chain_seed(seed: int, index: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(9, index))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def _require_file(path: Path, what: str) -> Path:
@@ -260,9 +255,9 @@ def cmd_gen_data(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     }
     if group is not None:
         spec_doc["group"] = group.name
-        c = sampling.default_canonicalizer(group)
-        names = [sampling.canonicalize(c, x).name for x in samples]
-        spec_doc["orientation_counts"] = {el.name: names.count(el.name)
+        ids = sampling.canonical_ids(sampling.default_canonicalizer(group), samples)
+        counts = np.bincount(ids, minlength=len(group))
+        spec_doc["orientation_counts"] = {el.name: int(counts[el.gid])
                                           for el in group.elements}
     io.write_json(out_dir / "data_spec.json", spec_doc)
     _write_manifest(out_dir, "gen-data", chash, seed,
@@ -365,37 +360,32 @@ def _delta_x0_probe(run, starts: np.ndarray, group: IsometryGroup,
     moved by a random non-identity element k_i, and its gap compares the
     chain from k_i x_i with k_i applied to the chain from x_i.
     """
-    rng = _aux_rng(seed + 1)
-    ks = [group.elements[1 + int(rng.integers(len(group) - 1))] for _ in starts]
+    n = len(starts)
+    ids = 1 + _aux_rng(seed + 1).integers(len(group) - 1, size=n)
     ends = run(starts)
-    moved_ends = run(np.stack([k.apply(x) for k, x in zip(ks, starts)]))
-    return float(np.mean([np.max(np.abs(m - k.apply(e)))
-                          for k, m, e in zip(ks, moved_ends, ends)]))
+    moved_ends = run(apply_elements(group, ids, starts))
+    gaps = np.abs(moved_ends - apply_elements(group, ids, ends))
+    return float(np.mean(np.max(gaps.reshape(n, -1), axis=1)))
 
 
 def _chain_map(integrate, group: IsometryGroup | None, use_en: bool, seed: int,
                n_steps: int):
     """Map from a batch of starts to terminal states: what a command writes.
 
-    ``integrate(starts, noise)`` runs the sampler.  With equivariant noise
-    each chain i runs alone on the stream of ``_chain_seed(seed, i)``,
-    oriented by its start.  Otherwise the batch shares one stream keyed by
-    ``seed``, whose row i is the same whatever the batch size, so the
-    ``delta_x0`` probe on the first rows measures this very map.
+    ``integrate(starts, noise)`` runs the sampler on the whole batch.  The
+    batch shares one noise stream keyed by (``seed``, step), whose row i is
+    the same whatever the batch size.  With equivariant noise row i is
+    turned by its own kappa_i = c(x_i) o c(eps_{0,i})^{-1}, which follows
+    start x_i.  Either way row i of the output does not depend on the batch
+    size, so the ``delta_x0`` probe on the first rows measures this very map.
     """
     if not use_en:
         return lambda starts: integrate(starts, seed)
     if group is None:
         raise ConfigError("equivariant_noise needs a group section")
     canon = sampling.default_canonicalizer(group)
-
-    def run(starts):
-        return np.stack([
-            integrate(x, sampling.equivariant_noise_sequence(
-                x, _chain_seed(seed, i), group, canon, n_steps))
-            for i, x in enumerate(starts)])
-
-    return run
+    return lambda starts: integrate(starts, sampling.equivariant_noise_batch(
+        starts, seed, group, canon, n_steps))
 
 
 def cmd_sample(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
@@ -567,14 +557,12 @@ def cmd_metrics(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
 
     series = [("data", data_flat[:, :2], "#999999")]
     if group is not None:
-        canon = sampling.default_canonicalizer(group)
-        by_orient = {}
-        for x in samples:
-            gid = sampling.canonicalize(canon, x).gid
-            by_orient.setdefault(gid, []).append(x.reshape(-1)[:2])
-        for gid in sorted(by_orient):
-            series.append((f"samples[{group.elements[gid].name}]",
-                           np.stack(by_orient[gid]), io.palette_color(gid)))
+        ids = sampling.canonical_ids(sampling.default_canonicalizer(group), samples)
+        order = np.argsort(ids, kind="stable")  # sample order within a group
+        gids, first = np.unique(ids[order], return_index=True)
+        for gid, pts in zip(gids.tolist(), np.split(samp_flat[order, :2], first[1:])):
+            series.append((f"samples[{group.elements[gid].name}]", pts,
+                           io.palette_color(gid)))
     else:
         series.append(("samples", samp_flat[:, :2], io.palette_color(0)))
     io.svg_scatter(out_dir / "scatter.svg", series,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -139,6 +140,33 @@ class IsometryGroup:
 
     def random_element(self, rng: np.random.Generator) -> GroupElement:
         return self.elements[int(rng.integers(len(self.elements)))]
+
+    @cached_property
+    def stacked(self) -> np.ndarray:
+        """Every element's action in one array, indexed by id: the (|G|, d, d)
+        matrices of a point group, or the (|G|, H W) permutations of a grid."""
+        if self.grid_shape is None:
+            return np.stack([el.matrix for el in self.elements])
+        return np.stack([el.perm for el in self.elements])
+
+
+def apply_elements(group: IsometryGroup, ids, x: np.ndarray) -> np.ndarray:
+    """Apply a per-row group element: row i of x gets elements[ids[i]].
+
+    Rows run along the leading axis of x; each row has the shape one
+    element acts on, (d,) for points and (H, W) or (H, W, C) for grids.
+    Point groups take one stacked matrix product, grids one gather through
+    the stacked permutations.  Grid rows, and point rows under signed
+    permutation matrices, equal ``elements[ids[i]].apply(x[i])`` exactly.
+    """
+    ids = np.asarray(ids)
+    x = np.asarray(x, dtype=float)
+    if group.grid_shape is None:
+        return np.einsum("nij,nj->ni", group.stacked[ids], x)
+    h, w = group.grid_shape
+    flat = x.reshape(x.shape[0], h * w, -1)
+    out = np.take_along_axis(flat, group.stacked[ids][:, :, None], axis=1)
+    return out.reshape(x.shape)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,10 @@ All text writers here are deterministic: JSON is emitted with sorted
 keys, CSV with a fixed header and repr-exact floats, and SVG by direct
 string assembly with fixed formatting.  Timestamps never enter these
 files; they are confined to the run log sidecar.
+
+Every writer is atomic: it fills a temporary file next to the target and
+renames it onto the target, so an interrupted write leaves the previous
+file, or none, in place.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import os
 import struct
+import uuid
 from importlib import resources
 from pathlib import Path
 
@@ -40,17 +46,30 @@ SPDT_VERSION = 1
 _DTYPE_TAGS = {1: "<f8"}
 
 
+def _write_atomic(path, *parts: bytes) -> None:
+    """Write ``parts`` to a temporary file beside ``path``, then rename it
+    onto ``path``; on any failure the temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            for part in parts:
+                fh.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_spdt(path, array: np.ndarray) -> None:
     """Write an array as an SPDT tensor file (float64, row-major)."""
     # tobytes(order="C") below copies as needed; avoid ascontiguousarray,
     # which would promote rank-0 arrays to shape (1,).
     arr = np.asarray(array, dtype="<f8")
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(SPDT_MAGIC)
-        fh.write(struct.pack("<III", SPDT_VERSION, 1, arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        fh.write(arr.tobytes(order="C"))
+    _write_atomic(path, SPDT_MAGIC,
+                  struct.pack("<III", SPDT_VERSION, 1, arr.ndim),
+                  struct.pack(f"<{arr.ndim}Q", *arr.shape),
+                  arr.tobytes(order="C"))
 
 
 def read_spdt(path) -> np.ndarray:
@@ -135,7 +154,7 @@ def config_hash(config: dict) -> str:
 def write_json(path, obj) -> None:
     """Sorted-keys UTF-8 JSON with a trailing newline."""
     text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)
-    Path(path).write_text(text + "\n", "utf-8")
+    _write_atomic(path, (text + "\n").encode("utf-8"))
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:
@@ -148,7 +167,7 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
 
     lines = [",".join(header)]
     lines += [",".join(cell(v) for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def append_log(path, message: str) -> None:
@@ -228,4 +247,4 @@ def svg_scatter(path, series, title: str = "", comment: str = "",
     out.append(f'<text x="{size - margin}" y="{margin - 6}" text-anchor="end" '
                f'font-family="sans-serif" font-size="10">{hi_label}</text>')
     out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n", "utf-8")
+    _write_atomic(path, ("\n".join(out) + "\n").encode("utf-8"))

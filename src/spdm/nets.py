@@ -30,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DivergedLoss, InvalidParams, ShapeMismatch, UnsupportedSize
-from .groups import IsometryGroup, make_group
+from .groups import IsometryGroup, apply_elements, make_group
 from .process import Schedule
 
 
@@ -39,19 +39,6 @@ def time_embed(t, horizon: float) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     w = 2.0 * np.pi * t / horizon
     return np.stack([t / horizon, np.sin(w), np.cos(w)], axis=-1)
-
-
-def apply_elements(group: IsometryGroup, ids: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply a per-row group element: row i of x gets elements[ids[i]]."""
-    ids = np.asarray(ids)
-    x = np.asarray(x, dtype=float)
-    if group.grid_shape is None:
-        mats = np.stack([el.matrix for el in group.elements])
-        return np.einsum("nij,nj->ni", mats[ids], x)
-    perms = np.stack([el.perm for el in group.elements])
-    flat = x.reshape(x.shape[0], -1)
-    out = np.take_along_axis(flat, perms[ids], axis=1)
-    return out.reshape(x.shape)
 
 
 class Mlp:

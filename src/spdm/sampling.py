@@ -13,21 +13,26 @@ noise ``tau g``.  Every integrator, the likelihood flow in ``metrics``
 included, supplies only its drift and noise scale to one stepper,
 ``_integrate``; the schedule coefficients are evaluated once per grid.
 
-Noise sequences are regenerated from a counter-based PRNG keyed by
-(seed, step index), so a group orientation can be applied lazily and the
-oriented sequence {k eps_i} is reproduced bit-exactly.  Canonicalizers
+Noise is regenerated from a counter-based Philox stream keyed by (seed,
+step index): step i of a batch of n chains draws one (n, *event) block,
+whose row r does not depend on n.  Equivariant noise (EN) keeps that one
+stream and turns row r of every block by its own group element
+kappa_r = c(x_r) o c(eps_{0,r})^-1, where c is a canonicalizer, x_r the
+chain's reference state and eps_{0,r} its row of block 0; moving x_r by a
+group element g moves the whole noise row by g bit-exactly.  Canonicalizers
 implement the max-location construction on grids (upper half / quadrant /
-octant) and angular sectors on 2-D point data.
+octant) and angular sectors on 2-D point data, and decide a whole batch
+at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import InvalidParams, NonFiniteState, TimeOutOfRange
-from .groups import GroupElement, IsometryGroup
+from .groups import GroupElement, IsometryGroup, apply_elements
 from .process import Schedule, grad_log_transition_h
 
 
@@ -85,18 +90,22 @@ def _aux_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class NoiseSequence:
-    """Per-step N(0, I) noises with an optional group orientation.
+    """Per-step N(0, I) noise blocks with optional per-row group orientations.
 
-    ``get(i)`` returns ``orientation(eps_i)`` where eps_i is regenerated
-    from the counter-based stream keyed by (seed, offset + i); regenerating
-    a sequence with the same (seed, orientation) reproduces the oriented
-    noises bit-exactly.
+    ``base(i)`` regenerates block i, of ``shape``, from the counter-based
+    stream keyed by (seed, offset + i); its leading rows are the same
+    whatever the number of rows.  With ``group`` and ``ids``, ``get(i)``
+    turns row r of the block by ``group.elements[ids[r]]``: ``ids`` has the
+    shape of the batch axes, () for a one-chain sequence whose ``shape`` is
+    one state.  Regenerating a sequence with the same (seed, ids) reproduces
+    the oriented noises bit-exactly.
     """
 
     seed: int
     n: int
     shape: tuple
-    orientation: GroupElement | None = None
+    group: IsometryGroup | None = None
+    ids: np.ndarray | None = None
     offset: int = 0
 
     def base(self, i: int) -> np.ndarray:
@@ -106,12 +115,15 @@ class NoiseSequence:
 
     def get(self, i: int) -> np.ndarray:
         eps = self.base(i)
-        return eps if self.orientation is None else self.orientation.apply(eps)
+        if self.ids is None:
+            return eps
+        ids = np.asarray(self.ids)
+        rows = eps.reshape(ids.size, *eps.shape[ids.ndim:])
+        return apply_elements(self.group, ids.reshape(-1), rows).reshape(eps.shape)
 
     def shifted(self, by: int) -> "NoiseSequence":
         """View of the same stream starting ``by`` steps later."""
-        return NoiseSequence(seed=self.seed, n=self.n - by, shape=self.shape,
-                             orientation=self.orientation, offset=self.offset + by)
+        return replace(self, n=self.n - by, offset=self.offset + by)
 
 
 @dataclass
@@ -290,22 +302,43 @@ class Canonicalizer:
     ``canonicalize(c, x)`` returns an element k whose inverse moves x into
     the reference region: for grids the region holding the entry of
     maximum value (upper half, left half, upper-left quadrant, or its
-    above-diagonal wedge), for 2-D points an angular sector at the origin.
+    above-diagonal wedge; ``cells`` flags its flat cells), for 2-D points
+    the angular sector ``[0, sector)`` at the origin.
     """
 
     group: IsometryGroup
-    _in_region: callable = field(repr=False, default=None)
+    cells: np.ndarray | None = field(repr=False, default=None)
+    sector: float | None = None
 
     def __call__(self, x: np.ndarray) -> GroupElement:
         return canonicalize(self, x)
+
+    def _in_region(self, y: np.ndarray) -> bool:
+        """Whether the one state y lies in the reference region."""
+        y = np.asarray(y, dtype=float)[None]
+        if self.cells is None:
+            return bool(_sector_angle(y)[0] < self.sector)
+        return bool(self.cells[np.argmax(_peak_cells(y, self.cells.size)[0])])
+
+
+def _sector_angle(ys: np.ndarray) -> np.ndarray:
+    """Angle in [0, 2 pi) of each 2-D point along the last axis."""
+    return np.arctan2(ys[..., 1], ys[..., 0]) % (2.0 * np.pi)
+
+
+def _peak_cells(xs: np.ndarray, cells: int) -> np.ndarray:
+    """Per grid state, the flat cells holding its maximum; channels collapse
+    by max so the decision uses the global peak."""
+    plane = np.max(xs.reshape(len(xs), cells, -1), axis=-1)
+    return plane == np.max(plane, axis=1, keepdims=True)
 
 
 # Reference regions for the grid peak at row i, column j of an h x w grid.
 _GRID_REGIONS = {
     "flip_v": lambda i, j, h, w: i < h / 2.0,
     "flip_h": lambda i, j, h, w: j < w / 2.0,
-    "C4": lambda i, j, h, w: i < h / 2.0 and j < w / 2.0,
-    "D4": lambda i, j, h, w: i < h / 2.0 and j < w / 2.0 and j >= i,
+    "C4": lambda i, j, h, w: (i < h / 2.0) & (j < w / 2.0),
+    "D4": lambda i, j, h, w: (i < h / 2.0) & (j < w / 2.0) & (j >= i),
 }
 
 
@@ -318,24 +351,57 @@ def default_canonicalizer(group: IsometryGroup) -> Canonicalizer:
     """
     shape = group.grid_shape
     if shape is not None and group.tag in _GRID_REGIONS:
-        region = _GRID_REGIONS[group.tag]
-        h, w = shape
-
-        def in_region(y: np.ndarray) -> bool:
-            # Channels collapse by max so the decision uses the global peak.
-            plane = y if y.ndim == 2 else np.max(y, axis=-1)
-            i, j = divmod(int(np.argmax(plane)), w)
-            return region(i, j, h, w)
-
-        return Canonicalizer(group=group, _in_region=in_region)
+        i, j = np.indices(shape)
+        cells = _GRID_REGIONS[group.tag](i, j, *shape).ravel()
+        return Canonicalizer(group=group, cells=cells)
     if shape is None and group.tag in ("C4", "D4"):
         sector = np.pi / 2.0 if group.tag == "C4" else np.pi / 4.0
-
-        def in_region(y: np.ndarray) -> bool:
-            return float(np.arctan2(y[1], y[0])) % (2.0 * np.pi) < sector
-
-        return Canonicalizer(group=group, _in_region=in_region)
+        return Canonicalizer(group=group, sector=sector)
     raise InvalidParams(f"no default canonicalizer for group {group.name!r}")
+
+
+def _lex_first_max(column, width: int, alive: np.ndarray) -> np.ndarray:
+    """Per row, the first k with alive[r, k] whose key row is the
+    lexicographically largest among them; 0 where none is alive.
+    ``column(j)`` gives entry j of every key as an (n, |G|) array."""
+    for j in range(width):
+        if not np.any(np.count_nonzero(alive, axis=1) > 1):
+            break
+        col = np.where(alive, column(j), -np.inf)
+        alive &= col == np.max(col, axis=1, keepdims=True)
+    return np.argmax(alive, axis=1)
+
+
+def canonical_ids(c: Canonicalizer, xs: np.ndarray) -> np.ndarray:
+    """Orientation ids of a batch: entry r is ``canonicalize(c, xs[r]).gid``.
+
+    ``xs`` stacks states along its leading axis.  Points are moved by every
+    inverse element in one stacked product and tested with one
+    ``arctan2``.  On grids the peak cells of every row go once through the
+    stacked inverse permutations, which gives each moved copy's first peak
+    without moving the values.  Rows with several candidates take the
+    lexicographically largest moved state, read one entry at a time.
+    """
+    G = c.group
+    xs = np.asarray(xs, dtype=float)
+    want = G.state_shape
+    channels = 0 if G.grid_shape is None else 1  # grids may end in a channel axis
+    if xs.shape[1:1 + len(want)] != want or xs.ndim > 1 + len(want) + channels:
+        raise InvalidParams(f"canonicalizer of {G.name} needs a batch of states "
+                            f"of shape {want}, got {xs.shape}")
+    if len(xs) == 0:
+        return np.zeros(0, dtype=np.int64)
+    inv = G.stacked[G.inverse_table]
+    if G.grid_shape is None:
+        ys = np.einsum("kij,nj->nki", inv, xs)
+        return _lex_first_max(lambda j: ys[:, :, j], ys.shape[2],
+                              _sector_angle(ys) < c.sector)
+    n, cells = len(xs), inv.shape[1]
+    flat = xs.reshape(n, cells, -1)
+    first = np.argmax(_peak_cells(flat, cells)[:, inv], axis=-1)
+    depth = flat.shape[2]
+    return _lex_first_max(lambda j: flat[:, inv[:, j // depth], j % depth],
+                          cells * depth, c.cells[first])
 
 
 def canonicalize(c: Canonicalizer, x: np.ndarray) -> GroupElement:
@@ -348,35 +414,40 @@ def canonicalize(c: Canonicalizer, x: np.ndarray) -> GroupElement:
     to the smallest id; with none, the identity is returned.
     """
     x = np.asarray(x, dtype=float)
-    grid = c.group.grid_shape is not None
-    if x.ndim == 1 and grid:
-        raise InvalidParams("grid canonicalizer needs a grid-shaped input")
-    best, best_key = c.group.identity, None
-    for k in c.group.elements:
-        y = c.group.inverse(k).apply(x)
-        if c._in_region(y if grid else y.ravel()):
-            key = tuple(y.ravel())
-            if best_key is None or key > best_key:
-                best, best_key = k, key
-    return best
+    return c.group.elements[int(canonical_ids(c, x[None])[0])]
+
+
+def equivariant_noise_batch(xs: np.ndarray, seed: int, G: IsometryGroup,
+                            c: Canonicalizer, n: int) -> NoiseSequence:
+    """One noise stream for a batch of chains, row r oriented by xs[r].
+
+    The blocks come from (seed, index) with the shape of ``xs``; row r is
+    turned by ``kappa_r = c(xs[r]) o c(eps_{0,r})^{-1}``, where eps_{0,r}
+    is row r of block 0.  Replacing xs[r] by g xs[r] turns row r of every
+    block by g more, bit-exactly for grid actions and signed permutations.
+    """
+    if c.group is not G and c.group.name != G.name:
+        raise InvalidParams("canonicalizer group must match G")
+    xs = np.asarray(xs, dtype=float)
+    base = NoiseSequence(seed=seed, n=n, shape=xs.shape)
+    kappa = G.compose_table[canonical_ids(c, xs),
+                            G.inverse_table[canonical_ids(c, base.base(0))]]
+    return replace(base, group=G, ids=kappa)
 
 
 def equivariant_noise_sequence(x_ref: np.ndarray, seed: int, G: IsometryGroup,
                                c: Canonicalizer, n: int) -> NoiseSequence:
-    """Noise sequence whose orientation follows the reference state.
+    """Noise sequence whose orientation follows the one reference state.
 
-    The base noises come from (seed, index); the orientation is the unique
-    k with phi(x_ref) = k phi(eps_0), i.e. k = c(x_ref) o c(eps_0)^{-1},
-    where eps_0 is the first noise consumed.  Replacing x_ref by r x_ref
-    yields the sequence {r k eps_i} bit-exactly for grid actions.
+    The one-chain view of ``equivariant_noise_batch``: every block equals
+    row 0 of the batched sequence for ``x_ref[None]``, so the orientation
+    is the unique k with phi(x_ref) = k phi(eps_0), i.e.
+    k = c(x_ref) o c(eps_0)^{-1}.  Replacing x_ref by r x_ref yields the
+    sequence {r k eps_i} bit-exactly for grid actions.
     """
-    if c.group is not G and c.group.name != G.name:
-        raise InvalidParams("canonicalizer group must match G")
     x_ref = np.asarray(x_ref, dtype=float)
-    base = NoiseSequence(seed=seed, n=n, shape=x_ref.shape)
-    eps0 = base.base(0)
-    kappa = G.compose(canonicalize(c, x_ref), G.inverse(canonicalize(c, eps0)))
-    return NoiseSequence(seed=seed, n=n, shape=x_ref.shape, orientation=kappa)
+    seq = equivariant_noise_batch(x_ref[None], seed, G, c, n)
+    return replace(seq, shape=x_ref.shape, ids=seq.ids[0])
 
 
 def sdedit_denoise(score, s: Schedule, x0_tilde: np.ndarray, t_start: float,

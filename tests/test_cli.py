@@ -320,6 +320,34 @@ def test_sample_plain_noise_rows_do_not_depend_on_batch_size(tmp_path):
         np.testing.assert_array_equal(rows[4], rows[16][:4])
 
 
+def test_sample_en_rows_do_not_depend_on_batch_size(tmp_path):
+    # All EN chains share one stream keyed by (seed, step), each row turned
+    # by its own orientation, so the first rows of a run are the same
+    # whatever its size: on 2-D C4 points and on a D4 4x4 grid.
+    point = sample_config(equivariant_noise=True)
+    point["model"]["coupling"] = {"matrix": [[0.5, 0.1], [-0.1, 0.5]],
+                                  "noise_var": 0.04}
+    grid = {"schedule": {"kind": "vp"}, "group": {"name": "D4", "shape": [4, 4]},
+            "data": {"components": [{"weight": 1.0, "mean": [0.1 * i for i in range(16)],
+                                     "variance": 0.3}],
+                     "symmetrize": True, "n_samples": 20, "seed": 1},
+            "model": {"kind": "oracle+FA",
+                      "coupling": {"matrix": 0.5, "noise_var": 0.04}},
+            "sampler": {"lam": 1.0, "tau": 1.0, "steps": 10, "seed": 5,
+                        "equivariant_noise": True}}
+    for label, base in (("point", point), ("grid", grid)):
+        for cmd, fname in (("sample", "samples.spdt"), ("bridge", "bridge_samples.spdt")):
+            rows = {}
+            for n in (4, 16):
+                cfg = json.loads(json.dumps(base))
+                cfg["sampler"]["n_samples"] = n
+                out = tmp_path / f"{label}-{cmd}-{n}"
+                assert run("gen-data", cfg, out) == 0
+                assert run(cmd, cfg, out) == 0
+                rows[n] = read_spdt(out / fname)
+            np.testing.assert_array_equal(rows[4], rows[16][:4], err_msg=f"{label} {cmd}")
+
+
 def test_sample_ode_has_no_delta_probe(tmp_path):
     out = tmp_path / "run"
     cfg = sample_config(lam=0.0)
@@ -371,6 +399,23 @@ def test_bridge_on_grid_group(tmp_path, use_en):
             assert summary["delta_x0"] == 0.0, name
         else:
             assert summary["delta_x0"] > 0.0, name
+
+
+def test_bridge_en_exact_on_points_and_odd_and_large_grids(tmp_path):
+    # The batched EN map commutes with the group bit for bit: on 2-D points
+    # and on 5x5 (centre and middle-row peaks) and 8x8 grids.
+    for name in ("C4", "D4"):
+        for shape in (None, [5, 5], [8, 8]):
+            group = {"name": name} if shape is None else {"name": name, "shape": shape}
+            cfg = {"schedule": {"kind": "vp"}, "group": group,
+                   "model": {"kind": "oracle+FA",
+                             "coupling": {"matrix": 0.5, "noise_var": 0.04}},
+                   "sampler": {"tau": 1.0, "steps": 8, "n_samples": 8, "seed": 2,
+                               "equivariant_noise": True}}
+            out = tmp_path / f"{name}-{shape}"
+            assert run("bridge", cfg, out) == 0
+            summary = json.loads((out / "bridge_summary.json").read_text("utf-8"))
+            assert summary["delta_x0"] == 0.0, (name, shape)
 
 
 def test_bridge_coupling_matrix_shape_exits_2(tmp_path, capsys):

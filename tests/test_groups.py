@@ -9,6 +9,7 @@ from spdm import (
     IsometryGroup,
     NonSquareGrid,
     ShapeMismatch,
+    apply_elements,
     diagonal_pair_group,
     frame_average,
     make_c4_group,
@@ -348,3 +349,15 @@ def test_frame_average_deterministic():
     avg = FrameAveragedField(lambda x: x * w, make_d4_group((4, 4)))
     x = rng.standard_normal((4, 4))
     np.testing.assert_array_equal(avg(x), avg(x))
+
+
+def test_apply_elements_matches_per_row_apply():
+    rng = np.random.default_rng(4)
+    for g, shape in ((make_d4_group((5, 5)), (5, 5)), (make_d4_group((4, 4)), (4, 4, 3)),
+                     (make_flip_group("horizontal", (3, 5)), (3, 5)),
+                     (make_point_group_2d(4, with_reflection=True), (2,))):
+        x = rng.standard_normal((12, *shape))
+        ids = rng.integers(len(g), size=12)
+        out = apply_elements(g, ids, x)
+        for i in range(12):
+            np.testing.assert_array_equal(out[i], g.elements[ids[i]].apply(x[i]))

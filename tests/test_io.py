@@ -1,11 +1,13 @@
 """Tests for the tensor format, config validation and deterministic writers."""
 
+import builtins
 import json
 
 import numpy as np
 import pytest
 
 from spdm import ConfigError, IoError
+from spdm import io as spdm_io
 from spdm.io import (
     append_log,
     config_hash,
@@ -184,3 +186,50 @@ def test_svg_scatter_deterministic(tmp_path):
 def test_palette_cycles():
     assert palette_color(0) == palette_color(8)
     assert palette_color(1) != palette_color(2)
+
+
+class _FailingFile:
+    """File wrapper whose first write stores half its bytes, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("no space left on device")
+
+
+WRITERS = {
+    "spdt": lambda p, v: write_spdt(p, np.full((3, 4), v)),
+    "json": lambda p, v: write_json(p, {"value": v}),
+    "csv": lambda p, v: write_csv(p, ["value"], [[v]]),
+    "svg": lambda p, v: svg_scatter(p, [("pts", np.full((2, 2), v), "#000000")]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch, kind):
+    write = WRITERS[kind]
+    target = tmp_path / f"out.{kind}"
+    write(target, 1.0)
+    before = target.read_bytes()
+
+    def failing_open(*args, **kwargs):
+        return _FailingFile(builtins.open(*args, **kwargs))
+
+    monkeypatch.setattr(spdm_io, "open", failing_open, raising=False)
+    with pytest.raises(OSError):
+        write(target, 2.0)
+    with pytest.raises(OSError):
+        write(tmp_path / "never", 2.0)
+    monkeypatch.undo()
+    assert target.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [target.name]
+    write(target, 2.0)
+    assert target.read_bytes() != before

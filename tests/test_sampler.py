@@ -15,10 +15,12 @@ from spdm import (
     TimeGrid,
     TimeOutOfRange,
     bridge_grid,
+    canonical_ids,
     canonicalize,
     ddbm_reverse_sample,
     default_canonicalizer,
     diagonal_pair_group,
+    equivariant_noise_batch,
     equivariant_noise_sequence,
     frame_average,
     make_c4_group,
@@ -83,7 +85,7 @@ def test_noise_sequence_orientation_bit_exact():
     g = make_c4_group((4, 4))
     k = g.element_by_name("r1")
     base = NoiseSequence(seed=7, n=4, shape=(4, 4))
-    oriented = NoiseSequence(seed=7, n=4, shape=(4, 4), orientation=k)
+    oriented = NoiseSequence(seed=7, n=4, shape=(4, 4), group=g, ids=k.gid)
     for i in range(4):
         np.testing.assert_array_equal(oriented.get(i), k.apply(base.get(i)))
 
@@ -325,6 +327,86 @@ def test_equivariant_noise_point_group():
         np.testing.assert_array_equal(rotated.get(i), k.apply(seq.get(i)))
     with pytest.raises(InvalidParams):
         equivariant_noise_sequence(x_ref, 13, make_point_group_2d(8), c, 3)
+
+
+def loop_canonicalize(c, x):
+    """Reference canonicalizer: a Python loop over the elements, with the
+    reference regions written out per tag."""
+    g = c.group
+    best, best_key = 0, None
+    for k in g.elements:
+        y = g.inverse(k).apply(x)
+        if g.grid_shape is None:
+            angle = float(np.arctan2(y[1], y[0])) % (2.0 * np.pi)
+            inside = angle < (np.pi / 2.0 if g.tag == "C4" else np.pi / 4.0)
+        else:
+            (h, w), plane = g.grid_shape, y if y.ndim == 2 else np.max(y, axis=-1)
+            i, j = divmod(int(np.argmax(plane)), w)
+            inside = {"flip_v": i < h / 2, "flip_h": j < w / 2,
+                      "C4": i < h / 2 and j < w / 2,
+                      "D4": i < h / 2 and j < w / 2 and j >= i}[g.tag]
+        if inside:
+            key = tuple(y.ravel())
+            if best_key is None or key > best_key:
+                best, best_key = k.gid, key
+    return best
+
+
+def test_canonical_ids_match_per_row_canonicalize():
+    # Peaks on every cell, so on the diagonals, the middle rows and columns
+    # and the centre of odd grids; points on the sector boundaries too.
+    # Grids with a channel axis and all-equal rows (ties everywhere) too.
+    rng = np.random.default_rng(5)
+    cases = []
+    for tag in ("C4", "D4"):
+        xs = rng.standard_normal((64, 2))
+        xs[:8] = [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1], [-1, 1], [2, -2], [0, 0]]
+        cases.append((make_group(tag), xs))
+    for tag in ("flip_v", "flip_h", "C4", "D4"):
+        for n in (4, 5, 8):
+            xs = rng.standard_normal((n * n + 2, n, n))
+            for r in range(n * n):
+                xs[r].flat[r] = 10.0
+            xs[0].flat[-1] = 10.0  # two peak cells
+            xs[-2:] = 0.0
+            cases.append((make_group(tag, (n, n)), xs))
+            cases.append((make_group(tag, (n, n)), rng.standard_normal((8, n, n, 3))))
+    for g, xs in cases:
+        c = default_canonicalizer(g)
+        ids = canonical_ids(c, xs)
+        want = [canonicalize(c, x).gid for x in xs]
+        np.testing.assert_array_equal(ids, want, err_msg=g.name)
+        np.testing.assert_array_equal(ids, [loop_canonicalize(c, x) for x in xs],
+                                      err_msg=g.name)
+
+
+def test_one_chain_en_is_row_zero_of_batch():
+    for g, x in ((make_point_group_2d(4), np.array([0.9, 0.2])),
+                 (make_d4_group((4, 4)), np.random.default_rng(6).standard_normal((4, 4)))):
+        c = default_canonicalizer(g)
+        one = equivariant_noise_sequence(x, 21, g, c, 4)
+        batch = equivariant_noise_batch(x[None], 21, g, c, 4)
+        for i in range(4):
+            np.testing.assert_array_equal(one.get(i), batch.get(i)[0])
+
+
+def test_en_batch_rows_follow_their_starts():
+    # Row r of the batched stream does not depend on the batch size, and
+    # moving start r by k moves its noise row by k.
+    g = make_d4_group((5, 5))
+    c = default_canonicalizer(g)
+    rng = np.random.default_rng(8)
+    xs = rng.standard_normal((6, 5, 5))
+    ks = rng.integers(len(g), size=6)
+    seq = equivariant_noise_batch(xs, 3, g, c, 3)
+    head = equivariant_noise_batch(xs[:2], 3, g, c, 3)
+    moved = equivariant_noise_batch(
+        np.stack([g.elements[k].apply(x) for k, x in zip(ks, xs)]), 3, g, c, 3)
+    for i in range(3):
+        eps = seq.get(i)
+        np.testing.assert_array_equal(head.get(i), eps[:2])
+        np.testing.assert_array_equal(
+            moved.get(i), np.stack([g.elements[k].apply(e) for k, e in zip(ks, eps)]))
 
 
 def test_denoising_equivariance_needs_aligned_noise():
