@@ -457,24 +457,30 @@ def cmd_bridge(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     return EXIT_OK
 
 
+def _nll_field(cfg: dict, s: Schedule, group: IsometryGroup | None, out_dir: Path,
+               event_shape: tuple[int, ...]):
+    """The ``nll`` section's points, steps and div_mode, defaults filled in,
+    and the configured score as a field on flat (n, d) rows."""
+    spec = cfg.get("nll", {})
+    score = build_score(cfg, s, group, out_dir, event_shape)
+
+    def field(x, t):
+        return score(x.reshape(len(x), *event_shape), t).reshape(len(x), -1)
+
+    return (spec.get("points", 16), spec.get("steps", 200),
+            spec.get("div_mode", "exact_fd"), field)
+
+
 def cmd_nll(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     chash = io.config_hash(cfg)
     s = build_schedule(cfg)
     group = build_group(cfg)
-    spec = cfg.get("nll", {})
     seed = seed_override if seed_override is not None else 0
-    n_points = spec.get("points", 16)
-    steps = spec.get("steps", 200)
-    div_mode = spec.get("div_mode", "exact_fd")
 
     data = io.read_spdt(_require_file(out_dir / "data.spdt", "dataset"))
+    n_points, steps, div_mode, field = _nll_field(cfg, s, group, out_dir,
+                                                  data.shape[1:])
     flat = data.reshape(data.shape[0], -1)[:n_points]
-    event_shape = data.shape[1:]
-    score = build_score(cfg, s, group, out_dir, event_shape)
-    field = score if len(event_shape) == 1 else FlatField(
-        lambda x, t: score(x.reshape(x.shape[0], *event_shape), t).reshape(
-            x.shape[0], -1), (int(np.prod(event_shape)),))
-
     report = metrics.pf_ode_nll(field, s, flat, sampling.nll_grid(s, steps),
                                 div_mode=div_mode, seed=seed)
     ll, bpd = report.log_likelihood, report.bits_per_dim
@@ -580,17 +586,11 @@ def cmd_metrics(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
 def _nll_table(cfg, s, group, out_dir: Path, data: np.ndarray, chash: str,
                seed: int) -> None:
     """Mean NLL of the dataset under every orientation of the inputs."""
-    spec = cfg.get("nll", {})
-    n_points = min(spec.get("points", 16), data.shape[0])
-    steps = spec.get("steps", 200)
-    div_mode = spec.get("div_mode", "exact_fd")
-    event_shape = data.shape[1:]
-    score = build_score(cfg, s, group, out_dir, event_shape)
-    field = score if len(event_shape) == 1 else FlatField(
-        lambda x, t: score(x.reshape(x.shape[0], *event_shape), t).reshape(
-            x.shape[0], -1), (int(np.prod(event_shape)),))
+    n_points, steps, div_mode, field = _nll_field(cfg, s, group, out_dir,
+                                                  data.shape[1:])
+    n_points = min(n_points, data.shape[0])
     grid = sampling.nll_grid(s, steps)
-    d = int(np.prod(event_shape))
+    d = int(np.prod(data.shape[1:]))
 
     rows = []
     for el in group.elements:

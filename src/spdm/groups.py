@@ -60,14 +60,17 @@ class GroupElement:
         """
         x = np.asarray(x)
         if self.perm is not None:
+            # np.take returns a C-contiguous array; a fancy index would put
+            # the cell axis outermost in memory, and downstream reductions
+            # would then round a batch row and a lone state differently
             h, w = self.grid_shape
             if x.ndim >= 2 and x.shape[-2:] == (h, w):
                 lead = x.shape[:-2]
-                out = x.reshape(*lead, h * w)[..., self.perm]
+                out = np.take(x.reshape(*lead, h * w), self.perm, axis=-1)
                 return out.reshape(*lead, h, w)
             if x.ndim >= 3 and x.shape[-3:-1] == (h, w):
                 lead, c = x.shape[:-3], x.shape[-1]
-                out = x.reshape(*lead, h * w, c)[..., self.perm, :]
+                out = np.take(x.reshape(*lead, h * w, c), self.perm, axis=-2)
                 return out.reshape(*lead, h, w, c)
             raise ShapeMismatch(
                 f"array of shape {x.shape} does not end in grid shape {(h, w)}"
@@ -393,8 +396,9 @@ def verify_group_axioms(group: IsometryGroup, atol: float = 1e-12) -> GroupCheck
     Closure recomputes every pairwise product from the element actions and
     compares it against the stored composition table, so a corrupted table
     is caught here.  Associativity is checked exhaustively on the table.
-    Matrix actions must satisfy ``A.T A = I`` within ``atol``; grid actions
-    are permutations, which are isometries exactly.
+    Matrix actions must satisfy ``A.T A = I`` within ``atol``; a grid
+    action is an isometry exactly when its ``perm`` is a bijection of the
+    cells, and a grid element whose ``perm`` is not counts as error 1.
     """
     n = len(group)
     msgs: list[str] = []
@@ -440,10 +444,13 @@ def verify_group_axioms(group: IsometryGroup, atol: float = 1e-12) -> GroupCheck
         if a.kind == "matrix":
             d = a.matrix.shape[0]
             err = float(np.max(np.abs(a.matrix.T @ a.matrix - np.eye(d))))
-            max_ortho_err = max(max_ortho_err, err)
-            if err > atol:
-                ortho_ok = False
-                msgs.append(f"orthogonality fails for {a.name}")
+        else:
+            bijective = np.array_equal(np.sort(a.perm), np.arange(a.perm.size))
+            err = 0.0 if bijective else 1.0
+        max_ortho_err = max(max_ortho_err, err)
+        if err > atol:
+            ortho_ok = False
+            msgs.append(f"orthogonality fails for {a.name}")
 
     return GroupCheckReport(
         closure=closure_ok,

@@ -29,6 +29,7 @@ file, or none, in place.
 from __future__ import annotations
 
 import datetime
+import functools
 import hashlib
 import json
 import os
@@ -110,19 +111,30 @@ def _load_schema() -> dict:
     return json.loads(text)
 
 
+@functools.cache
+def _validator():
+    """The schema's validator, checked against its meta-schema once per process."""
+    from jsonschema.validators import validator_for
+
+    schema = _load_schema()
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_config(config: dict) -> dict:
     """Validate a config dict against the published schema.
 
     Unknown keys anywhere in the document are rejected.  Returns the
-    config unchanged on success.
+    config unchanged on success.  The error reported is the one
+    ``jsonschema.validate`` would raise: the best match among all errors.
     """
-    import jsonschema
+    from jsonschema.exceptions import best_match
 
-    try:
-        jsonschema.validate(config, _load_schema())
-    except jsonschema.ValidationError as exc:
-        loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {loc}: {exc.message}") from exc
+    error = best_match(_validator().iter_errors(config))
+    if error is not None:
+        loc = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config invalid at {loc}: {error.message}") from error
     return config
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateCoupling, InvalidParams, TimeOutOfRange
 from .groups import IsometryGroup
-from .process import GaussianParams, Schedule, bridge_kernel
+from .process import GaussianParams, Schedule, bridge_coefficients
 
 _WEIGHT_ATOL = 1e-12
 
@@ -113,13 +113,13 @@ def _diffused_params(m: GaussianMixture, s: Schedule, t: float):
     return means, variances
 
 
-def _log_resp(x2d, means, variances, log_w):
-    # log of w_i N(x; m_i, s_i^2 I) for every point (rows) and component (cols)
-    d = x2d.shape[1]
-    diff2 = ((x2d[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+def _log_resp(diff, variances, log_w):
+    # log of w_i N(x; m_i, s_i^2 I) for every point (rows) and component
+    # (cols), from the differences m_i - x shaped (points, components, d)
+    d = diff.shape[2]
     return (log_w[None, :]
             - 0.5 * d * np.log(2.0 * np.pi * variances)[None, :]
-            - 0.5 * diff2 / variances[None, :])
+            - 0.5 * (diff ** 2).sum(axis=2) / variances[None, :])
 
 
 def diffused_score(m: GaussianMixture, s: Schedule, x: np.ndarray, t: float) -> np.ndarray:
@@ -134,12 +134,15 @@ def diffused_score(m: GaussianMixture, s: Schedule, x: np.ndarray, t: float) -> 
         raise TimeOutOfRange(f"t={t} outside [0, {s.T}]")
     x2d, single = _flat(x, m.event_shape)
     means, variances = _diffused_params(m, s, t)
-    lr = _log_resp(x2d, means, variances, np.log(m.weights))
+    diff = means[None, :, :] - x2d[:, None, :]
+    lr = _log_resp(diff, variances, np.log(m.weights))
     lr -= lr.max(axis=1, keepdims=True)
     gamma = np.exp(lr)
     gamma /= gamma.sum(axis=1, keepdims=True)
-    pull = (means[None, :, :] - x2d[:, None, :]) / variances[None, :, None]
-    out = (gamma[:, :, None] * pull).sum(axis=1)
+    # the pulls (m_i - x) / s_i^2, weighted by gamma, built in place in diff
+    diff /= variances[None, :, None]
+    diff *= gamma[:, :, None]
+    out = diff.sum(axis=1)
     out = out.reshape(-1, *m.event_shape)
     return out[0] if single else out
 
@@ -151,7 +154,7 @@ def log_density(m: GaussianMixture, s: Schedule, x: np.ndarray, t: float) -> np.
         raise TimeOutOfRange(f"t={t} outside [0, {s.T}]")
     x2d, single = _flat(x, m.event_shape)
     means, variances = _diffused_params(m, s, t)
-    lr = _log_resp(x2d, means, variances, np.log(m.weights))
+    lr = _log_resp(means[None, :, :] - x2d[:, None, :], variances, np.log(m.weights))
     shift = lr.max(axis=1, keepdims=True)
     out = np.log(np.exp(lr - shift).sum(axis=1)) + shift[:, 0]
     return float(out[0]) if single else out
@@ -207,19 +210,11 @@ def bridge_conditional_params(coupling: GaussianCoupling, s: Schedule,
     ``r_t (alpha_t/alpha_T) x_T + alpha_t (1 - r_t) C x_T`` and the variance
     ``sigma_t^2 (1 - r_t) + alpha_t^2 (1 - r_t)^2 v``.
     """
-    t = float(t)
-    if t < 0.0 or t > s.T:
-        raise TimeOutOfRange(f"t={t} outside [0, {s.T}]")
+    a_t, a_T, s2_t, r = bridge_coefficients(s, t)
     x_T = np.asarray(x_T, dtype=float)
-    base = bridge_kernel(s, np.zeros_like(x_T), x_T, t)
-    a_t = float(s.alpha(t))
-    a_T = float(s.alpha(s.T))
-    s2_t = float(s.sigma2(t))
-    s2_T = float(s.sigma2(s.T))
-    r = (a_T**2 * s2_t) / (a_t**2 * s2_T)
     b_t = a_t * (1.0 - r)
-    mean = base.mean + b_t * coupling.mean_map(x_T)
-    var = base.variance + b_t**2 * coupling.noise_var
+    mean = r * (a_t / a_T) * x_T + b_t * coupling.mean_map(x_T)
+    var = max(s2_t * (1.0 - r), 0.0) + b_t**2 * coupling.noise_var
     return GaussianParams(mean=mean, variance=var)
 
 

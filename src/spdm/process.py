@@ -199,6 +199,15 @@ def bridge_kernel(s: Schedule, x0: np.ndarray, x_T: np.ndarray, t: float) -> Gau
     reduces to the familiar Brownian-bridge mixing ``r_t = sigma_t^2 /
     sigma_T^2``.  Exact at both endpoints.
     """
+    a_t, a_T, s2_t, r = bridge_coefficients(s, t)
+    mean = r * (a_t / a_T) * np.asarray(x_T, dtype=float) \
+        + a_t * (1.0 - r) * np.asarray(x0, dtype=float)
+    return GaussianParams(mean=mean, variance=max(s2_t * (1.0 - r), 0.0))
+
+
+def bridge_coefficients(s: Schedule, t: float) -> tuple[float, float, float, float]:
+    """``(alpha_t, alpha_T, sigma_t^2, r_t)`` of the pinned bridge at time t,
+    with mixing weight ``r_t = eta_T / eta_t``; t must lie in [0, T]."""
     t = float(t)
     if t < 0.0 or t > s.T:
         raise TimeOutOfRange(f"t={t} outside [0, {s.T}]")
@@ -206,10 +215,7 @@ def bridge_kernel(s: Schedule, x0: np.ndarray, x_T: np.ndarray, t: float) -> Gau
     a_T = float(s.alpha(s.T))
     s2_t = float(s.sigma2(t))
     s2_T = float(s.sigma2(s.T))
-    r = (a_T**2 * s2_t) / (a_t**2 * s2_T)
-    mean = r * (a_t / a_T) * np.asarray(x_T, dtype=float) \
-        + a_t * (1.0 - r) * np.asarray(x0, dtype=float)
-    return GaussianParams(mean=mean, variance=max(s2_t * (1.0 - r), 0.0))
+    return a_t, a_T, s2_t, (a_T**2 * s2_t) / (a_t**2 * s2_T)
 
 
 def bridge_forward_drift(s: Schedule, x_t: np.ndarray, x_T: np.ndarray,

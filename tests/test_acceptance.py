@@ -2,7 +2,9 @@
 
 Each test prints a single PASS/FAIL line with the observed values, so a
 ``pytest -s tests/test_acceptance.py`` run doubles as a verification
-report.  Tolerances are stated inline next to each check.
+report.  Tolerances are stated inline next to each check.  The property
+measurements come from ``spdm.verify``: ``spdm verify`` runs the same
+functions on quick inputs, the criteria here on full-size inputs.
 """
 
 import itertools
@@ -11,14 +13,10 @@ import json
 import numpy as np
 
 from spdm.cli import FlatField, main
-from spdm.groups import (diagonal_pair_group, frame_average, make_c4_group,
-                         make_d4_group, make_flip_group, make_point_group_2d,
-                         verify_group_axioms)
-from spdm.metrics import (FeatureSpec, FeatureStats, energy_distance_test,
-                          fokker_planck_residual, frechet_distance, inv_fid,
-                          pf_ode_nll)
-from spdm.nets import (Mlp, TrainerConfig, conv2d, equivariance_gap,
-                       make_tied_kernel, train)
+from spdm.groups import (diagonal_pair_group, frame_average, make_group,
+                         make_point_group_2d)
+from spdm.metrics import FeatureStats, energy_distance_test, pf_ode_nll
+from spdm.nets import Mlp, TrainerConfig, equivariance_gap, make_tied_kernel, train
 from spdm.oracle import (AnalyticScoreField, BridgeScoreField, GaussianCoupling,
                          GaussianMixture, symmetrize)
 from spdm.process import (bridge_forward_drift, bridge_kernel, transition,
@@ -26,6 +24,10 @@ from spdm.process import (bridge_forward_drift, bridge_kernel, transition,
 from spdm import sampling
 from spdm.sampling import (TimeGrid, bridge_grid, nll_grid, sampling_grid,
                            simulate_drift_only)
+from spdm.verify import (TIED_KERNELS, bridge_pinning_error, check_group_axioms,
+                         conv_gap, equivariance_residuals, frechet_error,
+                         inv_fid_pair, liouville_residual, nll_closed_form_error,
+                         rotation_drift, score_gap)
 
 
 def report(num: int, name: str, passed: bool, detail: str) -> None:
@@ -34,44 +36,26 @@ def report(num: int, name: str, passed: bool, detail: str) -> None:
     assert passed, line
 
 
+def one_orientation_mixture():
+    return GaussianMixture(weights=np.array([1.0]), means=np.array([[1.2, 0.5]]),
+                           variances=np.array([0.08]))
+
+
 def c4_symmetric_mixture():
-    return symmetrize(
-        GaussianMixture(weights=np.array([1.0]), means=np.array([[1.2, 0.5]]),
-                        variances=np.array([0.08])),
-        make_point_group_2d(4))
-
-
-def action_matrix(el, dim: int) -> np.ndarray:
-    if el.kind == "matrix":
-        return el.matrix
-    basis = np.eye(dim).reshape(dim, *el.grid_shape)
-    return el.apply(basis).reshape(dim, dim).T
+    return symmetrize(one_orientation_mixture(), make_point_group_2d(4))
 
 
 # ---- 1: group algebra ----------------------------------------------------
 
 
 def test_criterion_01_group_axioms():
-    groups = [
-        make_flip_group("vertical", (3, 3)),
-        make_flip_group("horizontal", (3, 3)),
-        make_c4_group((4, 4)),
-        make_d4_group((4, 4)),
-        make_point_group_2d(4),
-        make_point_group_2d(4, with_reflection=True),
-    ]
-    all_ok = True
-    worst_orth = 0.0
-    for g in groups:
-        rep = verify_group_axioms(g, atol=1e-12)
-        all_ok = all_ok and rep.passed
-        dim = (g.elements[0].grid_shape[0] * g.elements[0].grid_shape[1]
-               if g.elements[0].kind == "grid" else 2)
-        for el in g.elements:
-            a = action_matrix(el, dim)
-            worst_orth = max(worst_orth,
-                             float(np.max(np.abs(a.T @ a - np.eye(dim)))))
-    ok = all_ok and worst_orth <= 1e-12
+    groups = [make_group("flip_v", (3, 3)), make_group("flip_h", (3, 3)),
+              make_group("C4", (4, 4)), make_group("D4", (4, 4)),
+              make_group("C4"), make_group("D4")]
+    results = check_group_axioms(groups)
+    worst_orth = max(r.observed for r in results
+                     if r.name.startswith("group_orthogonality"))
+    ok = all(r.passed for r in results)
     report(1, "group axioms", ok,
            f"{len(groups)} groups, max |A^T A - I| = {worst_orth:.2e} "
            f"(tol 1e-12)")
@@ -81,41 +65,21 @@ def test_criterion_01_group_axioms():
 
 
 def test_criterion_02_tied_kernels():
-    counts = {("flip", 3): 6, ("C4", 5): 7, ("D4", 5): 6}
-    got = {key: make_tied_kernel(*key).n_free for key in counts}
-    counts_ok = got == counts
+    got = tuple(make_tied_kernel(tag, size).n_free for tag, size, _, _ in TIED_KERNELS)
 
     rng = np.random.default_rng(202)
     images = rng.standard_normal((100, 8, 8))
-
-    def conv_batch(kern, batch):
-        # conv2d is channels-last; route the batch through the channel axis
-        return np.moveaxis(conv2d(kern, np.moveaxis(batch, 0, -1)), -1, 0)
-
-    cases = [
-        ("flip", 3, make_flip_group("horizontal", (8, 8))),
-        ("C4", 5, make_c4_group((8, 8))),
-        ("D4", 5, make_d4_group((8, 8))),
-    ]
     worst_tied = 0.0
-    for tag, size, group in cases:
+    for tag, size, group_tag, _ in TIED_KERNELS:
         kern = make_tied_kernel(tag, size)
         kern.params = rng.standard_normal(kern.n_free)
-        for el in group.elements:
-            gap = float(np.max(np.abs(conv_batch(kern, el.apply(images))
-                                      - el.apply(conv_batch(kern, images)))))
-            worst_tied = max(worst_tied, gap)
+        worst_tied = max(worst_tied,
+                         conv_gap(kern, make_group(group_tag, (8, 8)), images))
+    dense_gap = conv_gap(rng.standard_normal((5, 5)), make_group("C4", (8, 8)), images)
 
-    dense = rng.standard_normal((5, 5))
-    group = make_c4_group((8, 8))
-    dense_gap = max(
-        float(np.max(np.abs(conv_batch(dense, el.apply(images))
-                            - el.apply(conv_batch(dense, images)))))
-        for el in group.elements)
-
-    ok = counts_ok and worst_tied <= 1e-12 and dense_gap > 0.01
+    ok = got == (6, 7, 6) and worst_tied <= 1e-12 and dense_gap > 0.01
     report(2, "tied kernels", ok,
-           f"free counts {tuple(got.values())} (want (6, 7, 6)), tied "
+           f"free counts {got} (want (6, 7, 6)), tied "
            f"commutation gap {worst_tied:.2e} (tol 1e-12), dense control "
            f"{dense_gap:.3f} (> 0.01)")
 
@@ -125,32 +89,16 @@ def test_criterion_02_tied_kernels():
 
 def test_criterion_03_frame_averaging():
     rng = np.random.default_rng(303)
-    cases = [
-        make_point_group_2d(4),
-        make_point_group_2d(4, with_reflection=True),
-        make_flip_group("vertical", (3, 3)),
-        make_c4_group((4, 4)),
-        make_d4_group((4, 4)),
-    ]
+    cases = [make_group("C4"), make_group("D4"), make_group("flip_v", (3, 3)),
+             make_group("C4", (4, 4)), make_group("D4", (4, 4))]
     worst = 0.0
     for group in cases:
-        el0 = group.elements[0]
-        if el0.kind == "grid":
-            shape = el0.grid_shape
-            dim = shape[0] * shape[1]
-            field = FlatField(Mlp(dim, hidden=(16,), seed=5), shape)
-            probes = 1.5 * rng.standard_normal((1000, *shape))
-        else:
-            field = Mlp(2, hidden=(16,), seed=5)
-            probes = 1.5 * rng.standard_normal((1000, 2))
-        wrapped = frame_average(field, group)
-        t = 0.37
-        base = np.asarray(wrapped(probes, t))
-        for el in group.elements:
-            gap = np.linalg.norm(
-                (np.asarray(wrapped(el.apply(probes), t))
-                 - el.apply(base)).reshape(probes.shape[0], -1), axis=1)
-            worst = max(worst, float(np.max(gap)))
+        shape = group.state_shape
+        field = FlatField(Mlp(int(np.prod(shape)), hidden=(16,), seed=5), shape)
+        probes = 1.5 * rng.standard_normal((1000, *shape))
+        res = equivariance_residuals(frame_average(field, group), group, probes, 0.37)
+        gap = np.linalg.norm(res.reshape(len(group), len(probes), -1), axis=2)
+        worst = max(worst, float(np.max(gap)))
     ok = worst <= 1e-12
     report(3, "frame averaging", ok,
            f"5 groups x 1000 probes, max equivariance gap {worst:.2e} "
@@ -163,25 +111,12 @@ def test_criterion_03_frame_averaging():
 def test_criterion_04_symmetrized_score_equivariance():
     s = vp_schedule()
     G = make_point_group_2d(4)
-    sym = AnalyticScoreField(c4_symmetric_mixture(), s)
-    raw = AnalyticScoreField(
-        GaussianMixture(weights=np.array([1.0]), means=np.array([[1.2, 0.5]]),
-                        variances=np.array([0.08])), s)
     rng = np.random.default_rng(404)
     probes = 1.5 * rng.standard_normal((500, 2))
     ts = rng.uniform(0.0, s.T, 500)
 
-    def max_gap(field):
-        worst = 0.0
-        for el in G.elements[1:]:
-            for x, t in zip(probes, ts):
-                gap = np.max(np.abs(field(el.apply(x), t)
-                                    - el.apply(field(x, t))))
-                worst = max(worst, float(gap))
-        return worst
-
-    sym_gap = max_gap(sym)
-    raw_gap = max_gap(raw)
+    sym_gap = score_gap(c4_symmetric_mixture(), s, G, probes, ts)
+    raw_gap = score_gap(one_orientation_mixture(), s, G, probes, ts)
     ok = sym_gap <= 1e-10 and raw_gap > 0.1
     report(4, "symmetrized score", ok,
            f"symmetrized gap {sym_gap:.2e} (tol 1e-10), asymmetric control "
@@ -230,16 +165,8 @@ def test_criterion_05_reverse_family_marginals():
 
 def test_criterion_06_nll_accuracy_and_invariance():
     s = vp_schedule()
-    # the unit Gaussian is the stationary law of the VP process, so the
-    # probability-flow likelihood has a closed form to compare against
-    stat_mix = GaussianMixture(weights=np.array([1.0]),
-                               means=np.array([[0.0, 0.0]]),
-                               variances=np.array([1.0]))
-    field = AnalyticScoreField(stat_mix, s)
     x = np.random.default_rng(71).standard_normal((100, 2))
-    rep = pf_ode_nll(field, s, x, nll_grid(s, 1000))
-    truth = -0.5 * np.sum(x**2, axis=1) - np.log(2.0 * np.pi)
-    err = float(np.max(np.abs(rep.log_likelihood - truth))) / 2.0
+    err = nll_closed_form_error(x, nll_grid(s, 1000))
 
     G = make_point_group_2d(4)
     inv_field = AnalyticScoreField(c4_symmetric_mixture(), s)
@@ -288,14 +215,13 @@ def test_criterion_07_bridge_marginals_and_pinning():
         _, p = energy_distance_test(snap, ref, permutations=199, seed=60 + k)
         pvals[tt] = p
 
-    end_var = max(float(np.max(np.abs(bridge_kernel(s, x0, x_T, t).variance)))
-                  for t in (0.0, s.T))
-    ok = all(p > 0.01 for p in pvals.values()) and end_var < 1e-10
+    end_err = bridge_pinning_error(x0, x_T)
+    ok = all(p > 0.01 for p in pvals.values()) and end_err < 1e-10
     worst_t = min(pvals, key=pvals.get)
     report(7, "bridge kernels", ok,
            f"5 interior marginals at N={n}, min p = {pvals[worst_t]:.3f} at "
-           f"t={worst_t:.3f} (need > 0.01); endpoint variance {end_var:.1e} "
-           f"(tol 1e-10)")
+           f"t={worst_t:.3f} (need > 0.01); endpoint mean and variance error "
+           f"{end_err:.1e} (tol 1e-10)")
 
 
 # ---- 8: bridge-sampler equivariance ablation -----------------------------
@@ -354,12 +280,9 @@ def test_criterion_08_ddbm_equivariance_ablation():
 
 def test_criterion_09_preserving_drift():
     grid = TimeGrid(times=np.linspace(0.0, 1.0, 401))
-
-    def f(x, t):
-        return np.stack([x[..., 1], -x[..., 0]], axis=-1)
-
     n = 10_000
-    term = simulate_drift_only(f, lambda rng, m: rng.standard_normal((m, 2)),
+    term = simulate_drift_only(rotation_drift,
+                               lambda rng, m: rng.standard_normal((m, 2)),
                                grid, n, seed=81)
     mean = term.mean(axis=0)
     cov = np.cov(term.T, ddof=0)
@@ -369,17 +292,12 @@ def test_criterion_09_preserving_drift():
                   and np.all(np.abs(np.diag(cov) - 1.0) < se_var)
                   and abs(cov[0, 1]) < se_mean)
 
-    def p(pts, t):
-        q = pts[..., 0]**2 + pts[..., 1]**2
-        return np.exp(-0.5 * q) / (2.0 * np.pi)
-
-    xs = np.linspace(-4.0, 4.0, 1601)
-    resid = fokker_planck_residual(p, f, 0.0, 0.0, (xs, xs))
-    ok = moments_ok and resid.max_abs < 1e-6
+    resid = liouville_residual(np.linspace(-4.0, 4.0, 1601))
+    ok = moments_ok and resid < 1e-6
     report(9, "preserving drift", ok,
            f"terminal |mean| {np.max(np.abs(mean)):.4f} (< {se_mean:.3f}), "
            f"|cov - I| {np.max(np.abs(cov - np.eye(2))):.4f} (< {se_var:.3f}), "
-           f"transport residual {resid.max_abs:.2e} (tol 1e-6)")
+           f"transport residual {resid:.2e} (tol 1e-6)")
 
 
 # ---- 10: training --------------------------------------------------------
@@ -447,17 +365,12 @@ def test_criterion_11_metrics():
          FeatureStats(np.array([-1.0]), np.array([[0.25]]), 10),
          4.0 + (1.5 - 0.5)**2),
     ]
-    worst_closed = max(abs(frechet_distance(a, b) - want)
-                       for a, b, want in cases)
+    worst_closed = frechet_error(cases)
 
-    G = make_point_group_2d(4)
-    mix_one = GaussianMixture(weights=np.array([1.0]),
-                              means=np.array([[1.2, 0.5]]),
-                              variances=np.array([0.08]))
     rng = np.random.default_rng(83)
-    spec = FeatureSpec(dim_in=2)
-    v_sym = inv_fid(c4_symmetric_mixture().sample(rng, 8000), G, spec)
-    v_one = inv_fid(mix_one.sample(rng, 8000), G, spec)
+    v_sym, v_one = inv_fid_pair(c4_symmetric_mixture().sample(rng, 8000),
+                                one_orientation_mixture().sample(rng, 8000),
+                                make_point_group_2d(4))
 
     ok = worst_closed <= 1e-8 and v_sym < 0.05 and v_one > 10.0 * v_sym
     report(11, "metrics", ok,

@@ -464,20 +464,32 @@ def test_nll_outputs_byte_identical_across_dirs(tmp_path):
 
 def test_nll_point_row_does_not_depend_on_points(tmp_path):
     # Every perturbed state of a step goes to the score in one batch; the
-    # row of point 0 must not feel the other points in that batch.
-    for mode in ("exact_fd", "hutchinson"):
+    # row of point 0 must not feel the other points in that batch: on 2-D
+    # C4 points, and on a frame-averaged D4 8x8 grid, whose group actions
+    # must hand the oracle contiguous rows.
+    grid = {"schedule": {"kind": "vp"}, "group": {"name": "D4", "shape": [8, 8]},
+            "data": {"components": [
+                {"weight": 0.5, "mean": [0.05 * i for i in range(64)], "variance": 0.5},
+                {"weight": 0.5, "mean": [0.3 * (i % 5) for i in range(64)], "variance": 0.4}],
+                "symmetrize": True, "n_samples": 16, "seed": 1},
+            "model": {"kind": "oracle+FA"}}
+    point = base_config()
+    point["data"]["n_samples"] = 16
+    for label, base, mode, counts, steps in (
+            ("point", point, "exact_fd", (1, 4), 12),
+            ("point", point, "hutchinson", (1, 4), 12),
+            ("grid", grid, "exact_fd", (1, 3), 4)):
         rows = []
-        for points in (1, 4):
-            cfg = base_config()
-            cfg["data"]["n_samples"] = 16
-            cfg["nll"] = {"points": points, "steps": 12, "div_mode": mode}
-            out = tmp_path / f"{mode}_{points}"
+        for points in counts:
+            cfg = json.loads(json.dumps(base))
+            cfg["nll"] = {"points": points, "steps": steps, "div_mode": mode}
+            out = tmp_path / f"{label}_{mode}_{points}"
             assert run("gen-data", cfg, out) == 0
             assert run("nll", cfg, out) == 0
             _, got = read_rows(out / "nll.csv")
             assert len(got) == points
             rows.append(got[0][:4])  # without the config hash
-        assert rows[0] == rows[1], mode
+        assert rows[0] == rows[1], (label, mode)
 
 
 def test_three_dim_points_pipeline(tmp_path, capsys):
@@ -622,3 +634,20 @@ def test_verify_command(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert printed.count("PASS") >= len(doc["checks"])
     assert "FAIL" not in printed
+
+
+def test_verify_command_reports_a_failed_check(tmp_path, capsys, monkeypatch):
+    from spdm import verify
+
+    # a tensor reader that moves every value breaks the spdt round trip
+    monkeypatch.setattr(verify, "read_spdt", lambda path: read_spdt(path) + 1.0)
+    out = tmp_path / "run"
+    assert main(["verify", "--out", str(out)]) == 4
+    doc = json.loads((out / "verify.json").read_text("utf-8"))
+    assert doc["all_passed"] is False
+    failed = [c["name"] for c in doc["checks"] if not c["passed"]]
+    assert failed == ["spdt_roundtrip"]
+    printed = capsys.readouterr().out
+    assert "FAIL spdt_roundtrip" in printed
+    n = len(doc["checks"])
+    assert f"CHECKS FAILED ({n - 1}/{n})" in printed

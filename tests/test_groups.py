@@ -1,10 +1,14 @@
 """Tests for finite isometry groups, their axioms, and frame averaging."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from spdm import (
+    AnalyticScoreField,
     FrameAveragedField,
+    GaussianMixture,
     InvalidParams,
     IsometryGroup,
     NonSquareGrid,
@@ -17,7 +21,9 @@ from spdm import (
     make_flip_group,
     make_group,
     make_point_group_2d,
+    symmetrize,
     verify_group_axioms,
+    vp_schedule,
 )
 from spdm.io import _load_schema
 from spdm.sampling import default_canonicalizer
@@ -191,6 +197,16 @@ def test_corrupted_table_is_caught():
     assert not report.passed
     assert not report.closure
 
+    # a grid perm that repeats a cell is not a bijection, so no isometry
+    r1 = g.elements[1]
+    perm = r1.perm.copy()
+    perm[0] = perm[1]
+    els = (g.elements[0], dataclasses.replace(r1, perm=perm)) + g.elements[2:]
+    report = verify_group_axioms(IsometryGroup(g.name, els, g.compose_table,
+                                               g.inverse_table))
+    assert not report.orthogonality
+    assert report.max_orthogonality_error == 1.0
+
 
 def test_element_lookup():
     g = make_c4_group((4, 4))
@@ -349,6 +365,23 @@ def test_frame_average_deterministic():
     avg = FrameAveragedField(lambda x: x * w, make_d4_group((4, 4)))
     x = rng.standard_normal((4, 4))
     np.testing.assert_array_equal(avg(x), avg(x))
+
+
+def test_frame_averaged_oracle_batch_rows_match_lone_states():
+    # Grid actions return C-contiguous arrays, so the oracle's sums over
+    # cells round a batch row exactly as they round the same lone state.
+    rng = np.random.default_rng(6)
+    for tag, shape in (("D4", (8, 8)), ("C4", (5, 5)), ("flip_v", (4, 6))):
+        g = make_group(tag, shape)
+        assert g.elements[1].apply(rng.standard_normal((3, *shape))).flags.c_contiguous
+        mix = symmetrize(GaussianMixture(weights=np.array([0.5, 0.5]),
+                                         means=rng.standard_normal((2, *shape)),
+                                         variances=np.array([0.3, 0.5])), g)
+        fa = frame_average(AnalyticScoreField(mix, vp_schedule()), g)
+        x = rng.standard_normal((5, *shape))
+        batch = fa(x, 0.4)
+        for i in range(5):
+            np.testing.assert_array_equal(batch[i], fa(x[i], 0.4))
 
 
 def test_apply_elements_matches_per_row_apply():

@@ -9,6 +9,7 @@ import pytest
 from spdm import ConfigError, IoError
 from spdm import io as spdm_io
 from spdm.io import (
+    _load_schema,
     append_log,
     config_hash,
     load_config,
@@ -114,6 +115,36 @@ def test_validate_config_rejects_bad_values():
     cfg["data"]["components"][0]["variance"] = 0.0
     with pytest.raises(ConfigError):
         validate_config(cfg)
+
+
+def test_packaged_schema_passes_its_meta_schema():
+    from jsonschema.validators import validator_for
+
+    schema = _load_schema()
+    validator_for(schema).check_schema(schema)
+
+
+def test_config_errors_match_jsonschema_validate():
+    # validate_config builds its validator once; the error it reports must
+    # stay the one jsonschema.validate picks, the best match of all errors
+    import jsonschema
+
+    bad = [minimal_config() for _ in range(5)]
+    bad[0]["typo_section"] = {}
+    bad[1]["schedule"]["betamax"] = 20.0
+    bad[2]["schedule"]["kind"] = "cosine"
+    bad[3]["data"]["components"][0]["variance"] = 0.0
+    bad[4]["schedule"]["kind"] = "cosine"
+    bad[4]["data"]["components"][0]["weight"] = "heavy"
+    for cfg in bad:
+        with pytest.raises(jsonschema.ValidationError) as ref:
+            jsonschema.validate(cfg, _load_schema())
+        loc = "/".join(str(p) for p in ref.value.absolute_path) or "<root>"
+        with pytest.raises(ConfigError) as got:
+            validate_config(cfg)
+        assert str(got.value) == f"config invalid at {loc}: {ref.value.message}"
+    with pytest.raises(ConfigError, match="^config invalid at schedule/kind: 'cosine' is not one of"):
+        validate_config(bad[2])
 
 
 def test_load_config_errors(tmp_path):

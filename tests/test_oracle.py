@@ -144,6 +144,40 @@ def test_batch_matches_single_point():
         np.testing.assert_array_equal(batched[i], diffused_score(m, s, x[i], 0.4))
 
 
+def two_pass_reference(m, s, x, t):
+    # score and log-density with the squared distances and the pulls as
+    # two separate passes over the points
+    a, s2 = float(s.alpha(t)), float(s.sigma2(t))
+    means = a * m.means.reshape(len(m.weights), -1)
+    var = a * a * m.variances + s2
+    x2d = x.reshape(len(x), -1)
+    d = x2d.shape[1]
+    diff2 = ((x2d[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    lr = (np.log(m.weights)[None, :] - 0.5 * d * np.log(2.0 * np.pi * var)[None, :]
+          - 0.5 * diff2 / var[None, :])
+    shift = lr.max(axis=1, keepdims=True)
+    gamma = np.exp(lr - shift)
+    density = np.log(gamma.sum(axis=1)) + shift[:, 0]
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    pull = (means[None, :, :] - x2d[:, None, :]) / var[None, :, None]
+    return (gamma[:, :, None] * pull).sum(axis=1).reshape(x.shape), density
+
+
+def test_score_and_density_match_two_pass_reference():
+    # diffused_score builds the pulls in place in one array of differences;
+    # its values must equal the two-pass form bit for bit
+    s = vp_schedule()
+    rng = np.random.default_rng(8)
+    grid = symmetrize(GaussianMixture(np.array([0.5, 0.5]), rng.standard_normal((2, 4, 4)),
+                                      np.array([0.3, 0.5])), make_c4_group((4, 4)))
+    for m, x in ((two_component_mixture(), rng.standard_normal((9, 2))),
+                 (grid, rng.standard_normal((9, 4, 4)))):
+        for t in (0.0, 0.3, 1.0):
+            score, density = two_pass_reference(m, s, x, t)
+            np.testing.assert_array_equal(diffused_score(m, s, x, t), score)
+            np.testing.assert_array_equal(log_density(m, s, x, t), density)
+
+
 def test_score_field_wrapper_and_time_range():
     m = two_component_mixture()
     s = vp_schedule()
