@@ -172,6 +172,27 @@ def apply_elements(group: IsometryGroup, ids, x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
+def equivariance_residuals(field, group: IsometryGroup, xs, *args) -> np.ndarray:
+    """``field(k x, *args) - k field(x, *args)`` for every element k and row x.
+
+    Returns an array shaped (|G|, n, ...) whose entry [k, i] belongs to
+    ``group.elements[k]`` and row i of ``xs``.  Array arguments hold one
+    value per row and travel with their row; scalar arguments are shared.
+    The field is called twice: once on all |G| n moved rows, once on xs.
+    """
+    xs = np.asarray(xs, dtype=float)
+    g, n = len(group), xs.shape[0]
+    ids = np.repeat(np.arange(g), n)
+
+    def tiled(a):
+        return np.concatenate([np.asarray(a, dtype=float)] * g)
+
+    rows = [a if np.ndim(a) == 0 else tiled(a) for a in args]
+    moved = np.asarray(field(apply_elements(group, ids, tiled(xs)), *rows))
+    base = apply_elements(group, ids, tiled(field(xs, *args)))
+    return (moved - base).reshape(g, n, *moved.shape[1:])
+
+
 @dataclass(frozen=True)
 class PairedGroup:
     """Pairs (k1, k2) acting on (state, conditioning) for conditional fields."""
@@ -469,8 +490,15 @@ class FrameAveragedField:
 
     For conditional fields a PairedGroup supplies the action on the
     conditioning argument: s~(x, y) = mean_(k1,k2) k1^-1 s(k1 x, k2 y).
-    The average runs in ascending element-id order and uses numpy's pairwise
-    summation, so results are deterministic across runs.
+
+    Each call makes one base call on the |G| moved copies of its input,
+    stacked element by element along the leading axis: |G| states for a
+    lone state, |G| n rows for a batch of n.  The conditioning argument y
+    of a paired group is moved and stacked the same way.  Of the other
+    arguments, arrays whose leading axis has the batch length hold one
+    value per row (times, say) and are tiled |G| times; everything else
+    is shared.  The terms are summed in ascending element-id order, so
+    results are deterministic across runs.
     """
 
     def __init__(self, base, group: IsometryGroup, paired: PairedGroup | None = None):
@@ -479,19 +507,30 @@ class FrameAveragedField:
         self.paired = paired
 
     def __call__(self, x, *args):
+        x = np.asarray(x, dtype=float)
         if self.paired is None:
-            terms = [
-                self.group.inverse(k).apply(self.base(k.apply(x), *args))
-                for k in self.group.elements
-            ]
+            pairs = [(k, None) for k in self.group.elements]
         else:
-            g = self.paired.state_group
-            y, rest = args[0], args[1:]
-            terms = [
-                g.inverse(k1).apply(self.base(k1.apply(x), k2.apply(y), *rest))
-                for k1, k2 in self.paired.pairs
-            ]
-        return np.sum(np.stack(terms, axis=0), axis=0) / len(terms)
+            pairs = self.paired.pairs
+        # a state is (d,) for points, (H, W) or (H, W, C) for grids, read
+        # from the trailing axes as GroupElement.apply reads them
+        grid = self.group.grid_shape
+        state_ndim = 1 if grid is None else 2 if x.shape[-2:] == tuple(grid) else 3
+        lone = x.ndim == state_ndim
+        join = np.stack if lone else np.concatenate
+        n = None if lone else x.shape[0]
+        moved = [join([k1.apply(x) for k1, _ in pairs])]
+        if self.paired is not None:
+            y, args = args[0], args[1:]
+            moved.append(join([k2.apply(y) for _, k2 in pairs]))
+        for a in args:
+            per_row = n is not None and np.ndim(a) >= 1 and len(a) == n
+            moved.append(np.concatenate([a] * len(pairs)) if per_row else a)
+        out = np.asarray(self.base(*moved)).reshape(len(pairs), *x.shape)
+        del moved  # the stacked copies are dead; free them before the terms
+        terms = [self.group.inverse(k1).apply(out[j])
+                 for j, (k1, _) in enumerate(pairs)]
+        return np.sum(np.stack(terms, axis=0), axis=0) / len(pairs)
 
 
 def frame_average(score, group: IsometryGroup,

@@ -30,7 +30,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DivergedLoss, InvalidParams, ShapeMismatch, UnsupportedSize
-from .groups import IsometryGroup, apply_elements, make_group
+from .groups import (IsometryGroup, apply_elements, equivariance_residuals,
+                     make_group)
 from .process import Schedule
 
 
@@ -317,15 +318,15 @@ def ema_update(ema_net: Mlp, net: Mlp, mu: float) -> Mlp:
 
 
 def equivariance_gap(score, group: IsometryGroup, xs: np.ndarray, ts) -> float:
-    """Mean over probes and elements of ||s(k x, t) - k s(x, t)||^2."""
+    """Mean over probes and elements of ||s(k x, t) - k s(x, t)||^2.
+
+    ``ts`` is one time or one per probe; the score is called twice, on
+    all |G| n moved probes and on the n probes.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ts = np.broadcast_to(np.asarray(ts, dtype=float), (xs.shape[0],))
-    gaps = []
-    for k in group.elements:
-        sx = np.stack([np.asarray(score(x, t)) for x, t in zip(xs, ts)])
-        skx = np.stack([np.asarray(score(k.apply(x), t)) for x, t in zip(xs, ts)])
-        gaps.append(np.sum((skx - np.stack([k.apply(v) for v in sx])) ** 2, axis=1))
-    return float(np.mean(np.stack(gaps)))
+    res = equivariance_residuals(score, group, xs, ts)
+    return float(np.mean(np.sum(res.reshape(len(group), len(xs), -1) ** 2, axis=2)))
 
 
 # ---- optimizer and training loop ----------------------------------------

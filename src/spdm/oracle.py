@@ -6,6 +6,19 @@ becomes weight w_i, mean alpha_t m_i and variance alpha_t^2 v_i + sigma_t^2.
 Scores and log-densities therefore have exact expressions, evaluated here
 with max-shifted log-sum-exp for stability.
 
+Both are two matrix products over the flat (n, d) rows x and (K, d) means
+M, and build no (n, K, d) array.  The squared distances are
+``|x|^2 - 2 a x.m_i + a^2 |m_i|^2``, with the cross terms ``x @ M^T``
+taken once on the unscaled means and scaled by each row's alpha_t, so one
+time per row costs no more than one shared time.  With the
+responsibilities gamma, the score is ``a (gamma/v) @ M - x sum_i
+gamma_i/v_i``.  A batch row rounds exactly as the same lone state, for any
+batch size, because of two rules: a lone row runs as two equal rows,
+since numpy would hand a one-row product to gemv, which sums in a
+different order from gemm; and both operands of each product are
+C-contiguous, since a transposed view makes gemm's bits depend on the
+number of rows.
+
 Symmetrizing a mixture over a finite isometry group produces an invariant
 density, whose score is then exactly equivariant; this is the analytic
 ground truth the rest of the toolkit is checked against.
@@ -14,6 +27,7 @@ ground truth the rest of the toolkit is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +81,13 @@ class GaussianMixture:
     def dim(self) -> int:
         return int(np.prod(self.event_shape))
 
+    @cached_property
+    def _flat_means(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # C-contiguous (K, d) and (d, K) operands, as the module docstring
+        # requires, and the squared norms of the means
+        flat = np.ascontiguousarray(self.means.reshape(len(self.weights), -1))
+        return flat, np.ascontiguousarray(flat.T), (flat * flat).sum(axis=1)
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n points; shape (n, *event_shape)."""
         ks = rng.choice(len(self.weights), size=n, p=self.weights)
@@ -105,58 +126,71 @@ def _flat(x: np.ndarray, event_shape: tuple[int, ...]) -> tuple[np.ndarray, bool
     return x.reshape(x.shape[0], -1), False
 
 
-def _diffused_params(m: GaussianMixture, s: Schedule, t: float):
-    a = float(s.alpha(t))
-    s2 = float(s.sigma2(t))
-    means = a * m.means.reshape(len(m.weights), -1)
-    variances = a * a * m.variances + s2
-    return means, variances
+def _log_terms(m: GaussianMixture, s: Schedule, x, t):
+    """The log-terms of the diffused mixture at the rows of x.
+
+    Returns ``(x2d, lr, a, v, n, single)``: the rows as a C-contiguous
+    (rows, d) array, ``lr[r, i] = log w_i N(x_r; a_r m_i, v_ri I)``, the
+    row scales a and variances v (a (1, 1) / (1, K) pair for a shared t,
+    (n, 1) / (n, K) for row times), the number n of input rows and
+    whether x was a lone state.  A lone state runs as two equal rows; the
+    callers keep the first n rows.
+    """
+    x2d, single = _flat(x, m.event_shape)
+    n = len(x2d)
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1 or (t.ndim == 1 and t.shape != (n,)):
+        raise InvalidParams(f"t must be a scalar or have shape ({n},), got {t.shape}")
+    bad = (t < 0.0) | (t > s.T)
+    if np.any(bad):
+        raise TimeOutOfRange(f"t={t[bad].flat[0]} outside [0, {s.T}]")
+    tc = t.reshape(-1, 1)  # one shared time, or one per row
+    if n == 1:
+        x2d = np.concatenate([x2d, x2d])
+    x2d = np.ascontiguousarray(x2d)
+    a = s.alpha(tc)
+    v = a * a * m.variances + s.sigma2(tc)
+    _, flat_t, sq = m._flat_means
+    # |x - a m_i|^2 = |x|^2 - 2 a x.m_i + a^2 |m_i|^2, built in place in
+    # the (rows, K) product (fresh temporaries of that size cost page
+    # faults); rounding is at the scale of |x|^2, which test_oracle
+    # bounds far from the means
+    lr = x2d @ flat_t
+    lr -= 0.5 * a * sq
+    lr *= a
+    lr -= 0.5 * np.einsum("ij,ij->i", x2d, x2d)[:, None]
+    lr /= v
+    lr += np.log(m.weights) - 0.5 * m.dim * np.log(2.0 * np.pi * v)
+    return x2d, lr, a, v, n, single
 
 
-def _log_resp(diff, variances, log_w):
-    # log of w_i N(x; m_i, s_i^2 I) for every point (rows) and component
-    # (cols), from the differences m_i - x shaped (points, components, d)
-    d = diff.shape[2]
-    return (log_w[None, :]
-            - 0.5 * d * np.log(2.0 * np.pi * variances)[None, :]
-            - 0.5 * (diff ** 2).sum(axis=2) / variances[None, :])
-
-
-def diffused_score(m: GaussianMixture, s: Schedule, x: np.ndarray, t: float) -> np.ndarray:
+def diffused_score(m: GaussianMixture, s: Schedule, x: np.ndarray, t) -> np.ndarray:
     """Exact score of the time-t diffused mixture at x.
 
-    Accepts a single point or a batch (leading axis).  Valid for any
-    t in [0, T]: component variances are strictly positive, so the t=0
-    limit is the data-mixture score.
+    Accepts a single point or a batch (leading axis), and t as one time
+    or as an (n,) array with one time per batch row.  Valid for any t in
+    [0, T]: component variances are strictly positive, so the t=0 limit
+    is the data-mixture score.
     """
-    t = float(t)
-    if t < 0.0 or t > s.T:
-        raise TimeOutOfRange(f"t={t} outside [0, {s.T}]")
-    x2d, single = _flat(x, m.event_shape)
-    means, variances = _diffused_params(m, s, t)
-    diff = means[None, :, :] - x2d[:, None, :]
-    lr = _log_resp(diff, variances, np.log(m.weights))
+    x2d, lr, a, v, n, single = _log_terms(m, s, x, t)
     lr -= lr.max(axis=1, keepdims=True)
-    gamma = np.exp(lr)
-    gamma /= gamma.sum(axis=1, keepdims=True)
-    # the pulls (m_i - x) / s_i^2, weighted by gamma, built in place in diff
-    diff /= variances[None, :, None]
-    diff *= gamma[:, :, None]
-    out = diff.sum(axis=1)
-    out = out.reshape(-1, *m.event_shape)
+    pull = np.exp(lr, out=lr)
+    pull /= pull.sum(axis=1, keepdims=True)
+    pull /= v
+    # sum_i (gamma_i / v_i) (a m_i - x) as a second product with the means
+    out = pull @ m._flat_means[0]
+    out *= a
+    out -= x2d * pull.sum(axis=1, keepdims=True)
+    out = out[:n].reshape(-1, *m.event_shape)
     return out[0] if single else out
 
 
-def log_density(m: GaussianMixture, s: Schedule, x: np.ndarray, t: float) -> np.ndarray:
-    """Exact log-density of the time-t diffused mixture at x (t in [0, T])."""
-    t = float(t)
-    if t < 0.0 or t > s.T:
-        raise TimeOutOfRange(f"t={t} outside [0, {s.T}]")
-    x2d, single = _flat(x, m.event_shape)
-    means, variances = _diffused_params(m, s, t)
-    lr = _log_resp(means[None, :, :] - x2d[:, None, :], variances, np.log(m.weights))
+def log_density(m: GaussianMixture, s: Schedule, x: np.ndarray, t) -> np.ndarray:
+    """Exact log-density of the time-t diffused mixture at x (t in [0, T]);
+    t is one time or an (n,) array of row times, as in diffused_score."""
+    _, lr, _, _, n, single = _log_terms(m, s, x, t)
     shift = lr.max(axis=1, keepdims=True)
-    out = np.log(np.exp(lr - shift).sum(axis=1)) + shift[:, 0]
+    out = (np.log(np.exp(lr - shift).sum(axis=1)) + shift[:, 0])[:n]
     return float(out[0]) if single else out
 
 
@@ -167,10 +201,10 @@ class AnalyticScoreField:
         self.mixture = mixture
         self.schedule = schedule
 
-    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
+    def __call__(self, x: np.ndarray, t) -> np.ndarray:
         return diffused_score(self.mixture, self.schedule, x, t)
 
-    def log_density(self, x: np.ndarray, t: float):
+    def log_density(self, x: np.ndarray, t):
         return log_density(self.mixture, self.schedule, x, t)
 
 

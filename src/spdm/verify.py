@@ -6,10 +6,11 @@ a machine-readable report.  Checks marked "must exceed" in their note
 are negative controls: they pass when the observed value is ABOVE the
 threshold, demonstrating that the corresponding property is not vacuous.
 
-The property measurements (``equivariance_residuals`` and the functions
-after it) are shared with the acceptance suite, so each property has one
-implementation: the ``check_*`` functions run them on quick inputs, in
-seconds, and ``tests/test_acceptance.py`` on full-size inputs.
+The property measurements (``equivariance_residuals``, defined in
+``groups`` so that ``nets.equivariance_gap`` can use it too, and the
+functions below) are shared with the acceptance suite, so each property
+has one implementation: the ``check_*`` functions run them on quick
+inputs, in seconds, and ``tests/test_acceptance.py`` on full-size inputs.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, oracle, sampling
-from .groups import (IsometryGroup, apply_elements, frame_average, make_group,
-                     verify_group_axioms)
+from .groups import (IsometryGroup, equivariance_residuals, frame_average,
+                     make_group, verify_group_axioms)
 from .io import read_spdt, write_spdt
 from .nets import Mlp, conv2d, make_tied_kernel
 from .process import bridge_kernel, ve_schedule, vp_schedule
@@ -56,27 +57,6 @@ def _above(name: str, tolerance: float, observed) -> CheckResult:
 # ---- shared property measurements -----------------------------------------
 
 
-def equivariance_residuals(field, group: IsometryGroup, xs, *args) -> np.ndarray:
-    """``field(k x, *args) - k field(x, *args)`` for every element k and row x.
-
-    Returns an array shaped (|G|, n, ...) whose entry [k, i] belongs to
-    ``group.elements[k]`` and row i of ``xs``.  Array arguments hold one
-    value per row and travel with their row; scalar arguments are shared.
-    The field is called twice: once on all |G| n moved rows, once on xs.
-    """
-    xs = np.asarray(xs, dtype=float)
-    g, n = len(group), xs.shape[0]
-    ids = np.repeat(np.arange(g), n)
-
-    def tiled(a):
-        return np.concatenate([np.asarray(a, dtype=float)] * g)
-
-    rows = [a if np.ndim(a) == 0 else tiled(a) for a in args]
-    moved = np.asarray(field(apply_elements(group, ids, tiled(xs)), *rows))
-    base = apply_elements(group, ids, tiled(field(xs, *args)))
-    return (moved - base).reshape(g, n, *moved.shape[1:])
-
-
 # (kernel tag, kernel size, tag of the 8 x 8 grid group it must commute
 # with, free parameters of the tied kernel)
 TIED_KERNELS = (("flip", 3, "flip_h", 6), ("C4", 5, "C4", 7), ("D4", 5, "D4", 6))
@@ -96,10 +76,7 @@ def score_gap(mixture: oracle.GaussianMixture, s, group: IsometryGroup,
     """Worst |s(k x, t) - k s(x, t)| of the diffused mixture score over the
     non-identity elements k and the rows (x, t)."""
     score = oracle.AnalyticScoreField(mixture, s)
-
-    def field(rows, row_ts):  # the oracle takes one scalar t per call
-        return np.stack([score(x, float(t)) for x, t in zip(rows, row_ts)])
-    return float(np.max(np.abs(equivariance_residuals(field, group, xs, ts)[1:])))
+    return float(np.max(np.abs(equivariance_residuals(score, group, xs, ts)[1:])))
 
 
 def nll_closed_form_error(xs: np.ndarray, grid) -> float:

@@ -7,7 +7,9 @@ import pytest
 
 from spdm import (
     AnalyticScoreField,
+    BridgeScoreField,
     FrameAveragedField,
+    GaussianCoupling,
     GaussianMixture,
     InvalidParams,
     IsometryGroup,
@@ -368,9 +370,11 @@ def test_frame_average_deterministic():
 
 
 def test_frame_averaged_oracle_batch_rows_match_lone_states():
-    # Grid actions return C-contiguous arrays, so the oracle's sums over
-    # cells round a batch row exactly as they round the same lone state.
+    # Grid actions return C-contiguous arrays and the oracle rounds a row
+    # the same way in a batch of any size, so a batch row of the
+    # frame-averaged oracle equals the same lone state bit for bit.
     rng = np.random.default_rng(6)
+    rows = (0, 1, 2, 16, 2047)
     for tag, shape in (("D4", (8, 8)), ("C4", (5, 5)), ("flip_v", (4, 6))):
         g = make_group(tag, shape)
         assert g.elements[1].apply(rng.standard_normal((3, *shape))).flags.c_contiguous
@@ -378,10 +382,56 @@ def test_frame_averaged_oracle_batch_rows_match_lone_states():
                                          means=rng.standard_normal((2, *shape)),
                                          variances=np.array([0.3, 0.5])), g)
         fa = frame_average(AnalyticScoreField(mix, vp_schedule()), g)
-        x = rng.standard_normal((5, *shape))
-        batch = fa(x, 0.4)
-        for i in range(5):
-            np.testing.assert_array_equal(batch[i], fa(x[i], 0.4))
+        x = rng.standard_normal((2048, *shape))
+        for t in (0.0, 0.3, 1.0):
+            lone = [fa(x[i], t) for i in rows]
+            for size in (1, 2, 3, 17, 2048):
+                batch = fa(x[:size], t)
+                for j, i in enumerate(rows):
+                    if i < size:
+                        np.testing.assert_array_equal(batch[i], lone[j])
+
+
+def counting(base, calls):
+    def counted(*args):
+        calls.append(tuple(np.shape(a) for a in args))
+        return base(*args)
+    return counted
+
+
+def test_frame_average_makes_one_stacked_base_call():
+    rng = np.random.default_rng(15)
+    g = make_d4_group((4, 4))
+    s = vp_schedule()
+    mix = symmetrize(GaussianMixture(weights=np.array([0.5, 0.5]),
+                                     means=rng.standard_normal((2, 4, 4)),
+                                     variances=np.array([0.3, 0.5])), g)
+    calls = []
+    fa = frame_average(counting(AnalyticScoreField(mix, s), calls), g)
+    x = rng.standard_normal((5, 4, 4))
+    fa(x, 0.3)
+    fa(x[0], 0.3)
+    assert calls == [((40, 4, 4), ()), ((8, 4, 4), ())]
+
+    # row times are tiled with their rows; each row equals its lone call
+    calls.clear()
+    ts = rng.uniform(0.0, s.T, 5)
+    batch = fa(x, ts)
+    assert calls == [((40, 4, 4), (40,))]
+    for i in range(5):
+        np.testing.assert_array_equal(batch[i], fa(x[i], ts[i]))
+
+    # a paired group moves and stacks the conditioning argument as well
+    calls.clear()
+    bridge = BridgeScoreField(GaussianCoupling(matrix=0.8, noise_var=0.05), s)
+    pfa = frame_average(counting(bridge, calls), g, diagonal_pair_group(g))
+    y = rng.standard_normal((5, 4, 4))
+    got = pfa(x, y, 0.4)
+    assert calls == [((40, 4, 4), (40, 4, 4), ())]
+    # the bridge score is elementwise, so stacking leaves its bits alone
+    want = np.sum([g.inverse(k).apply(bridge(k.apply(x), k.apply(y), 0.4))
+                   for k in g.elements], axis=0) / len(g)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_apply_elements_matches_per_row_apply():

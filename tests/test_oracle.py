@@ -1,5 +1,7 @@
 """Tests for analytic mixture scores, symmetrization and bridge couplings."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from spdm import (
     diffused_score,
     log_density,
     make_c4_group,
+    make_group,
     make_point_group_2d,
     symmetrize,
     ve_schedule,
@@ -144,9 +147,85 @@ def test_batch_matches_single_point():
         np.testing.assert_array_equal(batched[i], diffused_score(m, s, x[i], 0.4))
 
 
+def symmetric_grid_mixture(tag, shape, rng):
+    g = make_group(tag, shape)
+    return symmetrize(GaussianMixture(np.array([0.5, 0.5]), rng.standard_normal((2, *shape)),
+                                      np.array([0.3, 0.5])), g)
+
+
+@pytest.mark.parametrize("tag, shape", [("C4", (5, 5)), ("D4", (8, 8)), ("flip_v", (4, 6))])
+def test_batch_rows_match_lone_states(tag, shape):
+    # a lone state runs through the same matrix products as a batch row
+    # (two rows, so gemm and not gemv), so its score and log-density keep
+    # their bits in a batch of any size
+    rng = np.random.default_rng(11)
+    m = symmetric_grid_mixture(tag, shape, rng)
+    s = vp_schedule()
+    x = rng.standard_normal((2048, *shape))
+    rows = (0, 1, 2, 16, 2047)
+    for t in (0.0, 0.3, 1.0):
+        lone = [diffused_score(m, s, x[i], t) for i in rows]
+        lone_density = [log_density(m, s, x[i], t) for i in rows]
+        for size in (1, 2, 3, 17, 2048):
+            score = diffused_score(m, s, x[:size], t)
+            density = log_density(m, s, x[:size], t)
+            for j, i in enumerate(rows):
+                if i < size:
+                    np.testing.assert_array_equal(score[i], lone[j])
+                    assert density[i] == lone_density[j]
+
+
+def test_row_times_match_scalar_calls():
+    rng = np.random.default_rng(12)
+    s = vp_schedule()
+    for m, shape in ((two_component_mixture(), (2,)),
+                     (symmetric_grid_mixture("D4", (8, 8), rng), (8, 8))):
+        for n in (1, 2, 17):
+            x = rng.standard_normal((n, *shape))
+            ts = rng.uniform(0.0, s.T, n)
+            ts[:2] = (0.0, s.T)[:n]
+            score = diffused_score(m, s, x, ts)
+            density = log_density(m, s, x, ts)
+            for i in range(n):
+                np.testing.assert_array_equal(score[i], diffused_score(m, s, x[i], ts[i]))
+                assert density[i] == log_density(m, s, x[i], float(ts[i]))
+
+
+def test_batch_score_builds_no_point_component_dim_array():
+    rng = np.random.default_rng(13)
+    m = symmetric_grid_mixture("D4", (8, 8), rng)
+    s = vp_schedule()
+    x = rng.standard_normal((2048, 8, 8))
+    diffused_score(m, s, x[:2], 0.3)  # builds the cached mean operands
+    tracemalloc.start()
+    try:
+        diffused_score(m, s, x, 0.3)
+        log_density(m, s, x, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, k, d = len(x), len(m.weights), m.dim
+    assert peak < n * k * d * 8 / 4
+
+
+def test_row_times_are_checked():
+    m = two_component_mixture()
+    s = vp_schedule()
+    x = np.zeros((3, 2))
+    with pytest.raises(TimeOutOfRange):
+        diffused_score(m, s, x, np.array([0.2, 1.5, 0.3]))
+    with pytest.raises(TimeOutOfRange):
+        log_density(m, s, x, np.array([0.2, 0.5, -0.1]))
+    with pytest.raises(InvalidParams):
+        diffused_score(m, s, x, np.array([0.2, 0.5]))
+    with pytest.raises(InvalidParams):
+        log_density(m, s, x[0], np.array([0.2, 0.5]))
+
+
 def two_pass_reference(m, s, x, t):
-    # score and log-density with the squared distances and the pulls as
-    # two separate passes over the points
+    # score and log-density from the differences m_i - x shaped
+    # (points, components, d), with the squared distances and the pulls as
+    # two separate passes over them
     a, s2 = float(s.alpha(t)), float(s.sigma2(t))
     means = a * m.means.reshape(len(m.weights), -1)
     var = a * a * m.variances + s2
@@ -164,18 +243,27 @@ def two_pass_reference(m, s, x, t):
 
 
 def test_score_and_density_match_two_pass_reference():
-    # diffused_score builds the pulls in place in one array of differences;
-    # its values must equal the two-pass form bit for bit
+    # diffused_score expands the squared distances into matrix products;
+    # near the data and far from it (|x| ~ 50 sqrt(d), where the expanded
+    # square could cancel) it must agree with the direct differences to a
+    # relative 1e-13: the score per row against the row's largest entry,
+    # the log-density per point
     s = vp_schedule()
     rng = np.random.default_rng(8)
     grid = symmetrize(GaussianMixture(np.array([0.5, 0.5]), rng.standard_normal((2, 4, 4)),
                                       np.array([0.3, 0.5])), make_c4_group((4, 4)))
-    for m, x in ((two_component_mixture(), rng.standard_normal((9, 2))),
-                 (grid, rng.standard_normal((9, 4, 4)))):
-        for t in (0.0, 0.3, 1.0):
-            score, density = two_pass_reference(m, s, x, t)
-            np.testing.assert_array_equal(diffused_score(m, s, x, t), score)
-            np.testing.assert_array_equal(log_density(m, s, x, t), density)
+    for m in (two_component_mixture(), grid):
+        near = rng.standard_normal((9, *m.event_shape))
+        far = rng.standard_normal((9, m.dim))
+        far *= 50.0 * np.sqrt(m.dim) / np.linalg.norm(far, axis=1, keepdims=True)
+        for x in (near, far.reshape(near.shape)):
+            for t in (0.0, 0.3, 1.0):
+                score, density = two_pass_reference(m, s, x, t)
+                err = np.abs(diffused_score(m, s, x, t) - score).reshape(9, -1)
+                scale = np.abs(score).reshape(9, -1).max(axis=1)
+                assert np.all(err.max(axis=1) <= 1e-13 * scale)
+                np.testing.assert_allclose(log_density(m, s, x, t), density,
+                                           rtol=1e-13, atol=0.0)
 
 
 def test_score_field_wrapper_and_time_range():
