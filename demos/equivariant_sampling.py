@@ -10,8 +10,8 @@ an orientation-respecting denoising pass.
 
 import numpy as np
 
-from spdm.groups import (diagonal_pair_group, frame_average,
-                         make_point_group_2d)
+from spdm.groups import frame_average, make_point_group_2d
+from spdm.metrics import delta_x0_gap
 from spdm.oracle import (AnalyticScoreField, BridgeScoreField,
                          GaussianCoupling, GaussianMixture, symmetrize)
 from spdm.process import vp_schedule
@@ -37,7 +37,7 @@ print("lets a noise sequence follow the state's orientation.")
 print("\n=== bridge sampler ablation (16 endpoint draws) ===")
 coupling = GaussianCoupling(matrix=np.diag([1.0, 0.5]), noise_var=0.04)
 raw = BridgeScoreField(coupling, s)
-fa = frame_average(raw, G, diagonal_pair_group(G))
+fa = frame_average(raw, G, conditional=True)
 grid = sampling.bridge_grid(s, 100)
 seed = 11
 sig_T = float(np.sqrt(s.sigma2(s.T)))
@@ -60,14 +60,9 @@ def run(field, use_en, i, endpoint):
 
 
 def delta(field, use_en):
-    krng = np.random.default_rng(99)
-    gaps = []
-    for i, v in enumerate(x_T):
-        k = G.elements[1 + int(krng.integers(len(G) - 1))]
-        gaps.append(float(np.max(np.abs(
-            run(field, use_en, i, k.apply(v))
-            - k.apply(run(field, use_en, i, v))))))
-    return float(np.mean(gaps))
+    def chains(endpoints):  # chain i keeps its own seed
+        return np.stack([run(field, use_en, i, v) for i, v in enumerate(endpoints)])
+    return delta_x0_gap(chains, x_T, G, np.random.default_rng(99))
 
 
 for label, field, use_en in (("baseline        ", raw, False),

@@ -12,9 +12,8 @@ from .errors import (ConfigError, DegenerateCoupling, DivergedLoss, IoError,
                      ShapeMismatch, SingularAtTerminal, SpdmError,
                      TimeOutOfRange, UnsupportedSize)
 from .groups import (FrameAveragedField, GroupCheckReport, GroupElement,
-                     IsometryGroup, PairedGroup, apply_elements,
-                     diagonal_pair_group, frame_average, make_c4_group,
-                     make_d4_group, make_flip_group, make_group,
+                     IsometryGroup, apply_elements, frame_average,
+                     make_c4_group, make_d4_group, make_flip_group, make_group,
                      make_point_group_2d, verify_group_axioms)
 from .io import (config_hash, load_config, read_spdt, validate_config,
                  write_spdt)

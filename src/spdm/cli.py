@@ -26,8 +26,7 @@ from . import verify as verify_mod
 from .errors import (ConfigError, DegenerateCoupling, DivergedLoss, IoError,
                      NonFiniteState, NonPsd, SingularAtTerminal, SpdmError,
                      TimeOutOfRange)
-from .groups import (IsometryGroup, apply_elements, diagonal_pair_group,
-                     frame_average, make_group)
+from .groups import IsometryGroup, frame_average, make_group
 from .nets import Mlp, TrainerConfig, train
 from .oracle import (AnalyticScoreField, BridgeScoreField, GaussianCoupling,
                      GaussianMixture, symmetrize)
@@ -227,7 +226,7 @@ def build_bridge_score(cfg: dict, s: Schedule, group: IsometryGroup | None,
     if model.get("kind", "oracle").endswith("+FA"):
         if group is None:
             raise ConfigError("FA bridge score needs a group section")
-        field = frame_average(field, group, diagonal_pair_group(group))
+        field = frame_average(field, group, conditional=True)
     return field
 
 
@@ -352,22 +351,6 @@ def _prior_draws(s: Schedule, n: int, event_shape: tuple[int, ...],
     return (sig * _aux_rng(seed).standard_normal((n, dim))).reshape(n, *event_shape)
 
 
-def _delta_x0_probe(run, starts: np.ndarray, group: IsometryGroup,
-                    seed: int) -> float:
-    """Average worst-entry equivariance gap of the chain map on probe starts.
-
-    ``run`` maps a batch of starts to their terminal states.  Start i is
-    moved by a random non-identity element k_i, and its gap compares the
-    chain from k_i x_i with k_i applied to the chain from x_i.
-    """
-    n = len(starts)
-    ids = 1 + _aux_rng(seed + 1).integers(len(group) - 1, size=n)
-    ends = run(starts)
-    moved_ends = run(apply_elements(group, ids, starts))
-    gaps = np.abs(moved_ends - apply_elements(group, ids, ends))
-    return float(np.mean(np.max(gaps.reshape(n, -1), axis=1)))
-
-
 def _chain_map(integrate, group: IsometryGroup | None, use_en: bool, seed: int,
                n_steps: int):
     """Map from a batch of starts to terminal states: what a command writes.
@@ -413,7 +396,8 @@ def cmd_sample(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
                    samples.reshape(n, -1), axis=1)))}
     if group is not None and lam > 0:
         n_probe = min(4, n)
-        summary["delta_x0"] = _delta_x0_probe(run, x_T[:n_probe], group, seed)
+        summary["delta_x0"] = metrics.delta_x0_gap(run, x_T[:n_probe], group,
+                                                   _aux_rng(seed + 1))
     io.write_spdt(out_dir / "samples.spdt", samples)
     io.write_json(out_dir / "sample_summary.json", summary)
     _write_manifest(out_dir, "sample", chash, seed, ["samples.spdt",
@@ -447,7 +431,8 @@ def cmd_bridge(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
                "n_samples": n, "equivariant_noise": use_en}
     if group is not None:
         n_probe = min(8, n)
-        summary["delta_x0"] = _delta_x0_probe(run, x_T[:n_probe], group, seed)
+        summary["delta_x0"] = metrics.delta_x0_gap(run, x_T[:n_probe], group,
+                                                   _aux_rng(seed + 1))
     io.write_spdt(out_dir / "bridge_samples.spdt", samples)
     io.write_json(out_dir / "bridge_summary.json", summary)
     _write_manifest(out_dir, "bridge", chash, seed,
@@ -585,19 +570,18 @@ def cmd_metrics(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
 
 def _nll_table(cfg, s, group, out_dir: Path, data: np.ndarray, chash: str,
                seed: int) -> None:
-    """Mean NLL of the dataset under every orientation of the inputs."""
+    """Mean NLL of the dataset under every orientation of the inputs, all
+    orientations stacked into one ``pf_ode_nll`` call."""
     n_points, steps, div_mode, field = _nll_field(cfg, s, group, out_dir,
                                                   data.shape[1:])
     n_points = min(n_points, data.shape[0])
-    grid = sampling.nll_grid(s, steps)
-    d = int(np.prod(data.shape[1:]))
-
-    rows = []
-    for el in group.elements:
-        moved = el.apply(data[:n_points]).reshape(n_points, -1)
-        rep = metrics.pf_ode_nll(field, s, moved, grid, div_mode=div_mode,
-                                 seed=seed)
-        rows.append([el.name, float(np.mean(-rep.log_likelihood / d)), chash, seed])
+    moved = np.concatenate([el.apply(data[:n_points]).reshape(n_points, -1)
+                            for el in group.elements])
+    rep = metrics.pf_ode_nll(field, s, moved, sampling.nll_grid(s, steps),
+                             div_mode=div_mode, seed=seed)
+    nll = (-rep.log_likelihood / moved.shape[1]).reshape(len(group), n_points)
+    rows = [[el.name, float(np.mean(nll[el.gid])), chash, seed]
+            for el in group.elements]
     io.write_csv(out_dir / "nll_table.csv",
                  ["kappa", "mean_nll_nats_per_dim", "config_hash", "seed"],
                  rows)

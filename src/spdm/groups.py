@@ -141,9 +141,6 @@ class IsometryGroup:
                 return el
         raise KeyError(name)
 
-    def random_element(self, rng: np.random.Generator) -> GroupElement:
-        return self.elements[int(rng.integers(len(self.elements)))]
-
     @cached_property
     def stacked(self) -> np.ndarray:
         """Every element's action in one array, indexed by id: the (|G|, d, d)
@@ -191,30 +188,6 @@ def equivariance_residuals(field, group: IsometryGroup, xs, *args) -> np.ndarray
     moved = np.asarray(field(apply_elements(group, ids, tiled(xs)), *rows))
     base = apply_elements(group, ids, tiled(field(xs, *args)))
     return (moved - base).reshape(g, n, *moved.shape[1:])
-
-
-@dataclass(frozen=True)
-class PairedGroup:
-    """Pairs (k1, k2) acting on (state, conditioning) for conditional fields."""
-
-    name: str
-    pairs: tuple[tuple[GroupElement, GroupElement], ...]
-    state_group: IsometryGroup
-    cond_group: IsometryGroup
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def diagonal_pair_group(group: IsometryGroup) -> PairedGroup:
-    """Pair each element with itself: the action (k x, k y)."""
-    pairs = tuple((el, el) for el in group.elements)
-    return PairedGroup(
-        name=f"diag({group.name})",
-        pairs=pairs,
-        state_group=group,
-        cond_group=group,
-    )
 
 
 def _compose_perms(p_outer: np.ndarray, p_inner: np.ndarray) -> np.ndarray:
@@ -488,30 +461,28 @@ def verify_group_axioms(group: IsometryGroup, atol: float = 1e-12) -> GroupCheck
 class FrameAveragedField:
     """Group average of a vector field: s~(x) = mean_k k^-1 s(k x).
 
-    For conditional fields a PairedGroup supplies the action on the
-    conditioning argument: s~(x, y) = mean_(k1,k2) k1^-1 s(k1 x, k2 y).
+    A conditional field takes its conditioning state y as the first
+    argument after x, and each element moves both states:
+    s~(x, y) = mean_k k^-1 s(k x, k y).
 
     Each call makes one base call on the |G| moved copies of its input,
     stacked element by element along the leading axis: |G| states for a
-    lone state, |G| n rows for a batch of n.  The conditioning argument y
-    of a paired group is moved and stacked the same way.  Of the other
-    arguments, arrays whose leading axis has the batch length hold one
-    value per row (times, say) and are tiled |G| times; everything else
-    is shared.  The terms are summed in ascending element-id order, so
-    results are deterministic across runs.
+    lone state, |G| n rows for a batch of n.  A conditional field's y is
+    moved and stacked the same way.  Of the other arguments, arrays whose
+    leading axis has the batch length hold one value per row (times, say)
+    and are tiled |G| times; everything else is shared.  The terms are
+    summed in ascending element-id order, so results are deterministic
+    across runs.
     """
 
-    def __init__(self, base, group: IsometryGroup, paired: PairedGroup | None = None):
+    def __init__(self, base, group: IsometryGroup, conditional: bool = False):
         self.base = base
         self.group = group
-        self.paired = paired
+        self.conditional = conditional
 
     def __call__(self, x, *args):
         x = np.asarray(x, dtype=float)
-        if self.paired is None:
-            pairs = [(k, None) for k in self.group.elements]
-        else:
-            pairs = self.paired.pairs
+        els = self.group.elements
         # a state is (d,) for points, (H, W) or (H, W, C) for grids, read
         # from the trailing axes as GroupElement.apply reads them
         grid = self.group.grid_shape
@@ -519,23 +490,19 @@ class FrameAveragedField:
         lone = x.ndim == state_ndim
         join = np.stack if lone else np.concatenate
         n = None if lone else x.shape[0]
-        moved = [join([k1.apply(x) for k1, _ in pairs])]
-        if self.paired is not None:
-            y, args = args[0], args[1:]
-            moved.append(join([k2.apply(y) for _, k2 in pairs]))
+        states, args = ((x, args[0]), args[1:]) if self.conditional else ((x,), args)
+        moved = [join([k.apply(v) for k in els]) for v in states]
         for a in args:
             per_row = n is not None and np.ndim(a) >= 1 and len(a) == n
-            moved.append(np.concatenate([a] * len(pairs)) if per_row else a)
-        out = np.asarray(self.base(*moved)).reshape(len(pairs), *x.shape)
+            moved.append(np.concatenate([a] * len(els)) if per_row else a)
+        out = np.asarray(self.base(*moved)).reshape(len(els), *x.shape)
         del moved  # the stacked copies are dead; free them before the terms
-        terms = [self.group.inverse(k1).apply(out[j])
-                 for j, (k1, _) in enumerate(pairs)]
-        return np.sum(np.stack(terms, axis=0), axis=0) / len(pairs)
+        terms = [self.group.inverse(k).apply(out[k.gid]) for k in els]
+        return np.sum(np.stack(terms, axis=0), axis=0) / len(els)
 
 
 def frame_average(score, group: IsometryGroup,
-                  paired: PairedGroup | None = None) -> FrameAveragedField:
-    """Wrap a score field so its output is exactly group-equivariant."""
-    if paired is not None and paired.state_group is not group:
-        raise InvalidParams("paired group must share the state group")
-    return FrameAveragedField(score, group, paired)
+                  conditional: bool = False) -> FrameAveragedField:
+    """Wrap a score field so its output is exactly group-equivariant; with
+    ``conditional=True`` its first argument after x moves with x."""
+    return FrameAveragedField(score, group, conditional)

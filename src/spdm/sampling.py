@@ -237,23 +237,16 @@ def reverse_sde_sample(score, s: Schedule, lam: float, grid: TimeGrid,
                       metadata={"lam": lam, "seed": seed, "kind": "reverse_sde"})
 
 
-def pf_ode_solve(score, s: Schedule, grid: TimeGrid, x_start,
-                 direction: str = "forward") -> Trajectory:
+def pf_ode_solve(score, s: Schedule, grid: TimeGrid, x_start) -> Trajectory:
     """Heun integration of the probability-flow ODE dx = [u - g^2 s / 2] dt.
 
-    ``direction`` must agree with the grid: "forward" needs ascending
-    times (data toward the prior), "backward" descending times.
+    The grid sets the direction: ascending times run from the data toward
+    the prior ("forward" in ``metadata["direction"]``), descending times
+    back ("backward").
     """
-    if direction not in ("forward", "backward"):
-        raise InvalidParams(f"direction must be forward or backward, got {direction!r}")
-    if grid.n_steps > 0:
-        ascending = not grid.descending
-        if direction == "forward" and not ascending:
-            raise InvalidParams("forward integration needs an ascending grid")
-        if direction == "backward" and ascending:
-            raise InvalidParams("backward integration needs a descending grid")
     f, _ = _flow_drift(score, s, grid, 0.5)
     states = _integrate(f, grid, np.asarray(x_start, dtype=float), heun=True)
+    direction = "backward" if grid.descending else "forward"
     return Trajectory(grid=grid, states=states,
                       metadata={"direction": direction, "kind": "pf_ode"})
 

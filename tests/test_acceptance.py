@@ -13,9 +13,9 @@ import json
 import numpy as np
 
 from spdm.cli import FlatField, main
-from spdm.groups import (diagonal_pair_group, frame_average, make_group,
-                         make_point_group_2d)
-from spdm.metrics import FeatureStats, energy_distance_test, pf_ode_nll
+from spdm.groups import frame_average, make_group, make_point_group_2d
+from spdm.metrics import (FeatureStats, delta_x0_gap, energy_distance_test,
+                          pf_ode_nll)
 from spdm.nets import Mlp, TrainerConfig, equivariance_gap, make_tied_kernel, train
 from spdm.oracle import (AnalyticScoreField, BridgeScoreField, GaussianCoupling,
                          GaussianMixture, symmetrize)
@@ -232,7 +232,7 @@ def test_criterion_08_ddbm_equivariance_ablation():
     G = make_point_group_2d(4)
     coupling = GaussianCoupling(matrix=np.diag([1.0, 0.5]), noise_var=0.04)
     raw = BridgeScoreField(coupling, s)
-    fa = frame_average(raw, G, diagonal_pair_group(G))
+    fa = frame_average(raw, G, conditional=True)
     canon = sampling.default_canonicalizer(G)
     grid = bridge_grid(s, 100)
     tau, seed = 1.0, 11
@@ -254,14 +254,10 @@ def test_criterion_08_ddbm_equivariance_ablation():
                                             noise=noise).terminal
 
     def delta(field, use_en):
-        krng = np.random.default_rng(99)
-        gaps = []
-        for i, v in enumerate(x_T):
-            k = G.elements[1 + int(krng.integers(len(G) - 1))]
-            gaps.append(float(np.max(np.abs(
-                run(field, use_en, i, k.apply(v))
-                - k.apply(run(field, use_en, i, v))))))
-        return float(np.mean(gaps))
+        def chains(endpoints):  # chain i keeps its own seed
+            return np.stack([run(field, use_en, i, v)
+                             for i, v in enumerate(endpoints)])
+        return delta_x0_gap(chains, x_T, G, np.random.default_rng(99))
 
     d_base = delta(raw, False)
     d_fa = delta(fa, False)

@@ -16,7 +16,6 @@ from spdm import (
     NonSquareGrid,
     ShapeMismatch,
     apply_elements,
-    diagonal_pair_group,
     frame_average,
     make_c4_group,
     make_d4_group,
@@ -215,8 +214,6 @@ def test_element_lookup():
     assert g.element_by_name("r2").gid == 2
     with pytest.raises(KeyError):
         g.element_by_name("nope")
-    el = g.random_element(np.random.default_rng(7))
-    assert el.gid in range(4)
 
 
 def test_make_group_tags_round_trip():
@@ -335,30 +332,13 @@ def test_paired_average_conditional_equivariance():
         return np.tanh(np.concatenate([x, y], axis=-1) @ b) @ c
 
     g = make_point_group_2d(4)
-    pg = diagonal_pair_group(g)
-    avg = frame_average(base, g, paired=pg)
+    avg = frame_average(base, g, conditional=True)
     x = rng.standard_normal((20, 2))
     y = rng.standard_normal((20, 2))
-    for k1, k2 in pg.pairs:
-        lhs = avg(k1.apply(x), k2.apply(y))
-        rhs = k1.apply(avg(x, y))
+    for k in g.elements:
+        lhs = avg(k.apply(x), k.apply(y))
+        rhs = k.apply(avg(x, y))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_diagonal_pair_group_structure():
-    g = make_d4_group((4, 4))
-    pg = diagonal_pair_group(g)
-    assert len(pg) == 8
-    for k1, k2 in pg.pairs:
-        assert k1.gid == k2.gid
-    assert pg.state_group is g
-
-
-def test_paired_average_rejects_foreign_group():
-    g1 = make_point_group_2d(4)
-    g2 = make_point_group_2d(4)
-    with pytest.raises(InvalidParams):
-        frame_average(lambda x, y: x, g1, paired=diagonal_pair_group(g2))
 
 
 def test_frame_average_deterministic():
@@ -421,10 +401,10 @@ def test_frame_average_makes_one_stacked_base_call():
     for i in range(5):
         np.testing.assert_array_equal(batch[i], fa(x[i], ts[i]))
 
-    # a paired group moves and stacks the conditioning argument as well
+    # a conditional field's conditioning state is moved and stacked as well
     calls.clear()
     bridge = BridgeScoreField(GaussianCoupling(matrix=0.8, noise_var=0.05), s)
-    pfa = frame_average(counting(bridge, calls), g, diagonal_pair_group(g))
+    pfa = frame_average(counting(bridge, calls), g, conditional=True)
     y = rng.standard_normal((5, 4, 4))
     got = pfa(x, y, 0.4)
     assert calls == [((40, 4, 4), (40, 4, 4), ())]

@@ -256,6 +256,20 @@ def test_frechet_closed_forms():
     np.testing.assert_allclose(frechet_distance(one_a, one_b), 4.0 + 1.0, rtol=1e-10)
 
 
+def test_frechet_ignores_last_bit_sample_changes():
+    # 64-dim features of 2-D points have a rank-deficient covariance; the
+    # rounding-level eigenvalues of the product matrix must not reach the
+    # distance through their square roots
+    rng = np.random.default_rng(0)
+    spec = FeatureSpec(dim_in=2)
+    ref = dataset_stats(rng.standard_normal((512, 2)) + np.array([1.5, 0.0]), spec)
+    samples = rng.standard_normal((64, 2)) + np.array([1.4, 0.2])
+    vals = [frechet_distance(ref, dataset_stats(
+        samples * (1.0 + 1e-15 * rng.standard_normal(samples.shape)), spec))
+        for _ in range(8)]
+    assert max(vals) - min(vals) < 2e-8
+
+
 def test_frechet_error_cases():
     bad = FeatureStats(mean=np.zeros(2), cov=np.diag([1.0, -1.0]), count=1)
     ok = FeatureStats(mean=np.zeros(2), cov=np.eye(2), count=1)
@@ -282,10 +296,49 @@ def test_inv_fid_detects_asymmetry():
 def test_delta_x0_gap():
     g = make_point_group_2d(4)
     inputs = np.random.default_rng(9).standard_normal((16, 2))
-    radial = lambda x: np.tanh(np.linalg.norm(x)) * x
+    radial = lambda x: np.tanh(np.linalg.norm(x, axis=1, keepdims=True)) * x
     assert delta_x0_gap(radial, inputs, g, np.random.default_rng(10)) <= 1e-15
-    skew = lambda x: np.diag([2.0, 1.0]) @ x
+    skew = lambda x: x @ np.diag([2.0, 1.0])
     assert delta_x0_gap(skew, inputs, g, np.random.default_rng(11)) > 0.1
+
+
+def test_delta_x0_gap_needs_two_elements():
+    with pytest.raises(InvalidParams):
+        delta_x0_gap(lambda x: x, np.zeros((4, 2)), make_point_group_2d(1),
+                     np.random.default_rng(0))
+
+
+def test_delta_x0_gap_never_draws_the_identity():
+    # x -> x + w has gap max|w - flip w| = 6 under the flip and 0 under the
+    # identity, exactly on these integers; every input must read 6
+    g = make_flip_group("vertical", (3, 3))
+    w = np.arange(9.0).reshape(3, 3)
+    inputs = np.random.default_rng(12).integers(-4, 5, (32, 3, 3)).astype(float)
+    for seed in range(4):
+        assert delta_x0_gap(lambda x: x + w, inputs, g,
+                            np.random.default_rng(seed)) == 6.0
+
+
+def per_row_delta_x0(model, inputs, group, rng):
+    """Reference: one element draw and two lone-row model calls per input."""
+    gaps = []
+    for x in inputs:
+        k = group.elements[1 + int(rng.integers(len(group) - 1))]
+        gaps.append(np.max(np.abs(model(k.apply(x)[None])[0]
+                                  - k.apply(model(x[None])[0]))))
+    return float(np.mean(gaps))
+
+
+def test_delta_x0_gap_matches_per_row_reference():
+    rng = np.random.default_rng(14)
+    for g, shape in ((make_point_group_2d(4), (2,)), (make_d4_group((4, 4)), (4, 4))):
+        w = rng.standard_normal(shape)
+        model = lambda x: np.tanh(x * w) + w  # row-wise and not equivariant
+        inputs = rng.standard_normal((24, *shape))
+        for seed in (0, 1, 2):
+            got = delta_x0_gap(model, inputs, g, np.random.default_rng(seed))
+            assert got > 0.1
+            assert got == per_row_delta_x0(model, inputs, g, np.random.default_rng(seed))
 
 
 def test_energy_statistic_matches_brute_force():

@@ -19,7 +19,6 @@ from spdm import (
     canonicalize,
     ddbm_reverse_sample,
     default_canonicalizer,
-    diagonal_pair_group,
     equivariant_noise_batch,
     equivariant_noise_sequence,
     frame_average,
@@ -151,21 +150,18 @@ def test_pf_ode_round_trip():
     s = vp_schedule()
     field = AnalyticScoreField(broad_mixture(), s)
     x0 = np.array([[0.8, -0.3], [1.2, 0.9], [-0.7, 0.1]])
-    fwd = pf_ode_solve(field, s, nll_grid(s, 200), x0, direction="forward")
-    back = pf_ode_solve(field, s, nll_grid(s, 200).reversed(), fwd.terminal,
-                        direction="backward")
+    fwd = pf_ode_solve(field, s, nll_grid(s, 200), x0)
+    back = pf_ode_solve(field, s, nll_grid(s, 200).reversed(), fwd.terminal)
     np.testing.assert_allclose(back.terminal, x0, atol=1e-3)
 
 
-def test_pf_ode_direction_validation():
+def test_pf_ode_direction_follows_grid():
     s = vp_schedule()
     field = AnalyticScoreField(broad_mixture(), s)
-    with pytest.raises(InvalidParams):
-        pf_ode_solve(field, s, nll_grid(s, 5), np.zeros(2), direction="sideways")
-    with pytest.raises(InvalidParams):
-        pf_ode_solve(field, s, nll_grid(s, 5), np.zeros(2), direction="backward")
-    with pytest.raises(InvalidParams):
-        pf_ode_solve(field, s, sampling_grid(s, 5), np.zeros(2), direction="forward")
+    fwd = pf_ode_solve(field, s, nll_grid(s, 5), np.zeros(2))
+    back = pf_ode_solve(field, s, sampling_grid(s, 5), np.zeros(2))
+    assert fwd.metadata["direction"] == "forward"
+    assert back.metadata["direction"] == "backward"
 
 
 def _blow_up(x, *args):
@@ -176,7 +172,7 @@ NON_FINITE_RUNS = {
     "reverse_sde_sample": lambda s: reverse_sde_sample(
         _blow_up, s, 0.0, sampling_grid(s, 20), np.ones(2)),
     "pf_ode_solve": lambda s: pf_ode_solve(
-        _blow_up, s, sampling_grid(s, 20), np.ones(2), direction="backward"),
+        _blow_up, s, sampling_grid(s, 20), np.ones(2)),
     "ddbm_reverse_sample": lambda s: ddbm_reverse_sample(
         _blow_up, s, np.ones(2), 0.0, bridge_grid(s, 20)),
     "simulate_drift_only": lambda s: simulate_drift_only(
