@@ -113,13 +113,15 @@ def _load_schema() -> dict:
 
 @functools.cache
 def _validator():
-    """The schema's validator, checked against its meta-schema once per process."""
+    """The schema's validator, built once per process.
+
+    The packaged schema is a constant file, so it is checked against its
+    meta-schema in the test suite, not on every start.
+    """
     from jsonschema.validators import validator_for
 
     schema = _load_schema()
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return validator_for(schema)(schema)
 
 
 def validate_config(config: dict) -> dict:

@@ -81,77 +81,99 @@ class Mlp:
             for i in range(len(self.sizes) - 1)
         ]
         self.biases = [np.zeros(self.sizes[i + 1]) for i in range(len(self.sizes) - 1)]
+        # (start, stop, shape) of each weight, then each bias, in the
+        # flat_parameters() vector
+        self._layout, pos = [], 0
+        for p in (*self.weights, *self.biases):
+            self._layout.append((pos, pos + p.size, p.shape))
+            pos += p.size
         self.tie_group = tie_group
-        self._rin = self._rout = None
+        self._tie_index = self._tie_sign = None
         if tie_group is not None:
-            self._build_representations(tie_group)
+            self._build_tying(tie_group)
 
     # ---- weight tying ----------------------------------------------------
 
-    def _build_representations(self, group: IsometryGroup) -> None:
+    def _build_tying(self, group: IsometryGroup) -> None:
+        """Gather tables of the projection onto the group-commuting maps.
+
+        Layer l maps R_in(g) = blockdiag(M_g, ..., M_g[, I_3]) on its inputs
+        to R_out(g) on its outputs, M_g the 2x2 action.  Because every R(g)
+        is a signed permutation, ``mean_g R_out(g)^T W R_in(g)`` picks one
+        signed entry of W per element and position: entry p of the tied
+        flat vector is ``sum_k sign[k, p] theta[index[k, p]] / |G|`` over
+        the elements k in id order.  The products with +-1 are exact, so
+        the gather equals the matrix sums bit for bit.
+        """
         if group.grid_shape is not None:
             raise InvalidParams("weight tying needs a matrix point group")
-        d = group.elements[0].matrix.shape[0]
+        mats = group.stacked
+        d = mats.shape[1]
         if self.x_dim != d or (self.y_dim not in (0, d)):
             raise InvalidParams("x (and y, if present) must carry the group action")
-        for el in group.elements:
-            if not np.all(np.isin(el.matrix, (-1.0, 0.0, 1.0))):
-                raise InvalidParams(
-                    "weight tying requires signed-permutation matrices so that "
-                    "tanh commutes with the action")
+        if not np.all(np.isin(mats, (-1.0, 0.0, 1.0))):
+            raise InvalidParams(
+                "weight tying requires signed-permutation matrices so that "
+                "tanh commutes with the action")
         for h in self.hidden:
             if h % d != 0:
                 raise InvalidParams(f"hidden width {h} not divisible by {d}")
+        # column c of M_g has its one nonzero, col_sign[g, c], in row col_row[g, c]
+        col_row = np.abs(mats).argmax(axis=1)
+        col_sign = np.take_along_axis(mats, col_row[:, None, :], axis=1)[:, 0, :]
+        n_el = len(mats)
 
-        def layer_rep(width: int, trivial_tail: int):
+        def columns(width: int, trivial_tail: int):
+            """Row and sign of the nonzero in each column of R(g), per element g."""
             blocks = (width - trivial_tail) // d
-            mats = []
-            for el in group.elements:
-                m = np.zeros((width, width))
-                for b in range(blocks):
-                    m[b * d:(b + 1) * d, b * d:(b + 1) * d] = el.matrix
-                for j in range(width - trivial_tail, width):
-                    m[j, j] = 1.0
-                mats.append(m)
-            return np.stack(mats)
+            rows = (np.arange(blocks)[:, None] * d + col_row[:, None, :]).reshape(n_el, -1)
+            tail = np.arange(width - trivial_tail, width)
+            return (np.concatenate([rows, np.broadcast_to(tail, (n_el, trivial_tail))], axis=1),
+                    np.concatenate([np.tile(col_sign, blocks), np.ones((n_el, trivial_tail))],
+                                   axis=1))
 
-        reps = [layer_rep(self.sizes[0], 3)]
-        reps += [layer_rep(h, 0) for h in self.hidden]
-        reps.append(layer_rep(self.x_dim, 0))
-        self._rin = reps[:-1]
-        self._rout = reps[1:]
+        reps = [columns(self.sizes[0], 3), *(columns(h, 0) for h in self.sizes[1:])]
+        n_layers = len(self.weights)
+        index, sign = [], []
+        for layer, (start, _, (_, n_in)) in enumerate(self._layout[:n_layers]):
+            (ri, si), (ro, so) = reps[layer], reps[layer + 1]
+            index.append((start + ro[:, :, None] * n_in + ri[:, None, :]).reshape(n_el, -1))
+            sign.append((so[:, :, None] * si[:, None, :]).reshape(n_el, -1))
+        for layer, (start, _, _) in enumerate(self._layout[n_layers:]):
+            ro, so = reps[layer + 1]
+            index.append(start + ro)
+            sign.append(so)
+        self._tie_index = np.concatenate(index, axis=1)
+        self._tie_sign = np.concatenate(sign, axis=1)
 
-    def _project_weight(self, layer: int, w: np.ndarray) -> np.ndarray:
-        ro, ri = self._rout[layer], self._rin[layer]
-        return np.sum(ro.transpose(0, 2, 1) @ w @ ri, axis=0) / len(ro)
+    def _effective(self, flat: np.ndarray) -> np.ndarray:
+        """The flat parameters the forward pass uses: tied, or ``flat`` itself."""
+        if self._tie_index is None:
+            return flat
+        return np.sum(self._tie_sign * flat[self._tie_index], axis=0) / len(self._tie_index)
 
-    def _project_bias(self, layer: int, b: np.ndarray) -> np.ndarray:
-        ro = self._rout[layer]
-        return np.sum(ro.transpose(0, 2, 1) @ b, axis=0) / len(ro)
+    def _unflatten(self, flat: np.ndarray):
+        """Weight and bias views of a flat parameter vector."""
+        parts = [flat[a:b].reshape(shape) for a, b, shape in self._layout]
+        return parts[:len(self.weights)], parts[len(self.weights):]
 
     def effective_parameters(self):
         """Weights and biases actually used in the forward pass."""
-        if self.tie_group is None:
+        if self._tie_index is None:
             return list(self.weights), list(self.biases)
-        ws = [self._project_weight(i, w) for i, w in enumerate(self.weights)]
-        bs = [self._project_bias(i, b) for i, b in enumerate(self.biases)]
-        return ws, bs
+        return self._unflatten(self._effective(self.flat_parameters()))
 
     def free_parameter_count(self) -> int:
         """Dimension of the parameter space after tying.
 
-        For tied nets this is the rank of the averaging projector, computed
-        from the character formula rank = mean_g tr R_in(g) tr R_out(g)
-        per layer (plus mean_g tr R_out(g) for the bias).
+        For tied nets this is the rank of the averaging projector, its
+        trace: the character formula mean_g tr R_in(g) tr R_out(g) per
+        layer (plus mean_g tr R_out(g) for the bias).
         """
-        if self.tie_group is None:
+        if self._tie_index is None:
             return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-        total = 0.0
-        for layer in range(len(self.weights)):
-            ri = np.trace(self._rin[layer], axis1=1, axis2=2)
-            ro = np.trace(self._rout[layer], axis1=1, axis2=2)
-            total += float(np.mean(ri * ro)) + float(np.mean(ro))
-        return int(round(total))
+        fixed = self._tie_index == np.arange(self._tie_index.shape[1])
+        return int(round(float(np.sum(self._tie_sign * fixed)) / len(self._tie_index)))
 
     # ---- forward / backward ---------------------------------------------
 
@@ -175,15 +197,20 @@ class Mlp:
         return np.concatenate(parts, axis=1)
 
     def forward(self, x, y=None, t=0.0, want_cache: bool = False):
+        """The net at the rows of x (or at one state x).
+
+        A lone row runs as two equal rows: numpy hands a one-row product
+        to gemv, which sums in another order than the gemm of a batch, so
+        a lone state rounds like the same row inside a batch.
+        """
         single = np.asarray(x).ndim == 1
         a = self._features(x, y, t)
         ws, bs = self.effective_parameters()
-        inputs = [a]
-        for layer, (w, b) in enumerate(zip(ws, bs)):
-            z = a @ w.T + b
-            a = z if layer == len(ws) - 1 else np.tanh(z)
-            inputs.append(a)
-        out = a[0] if single else a
+        if len(a) == 1:
+            inputs = [v[:1] for v in _layers(np.concatenate([a, a]), ws, bs)]
+        else:
+            inputs = _layers(a, ws, bs)
+        out = inputs[-1][0] if single else inputs[-1]
         if not want_cache:
             return out
         cache = {"inputs": inputs, "eff_weights": ws}
@@ -199,18 +226,19 @@ class Mlp:
     def backward(self, cache, out_adjoint: np.ndarray) -> "MlpGrads":
         """Gradients of a scalar loss given d loss / d output (batch rows)."""
         adj = np.atleast_2d(np.asarray(out_adjoint, dtype=float))
-        inputs, ws = cache["inputs"], cache["eff_weights"]
-        gw = [None] * len(ws)
-        gb = [None] * len(ws)
+        gw, gb = self._unflatten(self._flat_grad(cache["inputs"], cache["eff_weights"], adj))
+        return MlpGrads(weights=gw, biases=gb)
+
+    def _flat_grad(self, inputs, ws, adj) -> np.ndarray:
+        """Flat loss gradient (projected when tied) from the layer inputs."""
+        grad = np.empty(self._layout[-1][1])
+        gw, gb = self._unflatten(grad)
         for layer in range(len(ws) - 1, -1, -1):
-            gw[layer] = adj.T @ inputs[layer]
-            gb[layer] = adj.sum(axis=0)
+            np.matmul(adj.T, inputs[layer], out=gw[layer])
+            np.sum(adj, axis=0, out=gb[layer])
             if layer > 0:
                 adj = (adj @ ws[layer]) * (1.0 - inputs[layer] ** 2)
-        if self.tie_group is not None:
-            gw = [self._project_weight(i, g) for i, g in enumerate(gw)]
-            gb = [self._project_bias(i, g) for i, g in enumerate(gb)]
-        return MlpGrads(weights=gw, biases=gb)
+        return self._effective(grad)
 
     # ---- parameter vector helpers ---------------------------------------
 
@@ -219,19 +247,27 @@ class Mlp:
 
     def set_flat_parameters(self, v: np.ndarray) -> None:
         v = np.asarray(v, dtype=float)
-        pos = 0
-        for group in (self.weights, self.biases):
-            for i, p in enumerate(group):
-                group[i] = v[pos:pos + p.size].reshape(p.shape)
-                pos += p.size
-        if pos != v.size:
-            raise ShapeMismatch(f"parameter vector has {v.size} entries, expected {pos}")
+        if v.shape != (self._layout[-1][1],):
+            raise ShapeMismatch(f"parameter vector has {v.size} entries, "
+                                f"expected {self._layout[-1][1]}")
+        self.weights, self.biases = self._unflatten(v)
 
     def clone(self) -> "Mlp":
         other = copy.copy(self)
         other.weights = [w.copy() for w in self.weights]
         other.biases = [b.copy() for b in self.biases]
         return other
+
+
+def _layers(a: np.ndarray, ws, bs) -> list:
+    """Every layer's input, the features first, and the output last."""
+    inputs = [a]
+    last = len(ws) - 1
+    for layer, (w, b) in enumerate(zip(ws, bs)):
+        z = a @ w.T + b
+        a = z if layer == last else np.tanh(z)
+        inputs.append(a)
+    return inputs
 
 
 @dataclass
@@ -244,24 +280,57 @@ class MlpGrads:
     def flat(self) -> np.ndarray:
         return np.concatenate([g.ravel() for g in (*self.weights, *self.biases)])
 
-    def scaled_add(self, other: "MlpGrads", factor: float) -> "MlpGrads":
-        return MlpGrads(
-            weights=[a + factor * b for a, b in zip(self.weights, other.weights)],
-            biases=[a + factor * b for a, b in zip(self.biases, other.biases)],
-        )
-
 
 # ---- losses --------------------------------------------------------------
 
 
+def _draw_t_eps(schedule: Schedule, x0: np.ndarray, rng: np.random.Generator):
+    """Per-row times t ~ Uniform(t_clip, T), then noise eps ~ N(0, I)."""
+    return (rng.uniform(schedule.t_clip, schedule.T, size=x0.shape[0]),
+            rng.standard_normal(x0.shape))
+
+
+def _diffuse(schedule: Schedule, x0: np.ndarray, t: np.ndarray, eps: np.ndarray):
+    """sigma_t as a (rows, 1) column and x_t = alpha_t x0 + sigma_t eps.
+
+    One checked lookup of log alpha_t gives both coefficients, by the
+    expressions of ``Schedule.alpha`` and ``Schedule.sigma`` (same bits).
+    """
+    la = schedule.log_alpha(t)
+    sigma2 = -np.expm1(2.0 * la) if schedule.kind == "vp" else schedule.sigma2(t)
+    sigma = np.sqrt(sigma2)[:, None]
+    return sigma, np.exp(la)[:, None] * x0 + sigma * eps
+
+
 def _draw_noisy_batch(schedule: Schedule, x0: np.ndarray, rng: np.random.Generator):
-    n = x0.shape[0]
-    t = rng.uniform(schedule.t_clip, schedule.T, size=n)
-    eps = rng.standard_normal(x0.shape)
-    alpha = np.asarray(schedule.alpha(t))[:, None]
-    sigma = np.asarray(schedule.sigma(t))[:, None]
-    x_t = alpha * x0 + sigma * eps
+    t, eps = _draw_t_eps(schedule, x0, rng)
+    sigma, x_t = _diffuse(schedule, x0, t, eps)
     return t, eps, sigma[:, 0], x_t
+
+
+def _dsm_terms(net: Mlp, params, feats, sigma, eps):
+    """Weighted DSM loss of one noisy batch and its flat gradient.
+
+    ``params`` are the (weights, biases) the forward pass uses, ``feats``
+    the net inputs at x_t and ``sigma`` the (rows, 1) noise scales.
+    """
+    inputs = _layers(feats, *params)
+    resid = sigma * inputs[-1] + eps
+    loss = float(np.mean(np.sum(resid**2, axis=1)))
+    return loss, net._flat_grad(inputs, params[0], 2.0 * sigma * resid / len(feats))
+
+
+def _reg_terms(net: Mlp, params, ema_params, group, ids, feats, moved_feats):
+    """Equivariance penalty of one batch and its flat gradient.
+
+    ``feats`` are the EMA net's inputs at x_t, ``moved_feats`` the trained
+    net's inputs at k x_t (and k y), row i moved by element ``ids[i]``.
+    """
+    target = apply_elements(group, ids, _layers(feats, *ema_params)[-1])
+    inputs = _layers(moved_feats, *params)
+    resid = inputs[-1] - target
+    loss = float(np.mean(np.sum(resid**2, axis=1)))
+    return loss, net._flat_grad(inputs, params[0], 2.0 * resid / len(feats))
 
 
 def dsm_loss(net: Mlp, schedule: Schedule, batch, rng: np.random.Generator,
@@ -275,12 +344,11 @@ def dsm_loss(net: Mlp, schedule: Schedule, batch, rng: np.random.Generator,
     x0 = np.atleast_2d(np.asarray(batch, dtype=float))
     if x0.shape[0] == 0:
         raise InvalidParams("batch must be nonempty")
-    t, eps, sigma, x_t = _draw_noisy_batch(schedule, x0, rng)
-    out, cache = net.forward(x_t, y, t, want_cache=True)
-    resid = sigma[:, None] * out + eps
-    loss = float(np.mean(np.sum(resid**2, axis=1)))
-    adj = 2.0 * sigma[:, None] * resid / x0.shape[0]
-    return loss, net.backward(cache, adj)
+    t, eps = _draw_t_eps(schedule, x0, rng)
+    sigma, x_t = _diffuse(schedule, x0, t, eps)
+    loss, grad = _dsm_terms(net, net.effective_parameters(), net._features(x_t, y, t),
+                            sigma, eps)
+    return loss, MlpGrads(*net._unflatten(grad))
 
 
 def equivariance_regularizer(net: Mlp, ema_net: Mlp, group: IsometryGroup,
@@ -295,16 +363,19 @@ def equivariance_regularizer(net: Mlp, ema_net: Mlp, group: IsometryGroup,
     x0 = np.atleast_2d(np.asarray(batch, dtype=float))
     if x0.shape[0] == 0:
         raise InvalidParams("batch must be nonempty")
-    t, _, _, x_t = _draw_noisy_batch(schedule, x0, rng)
+    t, eps = _draw_t_eps(schedule, x0, rng)
+    _, x_t = _diffuse(schedule, x0, t, eps)
     ids = rng.integers(len(group), size=x0.shape[0])
-    target = apply_elements(group, ids, np.asarray(ema_net.forward(x_t, y, t)))
-    xk = apply_elements(group, ids, x_t)
     yk = None if y is None else apply_elements(group, ids, np.atleast_2d(y))
-    out, cache = net.forward(xk, yk, t, want_cache=True)
-    resid = out - target
-    loss = float(np.mean(np.sum(resid**2, axis=1)))
-    adj = 2.0 * resid / x0.shape[0]
-    return loss, net.backward(cache, adj)
+    loss, grad = _reg_terms(net, net.effective_parameters(),
+                            ema_net.effective_parameters(), group, ids,
+                            ema_net._features(x_t, y, t),
+                            net._features(apply_elements(group, ids, x_t), yk, t))
+    return loss, MlpGrads(*net._unflatten(grad))
+
+
+def _ema_step(ema: np.ndarray, theta: np.ndarray, mu: float) -> np.ndarray:
+    return mu * ema + (1.0 - mu) * theta
 
 
 def ema_update(ema_net: Mlp, net: Mlp, mu: float) -> Mlp:
@@ -312,8 +383,8 @@ def ema_update(ema_net: Mlp, net: Mlp, mu: float) -> Mlp:
     if not (0.0 <= mu < 1.0):
         raise InvalidParams(f"mu must be in [0, 1), got {mu}")
     out = ema_net.clone()
-    out.set_flat_parameters(mu * ema_net.flat_parameters()
-                            + (1.0 - mu) * net.flat_parameters())
+    out.set_flat_parameters(_ema_step(ema_net.flat_parameters(),
+                                      net.flat_parameters(), mu))
     return out
 
 
@@ -389,6 +460,12 @@ def _lane_rng(seed: int, lane: int, index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+# Training rows diffused at once: a block holds the noisy batches of
+# max(1, _BLOCK_ROWS // batch_size) steps, which bounds the memory its
+# arrays take.
+_BLOCK_ROWS = 4096
+
+
 def train(config: TrainerConfig, data, schedule: Schedule,
           group: IsometryGroup | None = None, mode: str = "plain",
           init_net: Mlp | None = None, init_ema: Mlp | None = None,
@@ -413,7 +490,10 @@ def train(config: TrainerConfig, data, schedule: Schedule,
         bit-identical to an uninterrupted one.
 
     A regularizer weight of 0 skips the penalty entirely, so that case
-    matches plain mode bit-exactly.
+    matches plain mode bit-exactly.  The parameters, gradients, Adam
+    moments and EMA are flat vectors; each step gives the same bits as
+    ``dsm_loss``, ``equivariance_regularizer``, ``Adam.step`` and
+    ``ema_update`` applied to the nets.
     """
     if mode not in ("plain", "WT", "regularized"):
         raise InvalidParams(f"unknown mode {mode!r}")
@@ -443,27 +523,55 @@ def train(config: TrainerConfig, data, schedule: Schedule,
     losses = np.zeros(config.steps)
     reg_losses = np.zeros(config.steps) if mode == "regularized" else None
     use_reg = mode == "regularized" and config.reg_weight > 0
+    rows = config.batch_size
+    per_block = max(1, _BLOCK_ROWS // rows)
+    theta, ema_theta = net.flat_parameters(), ema.flat_parameters()
 
-    for step in range(config.steps):
-        lane_index = start_step + step
-        rng = _lane_rng(config.seed, 2, lane_index)
-        batch = draw(rng, config.batch_size)
-        loss, grads = dsm_loss(net, schedule, batch, rng)
+    for first in range(0, config.steps, per_block):
+        steps = range(first, min(first + per_block, config.steps))
+        # each step draws from its own lanes, in the order dsm_loss and
+        # equivariance_regularizer draw; the block then shares one
+        # schedule lookup, one x_t and one time embedding per lane
+        batches, noise, reg_noise = [], [], []
+        for step in steps:
+            rng = _lane_rng(config.seed, 2, start_step + step)
+            batches.append(draw(rng, rows))
+            noise.append(_draw_t_eps(schedule, batches[-1], rng))
+            if use_reg:
+                rng = _lane_rng(config.seed, 3, start_step + step)
+                reg_noise.append((*_draw_t_eps(schedule, batches[-1], rng),
+                                  rng.integers(len(group), size=rows)))
+        x0 = np.concatenate(batches)
+        t, eps = (np.concatenate(c) for c in zip(*noise))
+        sigma, x_t = _diffuse(schedule, x0, t, eps)
+        feats = np.concatenate([x_t, time_embed(t, net.horizon)], axis=1)
         if use_reg:
-            rloss, rgrads = equivariance_regularizer(
-                net, ema, group, batch, _lane_rng(config.seed, 3, lane_index),
-                schedule)
-            grads = grads.scaled_add(rgrads, config.reg_weight)
-            reg_losses[step] = rloss
-            loss_total = loss + config.reg_weight * rloss
-        else:
-            loss_total = loss
-        if not np.isfinite(loss_total):
-            raise DivergedLoss(f"loss became {loss_total} at step {step}")
-        losses[step] = loss
-        net.set_flat_parameters(opt.step(net.flat_parameters(), grads.flat()))
-        ema = ema_update(ema, net, config.ema_mu)
+            t, reg_eps, ids = (np.concatenate(c) for c in zip(*reg_noise))
+            _, x_t = _diffuse(schedule, x0, t, reg_eps)
+            emb = time_embed(t, net.horizon)
+            ema_feats = np.concatenate([x_t, emb], axis=1)
+            moved_feats = np.concatenate([apply_elements(group, ids, x_t), emb], axis=1)
 
+        for j, step in enumerate(steps):
+            r = slice(j * rows, (j + 1) * rows)
+            params = net._unflatten(net._effective(theta))
+            loss, grad = _dsm_terms(net, params, feats[r], sigma[r], eps[r])
+            loss_total = loss
+            if use_reg:
+                rloss, rgrad = _reg_terms(
+                    net, params, ema._unflatten(ema._effective(ema_theta)), group,
+                    ids[r], ema_feats[r], moved_feats[r])
+                grad = grad + config.reg_weight * rgrad
+                reg_losses[step] = rloss
+                loss_total = loss + config.reg_weight * rloss
+            if not np.isfinite(loss_total):
+                raise DivergedLoss(f"loss became {loss_total} at step {step}")
+            losses[step] = loss
+            theta = opt.step(theta, grad)
+            ema_theta = _ema_step(ema_theta, theta, config.ema_mu)
+
+    net.set_flat_parameters(theta)
+    ema.set_flat_parameters(ema_theta)
     return TrainResult(net=net, ema_net=ema, losses=losses, reg_losses=reg_losses,
                        free_parameters=net.free_parameter_count(),
                        opt_state=(opt.m.copy(), opt.v.copy(), opt.step_count),

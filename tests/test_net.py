@@ -316,45 +316,198 @@ def test_weight_tying_validation():
 
 
 def test_free_parameter_count_matches_projector_rank():
-    # Independent oracle: push a basis through the tying projector and count
-    # the rank of its image, layer by layer.
+    # Independent oracle: push a basis through the tying gather and count
+    # the rank of its image.
     g = make_point_group_2d(4)
     net = Mlp(2, hidden=(4, 4), seed=0, tie_group=g)
-    total = 0
-    for layer in range(len(net.weights)):
-        n_out, n_in = net.weights[layer].shape
-        cols = []
-        for a in range(n_out):
-            for b in range(n_in):
-                e = np.zeros((n_out, n_in))
-                e[a, b] = 1.0
-                cols.append(net._project_weight(layer, e).ravel())
-        total += np.linalg.matrix_rank(np.stack(cols, axis=1), tol=1e-10)
-        cols = []
-        for a in range(n_out):
-            e = np.zeros(n_out)
-            e[a] = 1.0
-            cols.append(net._project_bias(layer, e))
-        total += np.linalg.matrix_rank(np.stack(cols, axis=1), tol=1e-10)
-    assert net.free_parameter_count() == total
+    basis = np.eye(net.flat_parameters().size)
+    image = np.stack([net._effective(e) for e in basis], axis=1)
+    assert net.free_parameter_count() == np.linalg.matrix_rank(image, tol=1e-10)
     full = Mlp(2, hidden=(4, 4), seed=0)
     assert net.free_parameter_count() < full.free_parameter_count()
 
 
+def _reference_reps(net):
+    """Stacked R_in and R_out matrices of every layer of a tied net."""
+    d = net.x_dim
+    mats = [el.matrix for el in net.tie_group.elements]
+
+    def layer_rep(width, trivial_tail):
+        out = np.zeros((len(mats), width, width))
+        for k, m in enumerate(mats):
+            for b in range((width - trivial_tail) // d):
+                out[k, b * d:(b + 1) * d, b * d:(b + 1) * d] = m
+            for j in range(width - trivial_tail, width):
+                out[k, j, j] = 1.0
+        return out
+
+    reps = [layer_rep(net.sizes[0], 3)] + [layer_rep(h, 0) for h in net.sizes[1:]]
+    return reps[:-1], reps[1:]
+
+
 def test_tied_projection_matches_einsum():
-    # The matmul sums must reproduce the einsum they replaced bit for bit.
+    # The cached signed gather must reproduce the representation average
+    # mean_g R_out(g)^T W R_in(g) bit for bit.
     rng = np.random.default_rng(31)
     for g, hidden in ((make_point_group_2d(4), (16, 16)),
                       (make_point_group_2d(4, with_reflection=True), (32, 32))):
         net = Mlp(2, hidden=hidden, seed=5, tie_group=g)
-        for layer, w in enumerate(net.weights):
-            ro, ri = net._rout[layer], net._rin[layer]
-            b = rng.standard_normal(w.shape[0])
+        theta = rng.standard_normal(net.flat_parameters().size)
+        ws, bs = net._unflatten(theta)
+        tied_ws, tied_bs = net._unflatten(net._effective(theta))
+        rin, rout = _reference_reps(net)
+        for layer, (ro, ri) in enumerate(zip(rout, rin)):
             np.testing.assert_array_equal(
-                net._project_weight(layer, w),
-                np.einsum("gao,ab,gbi->oi", ro, w, ri) / len(ro))
+                tied_ws[layer],
+                np.einsum("gao,ab,gbi->oi", ro, ws[layer], ri) / len(ro))
             np.testing.assert_array_equal(
-                net._project_bias(layer, b), np.einsum("gba,b->a", ro, b) / len(ro))
+                tied_bs[layer], np.einsum("gba,b->a", ro, bs[layer]) / len(ro))
+
+
+def test_lone_row_rounds_like_its_batch_row():
+    rng = np.random.default_rng(34)
+    x = rng.standard_normal((64, 2))
+    ts = rng.uniform(0.01, 1.0, size=64)
+    for tie in (None, make_point_group_2d(4)):
+        net = Mlp(2, hidden=(16, 16), seed=3, tie_group=tie)
+        batch = net.forward(x, t=ts)
+        for i in range(64):
+            np.testing.assert_array_equal(net.forward(x[i], t=ts[i]), batch[i])
+            np.testing.assert_array_equal(net.forward(x[i:i + 1], t=ts[i]), batch[i:i + 1])
+
+
+class _ReferenceNet:
+    """An Mlp's parameters as weight and bias lists, tied by matrix sums."""
+
+    def __init__(self, net):
+        self.ws = [w.copy() for w in net.weights]
+        self.bs = [b.copy() for b in net.biases]
+        self.horizon = net.horizon
+        self.reps = None if net.tie_group is None else _reference_reps(net)
+
+    def project(self, ws, bs):
+        if self.reps is None:
+            return ws, bs
+        rin, rout = self.reps
+        return ([np.sum(ro.transpose(0, 2, 1) @ w @ ri, axis=0) / len(ro)
+                 for ro, ri, w in zip(rout, rin, ws)],
+                [np.sum(ro.transpose(0, 2, 1) @ b, axis=0) / len(ro)
+                 for ro, b in zip(rout, bs)])
+
+    def forward(self, x, t):
+        a = np.concatenate([x, time_embed(t, self.horizon)], axis=1)
+        ws, bs = self.project(self.ws, self.bs)
+        inputs = [a]
+        for layer, (w, b) in enumerate(zip(ws, bs)):
+            z = a @ w.T + b
+            a = z if layer == len(ws) - 1 else np.tanh(z)
+            inputs.append(a)
+        return inputs, ws
+
+    def grad(self, inputs, ws, adj):
+        gw, gb = [None] * len(ws), [None] * len(ws)
+        for layer in range(len(ws) - 1, -1, -1):
+            gw[layer] = adj.T @ inputs[layer]
+            gb[layer] = adj.sum(axis=0)
+            if layer > 0:
+                adj = (adj @ ws[layer]) * (1.0 - inputs[layer] ** 2)
+        gw, gb = self.project(gw, gb)
+        return np.concatenate([g.ravel() for g in (*gw, *gb)])
+
+    def flat(self):
+        return np.concatenate([p.ravel() for p in (*self.ws, *self.bs)])
+
+    def set_flat(self, v):
+        pos = 0
+        for params in (self.ws, self.bs):
+            for i, p in enumerate(params):
+                params[i] = v[pos:pos + p.size].reshape(p.shape)
+                pos += p.size
+
+
+def _reference_train(cfg, data, s, net, ema, group=None, mode="plain",
+                     opt_state=None, start_step=0):
+    """The training loop written out step by step on weight lists: per
+    step a noisy batch, the forward and backward passes, the regularizer,
+    one Adam step and one EMA step."""
+    net, ema = _ReferenceNet(net), _ReferenceNet(ema)
+    size = net.flat().size
+    m, v, count = (np.zeros(size), np.zeros(size), 0) if opt_state is None else \
+        (opt_state[0].copy(), opt_state[1].copy(), opt_state[2])
+    b1, b2 = 0.9, 0.999
+    n = cfg.batch_size
+    losses = np.zeros(cfg.steps)
+    reg_losses = np.zeros(cfg.steps) if mode == "regularized" else None
+
+    def noisy(rng, x0):
+        t = rng.uniform(s.t_clip, s.T, size=n)
+        eps = rng.standard_normal(x0.shape)
+        sigma = s.sigma(t)[:, None]
+        return t, eps, sigma, s.alpha(t)[:, None] * x0 + sigma * eps
+
+    for step in range(cfg.steps):
+        rng = _lane_rng(cfg.seed, 2, start_step + step)
+        x0 = data[rng.integers(len(data), size=n)]
+        t, eps, sigma, x_t = noisy(rng, x0)
+        inputs, ws = net.forward(x_t, t)
+        resid = sigma * inputs[-1] + eps
+        losses[step] = float(np.mean(np.sum(resid**2, axis=1)))
+        grad = net.grad(inputs, ws, 2.0 * sigma * resid / n)
+        if mode == "regularized" and cfg.reg_weight > 0:
+            rng = _lane_rng(cfg.seed, 3, start_step + step)
+            t, _, _, x_t = noisy(rng, x0)
+            ids = rng.integers(len(group), size=n)
+            target = apply_elements(group, ids, ema.forward(x_t, t)[0][-1])
+            inputs, ws = net.forward(apply_elements(group, ids, x_t), t)
+            resid = inputs[-1] - target
+            reg_losses[step] = float(np.mean(np.sum(resid**2, axis=1)))
+            grad = grad + cfg.reg_weight * net.grad(inputs, ws, 2.0 * resid / n)
+        count += 1
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * grad**2
+        mh = m / (1.0 - b1**count)
+        vh = v / (1.0 - b2**count)
+        net.set_flat(net.flat() - cfg.learning_rate * mh / (np.sqrt(vh) + 1e-8))
+        ema.set_flat(cfg.ema_mu * ema.flat() + (1.0 - cfg.ema_mu) * net.flat())
+    return net.flat(), ema.flat(), losses, reg_losses, (m, v, count)
+
+
+@pytest.mark.parametrize("case", ["plain", "WT_C4", "WT_D4", "regularized", "resumed"])
+def test_train_matches_reference_loop_bit_for_bit(case):
+    # A batch of 1000 rows puts 4 steps in a block, so 9 steps make three
+    # blocks, the last one short.
+    s = vp_schedule()
+    data = small_mixture().sample(np.random.default_rng(35), 500)
+    cfg = TrainerConfig(steps=9, seed=6, hidden=(8, 8), batch_size=1000,
+                        learning_rate=1e-2, ema_mu=0.9, reg_weight=0.5)
+    group = {"WT_C4": make_point_group_2d(4), "regularized": make_point_group_2d(4),
+             "WT_D4": make_point_group_2d(4, with_reflection=True)}.get(case)
+    mode = {"WT_C4": "WT", "WT_D4": "WT", "regularized": "regularized"}.get(case, "plain")
+    init = Mlp(2, hidden=cfg.hidden, horizon=s.T, seed=cfg.seed,
+               tie_group=group if mode == "WT" else None)
+    resume = {}
+    ref_start = dict(net=init, ema=init)
+    if case == "resumed":
+        first = train(TrainerConfig(steps=5, seed=6, hidden=(8, 8), batch_size=1000,
+                                    learning_rate=1e-2, ema_mu=0.9), data, s)
+        resume = dict(init_net=first.net, init_ema=first.ema_net,
+                      init_opt_state=first.opt_state, start_step=first.steps_done)
+        ref_start = dict(net=first.net, ema=first.ema_net, opt_state=first.opt_state,
+                         start_step=first.steps_done)
+    res = train(cfg, data, s, group=group, mode=mode, **resume)
+    net, ema, losses, reg_losses, (m, v, count) = _reference_train(
+        cfg, data, s, group=group, mode=mode, **ref_start)
+    np.testing.assert_array_equal(res.net.flat_parameters(), net)
+    np.testing.assert_array_equal(res.ema_net.flat_parameters(), ema)
+    np.testing.assert_array_equal(res.losses, losses)
+    if reg_losses is None:
+        assert res.reg_losses is None
+    else:
+        assert np.all(reg_losses > 0)
+        np.testing.assert_array_equal(res.reg_losses, reg_losses)
+    np.testing.assert_array_equal(res.opt_state[0], m)
+    np.testing.assert_array_equal(res.opt_state[1], v)
+    assert res.opt_state[2] == count
 
 
 def test_train_weight_tied_mode():
