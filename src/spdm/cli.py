@@ -643,7 +643,10 @@ def main(argv=None) -> int:
     try:
         cfg = io.load_config(args.config) if args.config else {}
         out_dir = Path(args.out) if args.out else Path(cfg.get("out_dir", "out"))
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoError(f"cannot create output directory {out_dir}: {exc}") from exc
         code = HANDLERS[args.command](cfg, out_dir, args.seed)
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,6 +32,9 @@ import datetime
 import functools
 import hashlib
 import json
+import math
+import numbers
+import operator
 import os
 import struct
 import uuid
@@ -106,22 +109,87 @@ def read_spdt(path) -> np.ndarray:
 # ---- configuration -------------------------------------------------------
 
 
+@functools.cache
 def _load_schema() -> dict:
+    """The packaged schema, read once per process; callers must not mutate it."""
     text = resources.files("spdm").joinpath("config_schema.json").read_text("utf-8")
     return json.loads(text)
 
 
 @functools.cache
 def _validator():
-    """The schema's validator, built once per process.
+    """The schema's jsonschema validator, built once per process.
 
-    The packaged schema is a constant file, so it is checked against its
-    meta-schema in the test suite, not on every start.
+    Only a rejected config reaches it, to word the error.  The packaged
+    schema is a constant file, so it is checked against its meta-schema
+    in the test suite, not on every start.
     """
     from jsonschema.validators import validator_for
 
     schema = _load_schema()
     return validator_for(schema)(schema)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+}
+
+
+# the comparison by which jsonschema finds a number outside each bound
+_BOUND_FAILS = {"minimum": operator.lt, "exclusiveMinimum": operator.le,
+                "exclusiveMaximum": operator.ge}
+
+
+def _enum_match(value, member) -> bool:
+    # JSON Schema equality: 1 == 1.0, but a bool equals only a bool.
+    # Containers are left to jsonschema, which compares them item by item.
+    return (not isinstance(value, (list, dict))
+            and isinstance(value, bool) == isinstance(member, bool)
+            and value == member)
+
+
+def _conforms(schema, x) -> bool:
+    """Whether ``x`` satisfies ``schema`` under JSON Schema 2020-12.
+
+    Covers the keywords of the packaged schema: ``type``, ``enum``,
+    ``minimum``, ``exclusiveMinimum``, ``exclusiveMaximum``,
+    ``properties``, ``additionalProperties``, ``required``, ``items``,
+    ``minItems``, ``maxItems`` and ``oneOf``.  Each keyword applies to
+    the kinds of value jsonschema applies it to, with the same
+    comparison, so a value accepted here is accepted by jsonschema.
+    """
+    if isinstance(schema, bool):
+        return schema
+    kinds = schema.get("type")
+    if isinstance(kinds, str):
+        kinds = [kinds]
+    if kinds is not None and not any(_TYPES[k](x) for k in kinds):
+        return False
+    if "enum" in schema and not any(_enum_match(x, m) for m in schema["enum"]):
+        return False
+    if "oneOf" in schema and sum(_conforms(s, x) for s in schema["oneOf"]) != 1:
+        return False
+    if _TYPES["number"](x):
+        return not any(k in schema and fails(x, schema[k])
+                       for k, fails in _BOUND_FAILS.items())
+    if isinstance(x, list):
+        return (len(x) >= schema.get("minItems", 0)
+                and len(x) <= schema.get("maxItems", len(x))
+                and all(_conforms(schema.get("items", True), v) for v in x))
+    if isinstance(x, dict):
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        return (all(k in x for k in schema.get("required", ()))
+                and all(_conforms(props[k] if k in props else extra, v)
+                        for k, v in x.items()))
+    return True
 
 
 def validate_config(config: dict) -> dict:
@@ -130,7 +198,13 @@ def validate_config(config: dict) -> dict:
     Unknown keys anywhere in the document are rejected.  Returns the
     config unchanged on success.  The error reported is the one
     ``jsonschema.validate`` would raise: the best match among all errors.
+
+    A stdlib check decides first; jsonschema is imported only when that
+    check rejects, to find and word the error.  Should jsonschema find
+    none, the config is accepted, so jsonschema has the last word.
     """
+    if _conforms(_load_schema(), config):
+        return config
     from jsonschema.exceptions import best_match
 
     error = best_match(_validator().iter_errors(config))
@@ -140,16 +214,35 @@ def validate_config(config: dict) -> dict:
     return config
 
 
+def _reject_constant(literal: str):
+    raise ValueError(f"non-finite number {literal} is not allowed")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"number {literal} is out of the float64 range")
+    return value
+
+
 def load_config(path) -> dict:
+    """Read, parse and validate a JSON config file.
+
+    ``NaN``, ``Infinity`` and float literals beyond the float64 range are
+    refused: no config value is meaningful as a non-finite number.
+    """
     path = Path(path)
     try:
         text = path.read_text("utf-8")
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
     try:
-        config = json.loads(text)
+        config = json.loads(text, parse_constant=_reject_constant,
+                            parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     return validate_config(config)

@@ -132,6 +132,31 @@ def test_missing_config_file_exits_2(tmp_path):
                  "--out", str(tmp_path / "run")]) == 2
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e309"])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, literal):
+    out = tmp_path / "run"
+    out.mkdir()
+    text = json.dumps(base_config()).replace('"variance": 0.05',
+                                             f'"variance": {literal}')
+    (out / "config.json").write_text(text, "utf-8")
+    assert main(["gen-data", "--config", str(out / "config.json"),
+                 "--out", str(out)]) == 2
+    assert literal in capsys.readouterr().err
+    assert not (out / "data.spdt").exists()
+
+
+@pytest.mark.parametrize("where", ["is_a_file", "under_a_file"])
+def test_unwritable_out_exits_2(tmp_path, capsys, where):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep", "utf-8")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(base_config()), "utf-8")
+    out = blocker if where == "is_a_file" else blocker / "run"
+    assert main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+    assert blocker.read_text("utf-8") == "keep"
+
+
 def test_missing_dataset_exits_2(tmp_path):
     cfg = base_config()
     cfg["train"] = {"steps": 5, "hidden": [8], "seed": 0}

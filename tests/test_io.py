@@ -1,7 +1,14 @@
 """Tests for the tensor format, config validation and deterministic writers."""
 
 import builtins
+import copy
 import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +166,228 @@ def test_load_config_errors(tmp_path):
         load_config(tmp_path / "missing.json")
     p.write_text(json.dumps(minimal_config()), "utf-8")
     assert load_config(p)["schedule"]["kind"] == "vp"
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e309", "-2e400"])
+@pytest.mark.parametrize("field", ["variance", "weight"])
+def test_load_config_rejects_non_finite_numbers(tmp_path, literal, field):
+    # json.loads takes NaN, Infinity and overflowing literals as floats;
+    # no config value means anything as one, so parsing refuses them
+    text = json.dumps(minimal_config()).replace(
+        f'"{field}": {minimal_config()["data"]["components"][0][field]}',
+        f'"{field}": {literal}')
+    assert literal in text
+    p = tmp_path / "c.json"
+    p.write_text(text, "utf-8")
+    with pytest.raises(ConfigError, match=f"{literal}"):
+        load_config(p)
+
+
+# ---- the stdlib checker against jsonschema -------------------------------
+
+CHECKED_KEYWORDS = {"type", "enum", "minimum", "exclusiveMinimum",
+                    "exclusiveMaximum", "properties", "additionalProperties",
+                    "required", "items", "minItems", "maxItems", "oneOf"}
+ANNOTATIONS = {"$schema", "title"}
+
+
+def schema_nodes(schema):
+    """Every subschema of ``schema``, itself included, depth first."""
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from schema_nodes(sub)
+    for key in ("items", "additionalProperties"):
+        if isinstance(schema.get(key), dict):
+            yield from schema_nodes(schema[key])
+    for sub in schema.get("oneOf", ()):
+        yield from schema_nodes(sub)
+
+
+def test_schema_uses_only_checked_keywords():
+    # the checker knows these keywords alone; any other (a `pattern`, a
+    # `$ref`) must fail here rather than be ignored on the accept path
+    used = set().union(*(node.keys() for node in schema_nodes(_load_schema())))
+    assert used - ANNOTATIONS <= CHECKED_KEYWORDS, used - ANNOTATIONS - CHECKED_KEYWORDS
+
+
+def example(schema):
+    """A value valid under ``schema`` that sets every optional property."""
+    if "enum" in schema:
+        return schema["enum"][0]
+    if "oneOf" in schema:
+        return example(schema["oneOf"][0])
+    kind = schema["type"]
+    if kind == "object":
+        return {k: example(sub) for k, sub in schema.get("properties", {}).items()}
+    if kind == "array":
+        return [example(schema["items"])] * schema.get("minItems", 1)
+    low = schema.get("minimum", schema.get("exclusiveMinimum", 0))
+    return {"number": low + 0.5, "integer": low + 1, "boolean": True,
+            "string": "x"}[kind]
+
+
+def variants(schema, value):
+    """``(new_value, valid)`` pairs: ``value`` with one constraint of
+    ``schema`` or of a subschema broken (valid False) or met at its
+    boundary (valid True).  ``valid`` is None where only agreement with
+    jsonschema is asserted."""
+    out = []
+    kind = schema.get("type")
+    if "minimum" in schema:
+        low = schema["minimum"]
+        out += [(low, True), (float(low), True),
+                (low - 1 if kind == "integer" else math.nextafter(low, -math.inf), False)]
+    if "exclusiveMinimum" in schema:
+        low = schema["exclusiveMinimum"]
+        out += [(math.nextafter(low, math.inf), True), (low, False)]
+    if "exclusiveMaximum" in schema:
+        high = schema["exclusiveMaximum"]
+        out += [(math.nextafter(high, -math.inf), True), (high, False)]
+    if kind in ("number", "integer"):
+        out += [(True, False), (False, False), (str(value), False),
+                (math.inf, None), (-math.inf, None), (math.nan, None)]
+    if kind == "integer":
+        out += [(float(value), True), (value + 0.5, False), (10**30, True)]
+    if kind == "boolean":
+        out += [(not value, True), (1, False), (0, False), (None, False)]
+    if kind == "string":
+        out += [("", True), (1, False)]
+    if kind == "array":
+        out += [({}, False), ("ab", False)]
+    if kind == "object":
+        out += [([], False), ("ab", False)]
+    if "enum" in schema:
+        out += [(m, True) for m in schema["enum"]]
+        out += [("nope", False), (True, False), (None, False)]
+    if "minItems" in schema:
+        n = schema["minItems"]
+        out += [(value[:1] * n, True), (value[:1] * (n - 1), False)]
+    if "maxItems" in schema:
+        n = schema["maxItems"]
+        out += [(value[:1] * n, True), (value[:1] * (n + 1), False)]
+    if "items" in schema:
+        if "minItems" not in schema:
+            out.append(([], True))
+        out += [([v] + value[1:], ok) for v, ok in variants(schema["items"], value[0])]
+    for key, sub in schema.get("properties", {}).items():
+        out += [({**value, key: v}, ok) for v, ok in variants(sub, value[key])]
+        without = {k: v for k, v in value.items() if k != key}
+        out.append((without, key not in schema.get("required", ())))
+    if schema.get("additionalProperties") is False:
+        out.append(({**value, "unknown_key": 1}, False))
+    for branch in schema.get("oneOf", ()):
+        out.append((example(branch), True))
+        out += variants(branch, example(branch))
+    if "oneOf" in schema:
+        out.append((None, False))
+    return out
+
+
+def jsonschema_accepts(config) -> bool:
+    from jsonschema import Draft202012Validator
+
+    return Draft202012Validator(_load_schema()).is_valid(config)
+
+
+def test_checker_agrees_with_jsonschema_on_schema_mutations():
+    schema = _load_schema()
+    base = example(schema)
+    assert jsonschema_accepts(base)
+    corpus = variants(schema, base)
+    verdicts = {True: 0, False: 0}
+    for config, valid in corpus:
+        config = copy.deepcopy(config)
+        accepted = jsonschema_accepts(config)
+        # the corpus is what it claims: each mutation breaks or keeps validity
+        assert valid is None or accepted == valid, config
+        assert spdm_io._conforms(schema, config) == accepted, config
+        verdicts[accepted] += 1
+        if accepted:
+            assert validate_config(config) is config
+        else:
+            with pytest.raises(ConfigError):
+                validate_config(config)
+    assert verdicts[True] >= 100 and verdicts[False] >= 100, verdicts
+
+
+@pytest.mark.parametrize("schema, values", [
+    ({"type": "number"}, [True, False, 0, 1.5, "1", None]),
+    ({"type": "integer"}, [True, 1, 1.0, -0.0, 1.5, 10**30, math.inf, math.nan]),
+    ({"type": ["integer", "null"]}, [None, 2, 2.5]),
+    ({"enum": [1, "a", None]}, [True, False, 1, 1.0, "a", "A", None, 0, [1]]),
+    ({"enum": [False]}, [False, 0, 0.0, None]),
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, [1, 1.0, 1.5, "1"]),
+    ({"type": "array", "items": False}, [[], [1]]),
+    ({"type": "object", "additionalProperties": {"type": "integer"}},
+     [{}, {"a": 1}, {"a": 1.5}]),
+])
+def test_checker_follows_2020_12_rules(schema, values):
+    # keyword semantics the packaged schema relies on only partly: a bool
+    # is no number, 1.0 is an integer, enum tells True from 1, oneOf
+    # rejects a value two branches accept
+    from jsonschema import Draft202012Validator
+
+    reference = Draft202012Validator(schema)
+    for value in values:
+        assert spdm_io._conforms(schema, value) == reference.is_valid(value), value
+
+
+def test_checker_agrees_with_jsonschema_on_bench_workloads(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    for make in workloads.WORKLOADS.values():
+        for seed in (0, 1, 2**31 - 5, 2**40):
+            w = make(seed)
+            w.write_configs(tmp_path)
+            for name, cfg in w.configs.items():
+                assert spdm_io._conforms(_load_schema(), cfg)
+                assert jsonschema_accepts(cfg)
+                assert load_config(tmp_path / name) == cfg
+
+
+def test_valid_config_never_imports_jsonschema(tmp_path):
+    good = {"schedule": {"kind": "vp"}, "group": {"name": "C4"},
+            "data": {"components": [{"weight": 1, "mean": [1.0, 0.0], "variance": 0.1}],
+                     "symmetrize": True, "n_samples": 8, "seed": 0}}
+    bad = copy.deepcopy(good)
+    bad["schedule"]["kind"] = "cosine"
+    bad["data"]["components"][0]["weight"] = "heavy"
+    for name, cfg in (("good", good), ("bad", bad)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg), "utf-8")
+    script = textwrap.dedent("""
+        import json, sys
+        import spdm
+        from spdm import cli
+
+        good, out, bad = sys.argv[1:]
+        spdm.load_config(good)
+        code = cli.main(["gen-data", "--config", good, "--out", out])
+        imported = sorted(m for m in sys.modules if m.split(".")[0] == "jsonschema")
+        try:
+            spdm.load_config(bad)
+            error = None
+        except spdm.ConfigError as exc:
+            error = str(exc)
+        print(json.dumps({"code": code, "imported": imported, "error": error}))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "good.json"),
+         str(tmp_path / "out"), str(tmp_path / "bad.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["code"] == 0 and (tmp_path / "out" / "data.spdt").exists()
+    assert got["imported"] == []
+    import jsonschema
+
+    with pytest.raises(jsonschema.ValidationError) as ref:
+        jsonschema.validate(bad, _load_schema())
+    loc = "/".join(str(p) for p in ref.value.absolute_path) or "<root>"
+    assert got["error"] == f"config invalid at {loc}: {ref.value.message}"
 
 
 def test_config_hash_canonical():
