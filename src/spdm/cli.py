@@ -356,19 +356,41 @@ def _chain_map(integrate, group: IsometryGroup | None, use_en: bool, seed: int,
     """Map from a batch of starts to terminal states: what a command writes.
 
     ``integrate(starts, noise)`` runs the sampler on the whole batch.  The
-    batch shares one noise stream keyed by (``seed``, step), whose row i is
-    the same whatever the batch size.  With equivariant noise row i is
-    turned by its own kappa_i = c(x_i) o c(eps_{0,i})^{-1}, which follows
-    start x_i.  Either way row i of the output does not depend on the batch
-    size, so the ``delta_x0`` probe on the first rows measures this very map.
+    batch shares one noise stream keyed by (``seed``, step); batch row r
+    draws stream row ``rows[r]`` (row r without ``rows``), which is the
+    same whatever the batch size.  With equivariant noise row r is turned
+    by its own kappa_r = c(x_r) o c(eps_{0,r})^{-1}, which follows start
+    x_r.  Either way a row's output depends only on its start and its
+    stream row, so probe rows that replay stream rows 0..p-1 measure this
+    very map (``_run_with_probe``).
     """
     if not use_en:
-        return lambda starts: integrate(starts, seed)
+        return lambda starts, rows=None: integrate(starts, sampling.NoiseSequence(
+            seed=seed, n=n_steps, shape=starts.shape, rows=rows))
     if group is None:
         raise ConfigError("equivariant_noise needs a group section")
     canon = sampling.default_canonicalizer(group)
-    return lambda starts: integrate(starts, sampling.equivariant_noise_batch(
-        starts, seed, group, canon, n_steps))
+    return lambda starts, rows=None: integrate(starts, sampling.equivariant_noise_batch(
+        starts, seed, group, canon, n_steps, rows))
+
+
+def _run_with_probe(run, x_T: np.ndarray, group: IsometryGroup | None,
+                    n_probe: int, seed: int) -> tuple[np.ndarray, float | None]:
+    """The written ends ``run(x_T)`` and the delta_x0 gap of ``run`` on the
+    first ``n_probe`` starts, from one call of ``run``.
+
+    The moved starts k_i x_T[i] go after the n written starts and replay
+    stream rows 0..n_probe-1, so the gap is ``metrics.delta_x0_gap(run,
+    x_T[:n_probe], group, _aux_rng(seed + 1))`` without running the chains
+    again.  No probe (gap None) without a group or with ``n_probe`` 0.
+    """
+    n = len(x_T)
+    if group is None or n_probe == 0:
+        return run(x_T), None
+    moved, ids = metrics.delta_x0_moves(x_T[:n_probe], group, _aux_rng(seed + 1))
+    rows = np.concatenate([np.arange(n), np.arange(n_probe)])
+    out = run(np.concatenate([x_T, moved]), rows)
+    return out[:n], metrics.delta_x0_from_ends(out[:n_probe], out[n:], group, ids)
 
 
 def cmd_sample(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
@@ -389,15 +411,13 @@ def cmd_sample(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     run = _chain_map(lambda x, noise: sampling.reverse_sde_sample(
         score, s, lam, grid, x, noise=noise).terminal,
         group, use_en, seed, grid.n_steps)
-    samples = run(x_T)
+    samples, gap = _run_with_probe(run, x_T, group, min(4, n) if lam > 0 else 0, seed)
     summary = {"config_hash": chash, "seed": seed, "lam": lam, "steps": steps,
                "n_samples": n, "equivariant_noise": use_en,
                "mean_norm": float(np.mean(np.linalg.norm(
                    samples.reshape(n, -1), axis=1)))}
-    if group is not None and lam > 0:
-        n_probe = min(4, n)
-        summary["delta_x0"] = metrics.delta_x0_gap(run, x_T[:n_probe], group,
-                                                   _aux_rng(seed + 1))
+    if gap is not None:
+        summary["delta_x0"] = gap
     io.write_spdt(out_dir / "samples.spdt", samples)
     io.write_json(out_dir / "sample_summary.json", summary)
     _write_manifest(out_dir, "sample", chash, seed, ["samples.spdt",
@@ -425,14 +445,12 @@ def cmd_bridge(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     run = _chain_map(lambda x, noise: sampling.ddbm_reverse_sample(
         cond_score, s, x, tau, grid, noise=noise).terminal,
         group, use_en, seed, grid.n_steps)
-    samples = run(x_T)
+    samples, gap = _run_with_probe(run, x_T, group, min(8, n), seed)
 
     summary = {"config_hash": chash, "seed": seed, "tau": tau, "steps": steps,
                "n_samples": n, "equivariant_noise": use_en}
-    if group is not None:
-        n_probe = min(8, n)
-        summary["delta_x0"] = metrics.delta_x0_gap(run, x_T[:n_probe], group,
-                                                   _aux_rng(seed + 1))
+    if gap is not None:
+        summary["delta_x0"] = gap
     io.write_spdt(out_dir / "bridge_samples.spdt", samples)
     io.write_json(out_dir / "bridge_summary.json", summary)
     _write_manifest(out_dir, "bridge", chash, seed,

@@ -192,6 +192,19 @@ def _conforms(schema, x) -> bool:
     return True
 
 
+def _non_finite(x, path=()):
+    """(path, value) of the first inf or NaN float in a JSON document, or None."""
+    if isinstance(x, float):
+        return None if math.isfinite(x) else (path, x)
+    items = x.items() if isinstance(x, dict) else \
+        enumerate(x) if isinstance(x, list) else ()
+    for key, value in items:
+        found = _non_finite(value, (*path, key))
+        if found is not None:
+            return found
+    return None
+
+
 def validate_config(config: dict) -> dict:
     """Validate a config dict against the published schema.
 
@@ -202,7 +215,14 @@ def validate_config(config: dict) -> dict:
     A stdlib check decides first; jsonschema is imported only when that
     check rejects, to find and word the error.  Should jsonschema find
     none, the config is accepted, so jsonschema has the last word.
+    Before either, a non-finite number anywhere (inf or NaN, which the
+    schema's bounds let through) is refused.
     """
+    bad = _non_finite(config)
+    if bad is not None:
+        loc = "/".join(str(p) for p in bad[0]) or "<root>"
+        raise ConfigError(f"config invalid at {loc}: non-finite number {bad[1]} "
+                          "is not allowed")
     if _conforms(_load_schema(), config):
         return config
     from jsonschema.exceptions import best_match

@@ -257,27 +257,44 @@ def inv_fid(dataset: np.ndarray, group: IsometryGroup, spec: FeatureSpec) -> flo
     return worst
 
 
+def delta_x0_moves(inputs: np.ndarray, group: IsometryGroup,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The moved inputs of a δx0 probe and the element ids that moved them.
+
+    Input i is moved by the non-identity element ``elements[ids[i]]``,
+    ``ids = 1 + rng.integers(len(group) - 1, size=n)`` drawn in one call.
+    """
+    if len(group) < 2:
+        raise InvalidParams("delta_x0 needs a group with at least 2 elements")
+    inputs = np.asarray(inputs, dtype=float)
+    ids = 1 + rng.integers(len(group) - 1, size=len(inputs))
+    return apply_elements(group, ids, inputs), ids
+
+
+def delta_x0_from_ends(ends: np.ndarray, moved_ends: np.ndarray,
+                       group: IsometryGroup, ids: np.ndarray) -> float:
+    """Mean over inputs of the largest absolute entry of
+    m(k_i x_i) - k_i m(x_i), given the ends m(x_i), the moved ends
+    m(k_i x_i) and the ids of the k_i (see ``delta_x0_moves``)."""
+    ends = np.asarray(ends)
+    gaps = np.abs(np.asarray(moved_ends) - apply_elements(group, ids, ends))
+    return float(np.mean(np.max(gaps.reshape(len(ends), -1), axis=1)))
+
+
 def delta_x0_gap(model, inputs: np.ndarray, group: IsometryGroup,
                  rng: np.random.Generator) -> float:
     """Mean worst-entry equivariance gap of a batched map on its inputs.
 
     ``model`` maps a batch of states (rows along the leading axis) to a
     batch of the same shape, and is called twice: on the inputs and on the
-    moved inputs.  Input i is moved by the non-identity element
-    ``elements[1 + r[i]]`` with ``r = rng.integers(len(group) - 1, size=n)``
-    drawn in one call, and its gap is the largest absolute entry of
+    moved inputs.  Input i is moved by a non-identity element k_i drawn by
+    ``delta_x0_moves``, and its gap is the largest absolute entry of
     m(k_i x_i) - k_i m(x_i), in the data's native scale.  Returns the mean
-    of the gaps over the inputs.
+    of the gaps over the inputs (``delta_x0_from_ends``).
     """
-    if len(group) < 2:
-        raise InvalidParams("delta_x0 needs a group with at least 2 elements")
-    inputs = np.asarray(inputs, dtype=float)
-    n = len(inputs)
-    ids = 1 + rng.integers(len(group) - 1, size=n)
-    ends = np.asarray(model(inputs))
-    moved_ends = np.asarray(model(apply_elements(group, ids, inputs)))
-    gaps = np.abs(moved_ends - apply_elements(group, ids, ends))
-    return float(np.mean(np.max(gaps.reshape(n, -1), axis=1)))
+    moved, ids = delta_x0_moves(inputs, group, rng)
+    ends = model(np.asarray(inputs, dtype=float))
+    return delta_x0_from_ends(ends, model(moved), group, ids)
 
 
 # ---- two-sample testing --------------------------------------------------

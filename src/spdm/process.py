@@ -166,11 +166,11 @@ def transition(s: Schedule, x0: np.ndarray, t: float) -> GaussianParams:
     return GaussianParams(mean=a * np.asarray(x0, dtype=float), variance=float(s.sigma2(t)))
 
 
-def _h_denominator(s: Schedule, t: float) -> tuple[float, float]:
-    """Return (alpha_t / alpha_T, (alpha_t/alpha_T)^2 sigma_T^2 - sigma_t^2)."""
-    ratio = float(np.exp(s.log_alpha(t) - s.log_alpha(s.T)))
-    denom = ratio**2 * float(s.sigma2(s.T)) - float(s.sigma2(t))
-    return ratio, denom
+def _h_denominator(s: Schedule, t) -> tuple[np.ndarray, np.ndarray]:
+    """Return (alpha_t / alpha_T, (alpha_t/alpha_T)^2 sigma_T^2 - sigma_t^2)
+    at a time or, elementwise, at an array of times."""
+    ratio = np.exp(s.log_alpha(t) - s.log_alpha(s.T))
+    return ratio, ratio**2 * s.sigma2(s.T) - s.sigma2(t)
 
 
 def grad_log_transition_h(s: Schedule, x_t: np.ndarray, x_T: np.ndarray,

@@ -15,7 +15,8 @@ included, supplies only its drift and noise scale to one stepper,
 
 Noise is regenerated from a counter-based Philox stream keyed by (seed,
 step index): step i of a batch of n chains draws one (n, *event) block,
-whose row r does not depend on n.  Equivariant noise (EN) keeps that one
+whose row r does not depend on n; a batch may also name the stream row
+each of its rows replays.  Equivariant noise (EN) keeps that one
 stream and turns row r of every block by its own group element
 kappa_r = c(x_r) o c(eps_{0,r})^-1, where c is a canonicalizer, x_r the
 chain's reference state and eps_{0,r} its row of block 0; moving x_r by a
@@ -31,9 +32,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidParams, NonFiniteState, TimeOutOfRange
+from .errors import InvalidParams, NonFiniteState, SingularAtTerminal, TimeOutOfRange
 from .groups import GroupElement, IsometryGroup, apply_elements
-from .process import Schedule, grad_log_transition_h
+from .process import Schedule, _h_denominator
 
 
 @dataclass(frozen=True)
@@ -94,11 +95,14 @@ class NoiseSequence:
 
     ``base(i)`` regenerates block i, of ``shape``, from the counter-based
     stream keyed by (seed, offset + i); its leading rows are the same
-    whatever the number of rows.  With ``group`` and ``ids``, ``get(i)``
-    turns row r of the block by ``group.elements[ids[r]]``: ``ids`` has the
-    shape of the batch axes, () for a one-chain sequence whose ``shape`` is
-    one state.  Regenerating a sequence with the same (seed, ids) reproduces
-    the oriented noises bit-exactly.
+    whatever the number of rows.  With ``rows``, row r of the block is
+    stream row ``rows[r]``: block i draws ``max(rows) + 1`` stream rows and
+    gathers them, so several batch rows can replay one stream row.  With
+    ``group`` and ``ids``, ``get(i)`` turns row r of the block by
+    ``group.elements[ids[r]]``: ``ids`` has the shape of the batch axes, ()
+    for a one-chain sequence whose ``shape`` is one state.  Regenerating a
+    sequence with the same (seed, rows, ids) reproduces the oriented noises
+    bit-exactly.
     """
 
     seed: int
@@ -107,11 +111,25 @@ class NoiseSequence:
     group: IsometryGroup | None = None
     ids: np.ndarray | None = None
     offset: int = 0
+    rows: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.rows is None:
+            return
+        rows = np.asarray(self.rows)
+        if rows.shape != tuple(self.shape[:1]) or rows.dtype.kind not in "iu" \
+                or np.any(rows < 0):
+            raise InvalidParams(f"rows must hold one non-negative integer stream row "
+                                f"per batch row ({self.shape[:1]})")
 
     def base(self, i: int) -> np.ndarray:
         if not (0 <= i < self.n):
             raise InvalidParams(f"noise index {i} outside [0, {self.n})")
-        return _step_rng(self.seed, self.offset + i).standard_normal(self.shape)
+        rng = _step_rng(self.seed, self.offset + i)
+        if self.rows is None:
+            return rng.standard_normal(self.shape)
+        rows = np.asarray(self.rows)
+        return rng.standard_normal((np.max(rows, initial=-1) + 1, *self.shape[1:]))[rows]
 
     def get(self, i: int) -> np.ndarray:
         eps = self.base(i)
@@ -128,7 +146,12 @@ class NoiseSequence:
 
 @dataclass
 class Trajectory:
-    """States recorded at every grid time; states[0] is the start."""
+    """States recorded at every grid time; states[0] is the start.
+
+    The samplers' ``metadata`` holds their parameters and two counters:
+    ``nfe``, the score evaluations made, and ``chains``, the rows along the
+    start's leading axis (1 for a 1-D start).
+    """
 
     grid: TimeGrid
     states: np.ndarray
@@ -158,6 +181,10 @@ def _resolve_noise(noise, shape, n_steps: int):
     if noise is None:
         return None
     return NoiseSequence(seed=int(noise), n=n_steps, shape=tuple(shape))
+
+
+def _counters(x: np.ndarray, nfe: int) -> dict:
+    return {"nfe": nfe, "chains": len(x) if x.ndim > 1 else 1}
 
 
 def _coefficients(s: Schedule, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +261,8 @@ def reverse_sde_sample(score, s: Schedule, lam: float, grid: TimeGrid,
     f, g2 = _flow_drift(score, s, grid, 0.5 * (1.0 + lam**2))
     states = _integrate(f, grid, x, lam * np.sqrt(g2) if lam > 0 else None, seq)
     return Trajectory(grid=grid, states=states,
-                      metadata={"lam": lam, "seed": seed, "kind": "reverse_sde"})
+                      metadata={"lam": lam, "seed": seed, "kind": "reverse_sde",
+                                **_counters(x, grid.n_steps)})
 
 
 def pf_ode_solve(score, s: Schedule, grid: TimeGrid, x_start) -> Trajectory:
@@ -245,10 +273,12 @@ def pf_ode_solve(score, s: Schedule, grid: TimeGrid, x_start) -> Trajectory:
     back ("backward").
     """
     f, _ = _flow_drift(score, s, grid, 0.5)
-    states = _integrate(f, grid, np.asarray(x_start, dtype=float), heun=True)
+    x = np.asarray(x_start, dtype=float)
+    states = _integrate(f, grid, x, heun=True)
     direction = "backward" if grid.descending else "forward"
     return Trajectory(grid=grid, states=states,
-                      metadata={"direction": direction, "kind": "pf_ode"})
+                      metadata={"direction": direction, "kind": "pf_ode",
+                                **_counters(x, 2 * grid.n_steps)})
 
 
 def ddbm_reverse_sample(cond_score, s: Schedule, x_T, tau: float,
@@ -271,18 +301,23 @@ def ddbm_reverse_sample(cond_score, s: Schedule, x_T, tau: float,
     seq = _resolve_noise(noise, x_T.shape, grid.n_steps)
     if tau > 0 and seq is None:
         raise InvalidParams("tau > 0 needs a noise sequence or seed")
-    dla, g2 = _coefficients(s, grid)
     times = grid.times
+    if np.any(s.T - times[:-1] < s.t_clip):
+        raise SingularAtTerminal(f"bridge grid time {times[0]} is within "
+                                 f"t_clip={s.t_clip} of T={s.T}")
+    dla, g2 = _coefficients(s, grid)
+    ratio, denom = _h_denominator(s, times)  # h = (ratio x_T - x) / denom
     weight = 0.5 * (1.0 + tau**2)
 
     def f(x, i):
-        t = times[i]
-        h = grad_log_transition_h(s, x, x_T, t)
-        return dla[i] * x + g2[i] * h - weight * g2[i] * np.asarray(cond_score(x, x_T, t))
+        h = (ratio[i] * x_T - x) / denom[i]
+        return dla[i] * x + g2[i] * h - weight * g2[i] * np.asarray(
+            cond_score(x, x_T, times[i]))
 
     states = _integrate(f, grid, x_T, tau * np.sqrt(g2) if tau > 0 else None, seq)
     return Trajectory(grid=grid, states=states,
-                      metadata={"tau": tau, "seed": seed, "kind": "ddbm"})
+                      metadata={"tau": tau, "seed": seed, "kind": "ddbm",
+                                **_counters(x_T, grid.n_steps)})
 
 
 # ---- canonicalizers ------------------------------------------------------
@@ -411,18 +446,21 @@ def canonicalize(c: Canonicalizer, x: np.ndarray) -> GroupElement:
 
 
 def equivariant_noise_batch(xs: np.ndarray, seed: int, G: IsometryGroup,
-                            c: Canonicalizer, n: int) -> NoiseSequence:
+                            c: Canonicalizer, n: int,
+                            rows: np.ndarray | None = None) -> NoiseSequence:
     """One noise stream for a batch of chains, row r oriented by xs[r].
 
-    The blocks come from (seed, index) with the shape of ``xs``; row r is
-    turned by ``kappa_r = c(xs[r]) o c(eps_{0,r})^{-1}``, where eps_{0,r}
-    is row r of block 0.  Replacing xs[r] by g xs[r] turns row r of every
-    block by g more, bit-exactly for grid actions and signed permutations.
+    The blocks come from (seed, index) with the shape of ``xs``, row r
+    being stream row ``rows[r]`` when ``rows`` is given (see
+    ``NoiseSequence``); row r is turned by
+    ``kappa_r = c(xs[r]) o c(eps_{0,r})^{-1}``, where eps_{0,r} is row r of
+    block 0.  Replacing xs[r] by g xs[r] turns row r of every block by g
+    more, bit-exactly for grid actions and signed permutations.
     """
     if c.group is not G and c.group.name != G.name:
         raise InvalidParams("canonicalizer group must match G")
     xs = np.asarray(xs, dtype=float)
-    base = NoiseSequence(seed=seed, n=n, shape=xs.shape)
+    base = NoiseSequence(seed=seed, n=n, shape=xs.shape, rows=rows)
     kappa = G.compose_table[canonical_ids(c, xs),
                             G.inverse_table[canonical_ids(c, base.base(0))]]
     return replace(base, group=G, ids=kappa)

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from spdm import cli, metrics, sampling
 from spdm.cli import main
 from spdm.io import read_spdt, write_spdt
 
@@ -326,10 +327,10 @@ def test_sample_plain_noise_breaks_chain_equivariance(tmp_path):
 
 
 def test_sample_plain_noise_rows_do_not_depend_on_batch_size(tmp_path):
-    # The plain-noise delta_x0 probes of sample and bridge rerun the batched
-    # sampler on the first rows only; that is the map that wrote the
-    # samples because the first rows of a batch are the same whatever its
-    # size.  The bridge runs at tau > 0 and at tau = 0.
+    # With plain noise, row r of a batch draws stream row r, so the first
+    # rows of a run are the same whatever its size: the delta_x0 probe rows,
+    # which replay stream rows 0..p-1 after the written rows, see the map
+    # that wrote the samples.  The bridge runs at tau > 0 and at tau = 0.
     cases = [("sample", "samples.spdt", {})]
     cases += [("bridge", "bridge_samples.spdt", {"tau": tau}) for tau in (1.0, 0.0)]
     for cmd, fname, extra in cases:
@@ -371,6 +372,100 @@ def test_sample_en_rows_do_not_depend_on_batch_size(tmp_path):
                 assert run(cmd, cfg, out) == 0
                 rows[n] = read_spdt(out / fname)
             np.testing.assert_array_equal(rows[4], rows[16][:4], err_msg=f"{label} {cmd}")
+
+
+def _probe_configs():
+    """Oracle+FA configs for sample and bridge: C4 points, D4 4x4 and 8x8 grids."""
+    coupling = {"matrix": 0.5, "noise_var": 0.04}
+    point = sample_config(n_samples=10, steps=8)
+    point["model"]["coupling"] = coupling
+    for shape, n in (([4, 4], 6), ([8, 8], 6)):
+        d = shape[0] * shape[1]
+        grid = {"schedule": {"kind": "vp"}, "group": {"name": "D4", "shape": shape},
+                "data": {"components": [{"weight": 1.0, "variance": 0.3,
+                                         "mean": [0.1 * (i % 7) for i in range(d)]}],
+                         "symmetrize": True},
+                "model": {"kind": "oracle+FA", "coupling": coupling},
+                "sampler": {"lam": 1.0, "steps": 6, "n_samples": n, "seed": 5}}
+        yield f"D4-{shape[0]}", grid
+    yield "C4-points", point
+
+
+def _two_call_reference(cmd, cfg, out):
+    """The written ends and delta_x0 with the probe run apart from the
+    written batch: the chain map on x_T, then ``delta_x0_gap`` calling it on
+    x_T[:p] and on the moved x_T[:p]."""
+    s, group, sp = cli.build_schedule(cfg), cli.build_group(cfg), cfg["sampler"]
+    seed, n, shape = sp["seed"], sp["n_samples"], group.state_shape
+    x_T = cli._prior_draws(s, n, shape, seed)
+    if cmd == "sample":
+        score = cli.build_score(cfg, s, group, out, shape)
+        grid, p = sampling.sampling_grid(s, sp["steps"]), min(4, n)
+
+        def integrate(x, noise):
+            return sampling.reverse_sde_sample(score, s, sp["lam"], grid, x,
+                                               noise=noise).terminal
+    else:
+        cond = cli.build_bridge_score(cfg, s, group, shape)
+        grid, p = sampling.bridge_grid(s, sp["steps"]), min(8, n)
+
+        def integrate(x, noise):
+            return sampling.ddbm_reverse_sample(cond, s, x, sp["tau"], grid,
+                                                noise=noise).terminal
+    if sp["equivariant_noise"]:
+        canon = sampling.default_canonicalizer(group)
+
+        def chain(x):
+            return integrate(x, sampling.equivariant_noise_batch(
+                x, seed, group, canon, grid.n_steps))
+    else:
+        def chain(x):
+            return integrate(x, seed)
+    gap = metrics.delta_x0_gap(chain, x_T[:p], group, sampling._aux_rng(seed + 1))
+    return chain(x_T), gap, n + p
+
+
+def test_sample_and_bridge_probe_rides_in_the_written_batch(tmp_path, monkeypatch):
+    # One integrator call of n + p chains per command writes what the
+    # two-call path writes, delta_x0 included, bit for bit.
+    runs = [("sample", "samples.spdt", "sample_summary.json", {})]
+    runs += [("bridge", "bridge_samples.spdt", "bridge_summary.json", {"tau": tau})
+             for tau in (1.0, 0.0)]
+    integrate, trajectories = sampling._integrate, []
+
+    def counted(*args, **kwargs):
+        trajectories.append(None)
+        return integrate(*args, **kwargs)
+
+    def recorded(sampler):
+        def call(*args, **kwargs):
+            traj = sampler(*args, **kwargs)
+            trajectories[-1] = traj.metadata
+            return traj
+        return call
+
+    for label, base in _probe_configs():
+        for use_en in (False, True):
+            for cmd, fname, summary_name, extra in runs:
+                cfg = json.loads(json.dumps(base))
+                cfg["sampler"].update(equivariant_noise=use_en, **extra)
+                out = tmp_path / f"{label}-{use_en}-{cmd}{extra.get('tau', '')}"
+                out.mkdir()
+                want, want_gap, chains = _two_call_reference(cmd, cfg, out)
+                trajectories.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(sampling, "_integrate", counted)
+                    for name in ("reverse_sde_sample", "ddbm_reverse_sample"):
+                        m.setattr(sampling, name, recorded(getattr(sampling, name)))
+                    assert run(cmd, cfg, out) == 0
+                where = (label, use_en, cmd, extra)
+                assert len(trajectories) == 1, where
+                assert trajectories[0]["chains"] == chains, where
+                assert trajectories[0]["nfe"] == cfg["sampler"]["steps"], where
+                np.testing.assert_array_equal(read_spdt(out / fname), want,
+                                              err_msg=str(where))
+                summary = json.loads((out / summary_name).read_text("utf-8"))
+                assert summary["delta_x0"] == want_gap, where
 
 
 def test_sample_ode_has_no_delta_probe(tmp_path):

@@ -124,6 +124,21 @@ def test_validate_config_rejects_bad_values():
         validate_config(cfg)
 
 
+def test_validate_config_rejects_non_finite_numbers():
+    # jsonschema accepts both: inf passes exclusiveMinimum 0 and NaN
+    # compares false with every bound
+    cfg = minimal_config()
+    cfg["data"]["components"][0]["variance"] = math.inf
+    with pytest.raises(ConfigError, match="data/components/0/variance: "
+                                          "non-finite number inf"):
+        validate_config(cfg)
+    cfg = minimal_config()
+    cfg["data"]["components"][0]["mean"][1] = math.nan
+    with pytest.raises(ConfigError, match="data/components/0/mean/1: "
+                                          "non-finite number nan"):
+        validate_config(cfg)
+
+
 def test_packaged_schema_passes_its_meta_schema():
     from jsonschema.validators import validator_for
 
@@ -302,9 +317,9 @@ def test_checker_agrees_with_jsonschema_on_schema_mutations():
         assert valid is None or accepted == valid, config
         assert spdm_io._conforms(schema, config) == accepted, config
         verdicts[accepted] += 1
-        if accepted:
+        if accepted and spdm_io._non_finite(config) is None:
             assert validate_config(config) is config
-        else:
+        else:  # rejected, or an inf/NaN the schema lets through
             with pytest.raises(ConfigError):
                 validate_config(config)
     assert verdicts[True] >= 100 and verdicts[False] >= 100, verdicts

@@ -12,6 +12,7 @@ from spdm import (
     IsometryGroup,
     NoiseSequence,
     NonFiniteState,
+    SingularAtTerminal,
     TimeGrid,
     TimeOutOfRange,
     bridge_grid,
@@ -22,6 +23,7 @@ from spdm import (
     equivariant_noise_batch,
     equivariant_noise_sequence,
     frame_average,
+    grad_log_transition_h,
     make_c4_group,
     make_d4_group,
     make_flip_group,
@@ -35,6 +37,7 @@ from spdm import (
     sdedit_denoise,
     simulate_drift_only,
     symmetrize,
+    ve_schedule,
     vp_schedule,
 )
 
@@ -94,6 +97,22 @@ def test_noise_sequence_shifted():
     tail = seq.shifted(2)
     np.testing.assert_array_equal(tail.get(0), seq.get(2))
     np.testing.assert_array_equal(tail.get(3), seq.get(5))
+
+
+def test_noise_sequence_rows_replay_stream_rows():
+    # Row r is stream row rows[r] of the plain block, repeats and gaps too.
+    rows = np.array([0, 1, 2, 3, 4, 1, 0, 4])
+    seq = NoiseSequence(seed=5, n=4, shape=(8, 3), rows=rows)
+    plain = NoiseSequence(seed=5, n=4, shape=(5, 3))
+    for i in range(4):
+        np.testing.assert_array_equal(seq.get(i), plain.get(i)[rows])
+    tail = seq.shifted(1)
+    np.testing.assert_array_equal(tail.get(2), plain.get(3)[rows])
+    sparse = NoiseSequence(seed=5, n=4, shape=(2, 3), rows=np.array([3, 0]))
+    np.testing.assert_array_equal(sparse.get(1), plain.get(1)[[3, 0]])
+    for bad in (np.arange(7), np.array([0, 1, 2, 3, 4, 1, 0, -1]), rows + 0.0):
+        with pytest.raises(InvalidParams):
+            NoiseSequence(seed=5, n=4, shape=(8, 3), rows=bad)
 
 
 def test_reverse_sde_validation():
@@ -201,6 +220,62 @@ def test_ddbm_validation():
         ddbm_reverse_sample(field, s, np.zeros(2), 0.0, good.reversed())
     with pytest.raises(TimeOutOfRange):
         ddbm_reverse_sample(field, s, np.zeros(2), 0.0, sampling_grid(s, 10))
+    # inside the grid check's rounding slack but within t_clip of T
+    near = TimeGrid(np.linspace(s.T - s.t_clip + 5e-13, s.t_clip, 5))
+    with pytest.raises(SingularAtTerminal):
+        ddbm_reverse_sample(field, s, np.zeros(2), 0.0, near)
+
+
+def test_ddbm_matches_per_step_h_reference():
+    # The bridge takes h's ratio and denominator once per grid; stepping with
+    # grad_log_transition_h at every step gives the same states bit for bit.
+    for s in (vp_schedule(), ve_schedule()):
+        field = BridgeScoreField(GaussianCoupling(matrix=0.5, noise_var=0.05), s)
+        grid = bridge_grid(s, 40)
+        x_T = np.random.default_rng(2).standard_normal((5, 2))
+        dla, g2 = s.dlog_alpha_dt(grid.times), s.g2(grid.times)
+        for tau in (0.0, 1.0):
+            seq = NoiseSequence(seed=8, n=grid.n_steps, shape=x_T.shape)
+            weight = 0.5 * (1.0 + tau**2)
+            x, want = x_T.copy(), [x_T]
+            for i in range(grid.n_steps):
+                t, dt = grid.times[i], grid.times[i + 1] - grid.times[i]
+                h = grad_log_transition_h(s, x, x_T, t)
+                x = x + (dla[i] * x + g2[i] * h - weight * g2[i] * field(x, x_T, t)) * dt
+                if tau > 0:
+                    x = x + tau * np.sqrt(g2)[i] * np.sqrt(abs(dt)) * seq.get(i)
+                want.append(x)
+            got = ddbm_reverse_sample(field, s, x_T, tau, grid, noise=seq)
+            np.testing.assert_array_equal(got.states, np.stack(want), err_msg=s.kind)
+
+
+def test_trajectory_counters():
+    # nfe counts the score calls each integrator makes; chains the rows
+    s = vp_schedule()
+    calls = []
+    field = AnalyticScoreField(broad_mixture(), s)
+    cond = BridgeScoreField(GaussianCoupling(matrix=0.5, noise_var=0.05), s)
+
+    def counted(score):
+        def f(*args):
+            calls.append(None)
+            return score(*args)
+        return f
+
+    xs = np.ones((5, 2))
+    cases = [
+        (lambda: reverse_sde_sample(counted(field), s, 1.0, sampling_grid(s, 7), xs,
+                                    noise=1), 5),
+        (lambda: reverse_sde_sample(counted(field), s, 0.0, sampling_grid(s, 7),
+                                    np.ones(2)), 1),
+        (lambda: pf_ode_solve(counted(field), s, nll_grid(s, 7), xs), 5),
+        (lambda: ddbm_reverse_sample(counted(cond), s, xs, 1.0, bridge_grid(s, 7),
+                                     noise=1), 5),
+    ]
+    for traj, chains in cases:
+        calls.clear()
+        meta = traj().metadata
+        assert meta["nfe"] == len(calls) > 0 and meta["chains"] == chains, meta
 
 
 def test_ddbm_deterministic_when_tau_zero():
@@ -403,6 +478,32 @@ def test_en_batch_rows_follow_their_starts():
         np.testing.assert_array_equal(head.get(i), eps[:2])
         np.testing.assert_array_equal(
             moved.get(i), np.stack([g.elements[k].apply(e) for k, e in zip(ks, eps)]))
+
+
+def test_en_batch_replayed_rows_match_their_own_calls():
+    # A probe row that replays stream row i after the batch is oriented as a
+    # call on its start alone that draws stream row i, and as row i of a
+    # batch of the moved starts: on 2-D C4 points and on a D4 5x5 grid.
+    rng = np.random.default_rng(4)
+    for g, xs in ((make_point_group_2d(4), rng.standard_normal((6, 2))),
+                  (make_d4_group((5, 5)), rng.standard_normal((6, 5, 5)))):
+        c = default_canonicalizer(g)
+        n, p = len(xs), 3
+        moved = np.stack([g.elements[1 + i].apply(x) for i, x in enumerate(xs[:p])])
+        rows = np.concatenate([np.arange(n), np.arange(p)])
+        seq = equivariant_noise_batch(np.concatenate([xs, moved]), 11, g, c, 3, rows)
+        plain = equivariant_noise_batch(xs, 11, g, c, 3)
+        apart = equivariant_noise_batch(moved, 11, g, c, 3)
+        for i in range(p):
+            alone = equivariant_noise_batch(moved[i][None], 11, g, c, 3,
+                                            np.array([i]))
+            for step in range(3):
+                eps = seq.get(step)
+                np.testing.assert_array_equal(eps[:n], plain.get(step), err_msg=g.name)
+                np.testing.assert_array_equal(eps[n + i], alone.get(step)[0],
+                                              err_msg=g.name)
+                np.testing.assert_array_equal(eps[n + i], apart.get(step)[i],
+                                              err_msg=g.name)
 
 
 def test_denoising_equivariance_needs_aligned_noise():
