@@ -194,6 +194,10 @@ def build_score(cfg: dict, s: Schedule, group: IsometryGroup | None,
         field = AnalyticScoreField(mix, s)
     else:
         ck = load_checkpoint(_checkpoint_path(cfg, out_dir))
+        tied = ck["ema"].tie_group
+        if kind == "mlp+WT" and (tied is None or group is None or tied.name != group.name):
+            raise ConfigError("model kind 'mlp+WT' needs a checkpoint whose tie_tag "
+                              "names the config's group")
         field = FlatField(ck["ema"], event_shape)
     if kind.endswith("+FA"):
         if group is None:
@@ -281,11 +285,6 @@ def cmd_train(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     data = io.read_spdt(_require_file(out_dir / "data.spdt", "dataset"))
     flat = data.reshape(data.shape[0], -1)
 
-    if mode in ("WT", "regularized") and group is None:
-        raise ConfigError(f"train mode {mode!r} needs a group section")
-    if mode == "WT" and group is not None and group.grid_shape is not None:
-        raise ConfigError("WT mode needs a 2-D point group (C4 or D4 without shape)")
-
     resume = {}
     if init_path:
         ck = load_checkpoint(Path(init_path))
@@ -308,7 +307,7 @@ def cmd_train(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
         "sizes": list(result.net.sizes),
         "horizon": s.T,
         "schedule_kind": s.kind,
-        "tie_tag": group.tag if mode == "WT" else None,
+        "tie_tag": None if result.net.tie_group is None else result.net.tie_group.tag,
         "free_parameters": result.free_parameters,
         "steps_done": result.steps_done,
         "adam_step_count": step_count,

@@ -141,6 +141,15 @@ class IsometryGroup:
                 return el
         raise KeyError(name)
 
+    @property
+    def peak_region(self) -> np.ndarray | None:
+        """Flags of the flat cells in the canonical region that holds a grid
+        state's peak; None for point groups and hand-built groups."""
+        if self.grid_shape is None or self.tag not in _GRID_GROUPS:
+            return None
+        i, j = np.indices(self.grid_shape)
+        return _GRID_GROUPS[self.tag][2](i, j, *self.grid_shape).ravel()
+
     @cached_property
     def stacked(self) -> np.ndarray:
         """Every element's action in one array, indexed by id: the (|G|, d, d)
@@ -226,75 +235,53 @@ def _build_group(name: str, tag: str, elements: list[GroupElement]) -> IsometryG
     return IsometryGroup(name, tuple(elements), table, inv, tag)
 
 
-def _grid_perm(shape: tuple[int, int], op) -> np.ndarray:
-    idx = np.arange(shape[0] * shape[1]).reshape(shape)
-    return np.ascontiguousarray(op(idx)).ravel()
-
-
 def _grid_element(gid: int, name: str, shape: tuple[int, int], op) -> GroupElement:
-    return GroupElement(gid=gid, name=name, perm=_grid_perm(shape, op), grid_shape=shape)
+    idx = np.arange(shape[0] * shape[1]).reshape(shape)
+    moved = op(idx)
+    if moved.shape != shape:
+        raise NonSquareGrid(f"rotations need a square grid, got {shape}")
+    return GroupElement(gid=gid, name=name, perm=np.ascontiguousarray(moved).ravel(),
+                        grid_shape=shape)
+
+
+# ``rk`` is the counter-clockwise quarter turn of the module docstring
+# applied k times; in D4, ``frk`` acts as ``rk`` followed by ``f``, the
+# reversal of the column order.
+_ROTATIONS = tuple((f"r{k}" if k else "e", lambda a, k=k: np.rot90(a, -k))
+                   for k in range(4))
+_REFLECTIONS = tuple((f"fr{k}" if k else "f", lambda a, k=k: np.fliplr(np.rot90(a, -k)))
+                     for k in range(4))
+
+# Every grid group by its make_group tag: the prefix of its name, its
+# elements in id order as (name, op on the index grid), and the canonical
+# region holding the peak at row i, column j of an h x w grid.
+_GRID_GROUPS = {
+    "flip_v": ("flip-v", (_ROTATIONS[0], ("f", np.flipud)),
+               lambda i, j, h, w: i < h / 2.0),
+    "flip_h": ("flip-h", (_ROTATIONS[0], ("f", np.fliplr)),
+               lambda i, j, h, w: j < w / 2.0),
+    "C4": ("C4", _ROTATIONS, lambda i, j, h, w: (i < h / 2.0) & (j < w / 2.0)),
+    "D4": ("D4", _ROTATIONS + _REFLECTIONS,
+           lambda i, j, h, w: (i < h / 2.0) & (j < w / 2.0) & (j >= i)),
+}
 
 
 def make_flip_group(axis: str, shape: tuple[int, int]) -> IsometryGroup:
-    """Order-2 group {identity, flip} on an H x W grid.
-
-    Parameters
-    ----------
-    axis : {"vertical", "horizontal"}
-        ``"vertical"`` reverses the row order (top and bottom swap, so the
-        grid moves vertically); ``"horizontal"`` reverses the column order.
-    shape : (int, int)
-        Grid height and width.
-    """
+    """Order-2 group {e, f} on an H x W grid: ``"vertical"`` reverses the
+    row order (tag ``flip_v``), ``"horizontal"`` the column order (``flip_h``)."""
     if axis not in ("vertical", "horizontal"):
         raise InvalidParams(f"axis must be 'vertical' or 'horizontal', got {axis!r}")
-    _validate_shape(shape)
-    op = np.flipud if axis == "vertical" else np.fliplr
-    els = [
-        _grid_element(0, "e", shape, lambda a: a),
-        _grid_element(1, "f", shape, op),
-    ]
-    return _build_group(f"flip-{axis[0]}-grid-{shape[0]}x{shape[1]}",
-                        f"flip_{axis[0]}", els)
+    return make_group(f"flip_{axis[0]}", shape)
 
 
 def make_c4_group(shape: tuple[int, int]) -> IsometryGroup:
-    """Quarter-turn rotation group {e, r1, r2, r3} on a square grid.
-
-    ``r1`` is the counter-clockwise quarter turn in Cartesian display (see
-    module docstring); ``rk`` applies it k times.
-    """
-    _validate_shape(shape)
-    if shape[0] != shape[1]:
-        raise NonSquareGrid(f"rotations need a square grid, got {shape}")
-    els = [
-        _grid_element(k, f"r{k}" if k else "e", shape, lambda a, k=k: np.rot90(a, -k))
-        for k in range(4)
-    ]
-    return _build_group(f"C4-grid-{shape[0]}x{shape[1]}", "C4", els)
+    """Quarter-turn rotation group {e, r1, r2, r3} on a square grid."""
+    return make_group("C4", shape)
 
 
 def make_d4_group(shape: tuple[int, int]) -> IsometryGroup:
-    """Dihedral group of the square: four rotations and four reflections.
-
-    The reflection generator ``f`` reverses the column order; ``frk`` acts as
-    ``rk`` followed by ``f``.
-    """
-    _validate_shape(shape)
-    if shape[0] != shape[1]:
-        raise NonSquareGrid(f"rotations need a square grid, got {shape}")
-    els = [
-        _grid_element(k, f"r{k}" if k else "e", shape, lambda a, k=k: np.rot90(a, -k))
-        for k in range(4)
-    ]
-    els += [
-        _grid_element(
-            4 + k, f"fr{k}" if k else "f", shape,
-            lambda a, k=k: np.fliplr(np.rot90(a, -k)),
-        )
-        for k in range(4)
-    ]
-    return _build_group(f"D4-grid-{shape[0]}x{shape[1]}", "D4", els)
+    """Dihedral group of the square: {e, r1, r2, r3, f, fr1, fr2, fr3}."""
+    return make_group("D4", shape)
 
 
 def _snap_integers(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -343,16 +330,14 @@ def make_group(tag: str, shape=None) -> IsometryGroup:
     ``make_group(g.tag, g.grid_shape)`` rebuilds any built-in group ``g``.
     """
     if shape is not None:
+        if tag not in _GRID_GROUPS:
+            raise InvalidParams(
+                f"unknown grid group tag {tag!r}; expected flip_v, flip_h, C4 or D4")
         shape = tuple(int(v) for v in shape)
-        if tag in ("flip_v", "flip_h"):
-            return make_flip_group("vertical" if tag == "flip_v" else "horizontal",
-                                   shape)
-        if tag == "C4":
-            return make_c4_group(shape)
-        if tag == "D4":
-            return make_d4_group(shape)
-        raise InvalidParams(
-            f"unknown grid group tag {tag!r}; expected flip_v, flip_h, C4 or D4")
+        _validate_shape(shape)
+        prefix, ops, _ = _GRID_GROUPS[tag]
+        els = [_grid_element(gid, name, shape, op) for gid, (name, op) in enumerate(ops)]
+        return _build_group(f"{prefix}-grid-{shape[0]}x{shape[1]}", tag, els)
     m = re.fullmatch(r"([CD])([1-9][0-9]*)", tag) if isinstance(tag, str) else None
     if m is None:
         raise InvalidParams(f"unknown point group tag {tag!r}; expected C<n> or D<n> "

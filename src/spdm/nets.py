@@ -16,9 +16,10 @@ Two equivariance mechanisms are provided:
   ``s_theta(k x, t)`` and ``k s_ema(x, t)`` with a frozen EMA copy of the
   weights as the target.
 
-Tied convolution kernels on grids (flip / C4 / D4) are built by orbit
-averaging of kernel positions, which reproduces the free-parameter counts
-6 (flip 3x3), 7 (C4 5x5) and 6 (D4 5x5).
+Tied convolution kernels on grids are named by the ``make_group`` tag of
+the grid group that fixes them (flip_v / flip_h / C4 / D4) and built by
+orbit averaging of kernel positions, which reproduces the free-parameter
+counts 6 (flip_h 3x3), 7 (C4 5x5) and 6 (D4 5x5).
 """
 
 from __future__ import annotations
@@ -302,12 +303,6 @@ def _diffuse(schedule: Schedule, x0: np.ndarray, t: np.ndarray, eps: np.ndarray)
     return sigma, np.exp(la)[:, None] * x0 + sigma * eps
 
 
-def _draw_noisy_batch(schedule: Schedule, x0: np.ndarray, rng: np.random.Generator):
-    t, eps = _draw_t_eps(schedule, x0, rng)
-    sigma, x_t = _diffuse(schedule, x0, t, eps)
-    return t, eps, sigma[:, 0], x_t
-
-
 def _dsm_terms(net: Mlp, params, feats, sigma, eps):
     """Weighted DSM loss of one noisy batch and its flat gradient.
 
@@ -487,7 +482,9 @@ def train(config: TrainerConfig, data, schedule: Schedule,
         Passing the net, EMA net, optimizer state and step count of an
         earlier run continues it exactly: step i draws from per-step
         generator lanes keyed by start_step + i, so a resumed run is
-        bit-identical to an uninterrupted one.
+        bit-identical to an uninterrupted one.  Under "WT" the net must be
+        tied to ``group`` (the same group name, so the same tag and grid
+        shape); under the other modes it must be untied.
 
     A regularizer weight of 0 skips the penalty entirely, so that case
     matches plain mode bit-exactly.  The parameters, gradients, Adam
@@ -499,6 +496,10 @@ def train(config: TrainerConfig, data, schedule: Schedule,
         raise InvalidParams(f"unknown mode {mode!r}")
     if mode in ("WT", "regularized") and group is None:
         raise InvalidParams(f"mode {mode!r} needs a group")
+    if init_net is not None:
+        tied = None if init_net.tie_group is None else init_net.tie_group.name
+        if tied != (group.name if mode == "WT" else None):
+            raise InvalidParams(f"mode {mode!r} cannot resume a net tied to {tied}")
 
     def draw(rng, n):
         if hasattr(data, "sample"):
@@ -581,18 +582,15 @@ def train(config: TrainerConfig, data, schedule: Schedule,
 # ---- tied convolution kernels --------------------------------------------
 
 
-# Kernel tag -> make_group tag of the grid group the kernel is fixed by.
-_KERNEL_GROUPS = {"flip": "flip_h", "C4": "C4", "D4": "D4"}
-
-
 @dataclass
 class TiedKernel:
     """Convolution kernel constrained to be fixed by a grid group.
 
     ``orbit_index[i, j]`` names the free parameter used at position (i, j);
     expansion simply gathers ``params[orbit_index]``, so the expanded kernel
-    is exactly invariant under the tag's group.  ``params`` may be (n,) for
-    a single-channel kernel or (n, C_in, C_out) for a full stack.
+    is exactly invariant under ``make_group(tag, (size, size))``.  ``params``
+    may be (n,) for a single-channel kernel or (n, C_in, C_out) for a full
+    stack.
     """
 
     tag: str
@@ -614,19 +612,16 @@ class TiedKernel:
 def make_tied_kernel(tag: str, size: int) -> TiedKernel:
     """Build the orbit structure of a k x k kernel tied under a grid group.
 
-    The flip tag ties columns j and k-1-j (the row-palindrome layout with 6
-    free parameters at 3x3); C4 ties quarter-turn orbits (7 at 5x5); D4 ties
-    full dihedral orbits (6 at 5x5).  Free parameters are numbered by the
-    row-major order of the first position of each orbit, and default to
-    1..n so patterns are visible without further setup.
+    ``tag`` is the ``make_group`` tag of the group on the k x k grid that
+    fixes the kernel.  flip_h ties columns j and k-1-j (the row-palindrome
+    layout with 6 free parameters at 3x3); C4 ties quarter-turn orbits (7 at
+    5x5); D4 ties full dihedral orbits (6 at 5x5).  Free parameters are
+    numbered by the row-major order of the first position of each orbit,
+    and default to 1..n so patterns are visible without further setup.
     """
-    if tag not in _KERNEL_GROUPS:
-        raise InvalidParams(
-            f"unknown kernel tag {tag!r}; expected one of {tuple(_KERNEL_GROUPS)}")
     if size < 3 or size % 2 == 0:
         raise UnsupportedSize(f"kernel size must be odd and >= 3, got {size}")
-    group = make_group(_KERNEL_GROUPS[tag], (size, size))
-    perms = np.stack([el.perm for el in group.elements])
+    perms = make_group(tag, (size, size)).stacked
     orbit = -np.ones(size * size, dtype=np.int64)
     n_free = 0
     for pos in range(size * size):

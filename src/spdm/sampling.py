@@ -341,13 +341,6 @@ class Canonicalizer:
     def __call__(self, x: np.ndarray) -> GroupElement:
         return canonicalize(self, x)
 
-    def _in_region(self, y: np.ndarray) -> bool:
-        """Whether the one state y lies in the reference region."""
-        y = np.asarray(y, dtype=float)[None]
-        if self.cells is None:
-            return bool(_sector_angle(y)[0] < self.sector)
-        return bool(self.cells[np.argmax(_peak_cells(y, self.cells.size)[0])])
-
 
 def _sector_angle(ys: np.ndarray) -> np.ndarray:
     """Angle in [0, 2 pi) of each 2-D point along the last axis."""
@@ -361,30 +354,18 @@ def _peak_cells(xs: np.ndarray, cells: int) -> np.ndarray:
     return plane == np.max(plane, axis=1, keepdims=True)
 
 
-# Reference regions for the grid peak at row i, column j of an h x w grid.
-_GRID_REGIONS = {
-    "flip_v": lambda i, j, h, w: i < h / 2.0,
-    "flip_h": lambda i, j, h, w: j < w / 2.0,
-    "C4": lambda i, j, h, w: (i < h / 2.0) & (j < w / 2.0),
-    "D4": lambda i, j, h, w: (i < h / 2.0) & (j < w / 2.0) & (j >= i),
-}
-
-
 def default_canonicalizer(group: IsometryGroup) -> Canonicalizer:
-    """The canonicalizer of a built-in group, chosen by ``group.tag``.
+    """The canonicalizer of a built-in group.
 
     On grids (flip_v, flip_h, C4, D4) orientation is decided by the
-    location of the maximum entry; on 2-D points (C4, D4) by the angular
-    sector of the point.
+    location of the maximum entry, in the region ``group.peak_region``; on
+    2-D points (C4, D4) by the angular sector ``[0, 2 pi / |G|)``.
     """
-    shape = group.grid_shape
-    if shape is not None and group.tag in _GRID_REGIONS:
-        i, j = np.indices(shape)
-        cells = _GRID_REGIONS[group.tag](i, j, *shape).ravel()
+    cells = group.peak_region
+    if cells is not None:
         return Canonicalizer(group=group, cells=cells)
-    if shape is None and group.tag in ("C4", "D4"):
-        sector = np.pi / 2.0 if group.tag == "C4" else np.pi / 4.0
-        return Canonicalizer(group=group, sector=sector)
+    if group.grid_shape is None and group.tag in ("C4", "D4"):
+        return Canonicalizer(group=group, sector=2.0 * np.pi / len(group))
     raise InvalidParams(f"no default canonicalizer for group {group.name!r}")
 
 

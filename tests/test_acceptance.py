@@ -65,16 +65,15 @@ def test_criterion_01_group_axioms():
 
 
 def test_criterion_02_tied_kernels():
-    got = tuple(make_tied_kernel(tag, size).n_free for tag, size, _, _ in TIED_KERNELS)
+    got = tuple(make_tied_kernel(tag, size).n_free for tag, size, _ in TIED_KERNELS)
 
     rng = np.random.default_rng(202)
     images = rng.standard_normal((100, 8, 8))
     worst_tied = 0.0
-    for tag, size, group_tag, _ in TIED_KERNELS:
+    for tag, size, _ in TIED_KERNELS:
         kern = make_tied_kernel(tag, size)
         kern.params = rng.standard_normal(kern.n_free)
-        worst_tied = max(worst_tied,
-                         conv_gap(kern, make_group(group_tag, (8, 8)), images))
+        worst_tied = max(worst_tied, conv_gap(kern, make_group(tag, (8, 8)), images))
     dense_gap = conv_gap(rng.standard_normal((5, 5)), make_group("C4", (8, 8)), images)
 
     ok = got == (6, 7, 6) and worst_tied <= 1e-12 and dense_gap > 0.01

@@ -262,6 +262,56 @@ def test_train_wt_writes_group_tag_and_reloads(tmp_path):
     assert summary["delta_x0"] <= 1e-12
 
 
+CHECKPOINT_FILES = ("checkpoint.json", "checkpoint.spdt", "checkpoint_ema.spdt",
+                    "checkpoint_adam.spdt", "loss.csv", "train_manifest.json")
+
+
+@pytest.mark.parametrize("first,then", [("plain", "WT"), ("WT", "plain")])
+def test_train_resume_under_another_tying_exits_2(tmp_path, capsys, first, then):
+    # A resumed run keeps the tying of its checkpoint, so a mode that ties
+    # differently must be refused before anything is written.
+    out = tmp_path / "run"
+    cfg = train_config(mode=first, steps=5, hidden=[8])
+    assert run("gen-data", cfg, out) == 0
+    assert run("train", cfg, out) == 0
+    before = {f: (out / f).read_bytes() for f in CHECKPOINT_FILES}
+    resume = train_config(mode=then, steps=5, hidden=[8],
+                          init_checkpoint=str(out / "checkpoint.json"))
+    assert run("train", resume, out) == 2
+    assert "cannot resume" in capsys.readouterr().err
+    assert {f: (out / f).read_bytes() for f in CHECKPOINT_FILES} == before
+
+
+@pytest.mark.parametrize("mode,group,data_shape", [
+    ("WT", None, (32, 2)),
+    ("WT", {"name": "C4", "shape": [2, 2]}, (32, 2, 2)),
+    ("regularized", None, (32, 2)),
+])
+def test_train_mode_without_a_usable_group_exits_2(tmp_path, mode, group, data_shape):
+    out = tmp_path / "run"
+    out.mkdir()
+    write_spdt(out / "data.spdt", np.ones(data_shape))
+    cfg = train_config(mode=mode, steps=5, hidden=[8])
+    del cfg["group"]
+    if group is not None:
+        cfg["group"] = group
+    assert run("train", cfg, out) == 2
+    assert not any((out / f).exists() for f in CHECKPOINT_FILES)
+
+
+def test_mlp_wt_kind_refuses_an_untied_checkpoint(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = train_config(steps=5, hidden=[8])
+    assert run("gen-data", cfg, out) == 0
+    assert run("train", cfg, out) == 0
+    cfg["model"] = {"kind": "mlp+WT"}
+    cfg["sampler"] = {"lam": 1.0, "steps": 5, "n_samples": 4, "seed": 0,
+                      "equivariant_noise": True}
+    assert run("sample", cfg, out) == 2
+    assert "mlp+WT" in capsys.readouterr().err
+    assert not (out / "samples.spdt").exists()
+
+
 @pytest.mark.parametrize("damage", ["truncated", "missing_hidden", "missing_steps_done",
                                     "tie_tag_C8", "not_an_object"])
 def test_damaged_checkpoint_exits_2(tmp_path, capsys, damage):

@@ -1,11 +1,15 @@
-"""The demos import only names that spdm has.
+"""The demos import only names that spdm has, and each runs to exit 0.
 
-The suite does not run the demos, so a removed or renamed name would
-otherwise break them unnoticed; this parses each one instead.
+The import check names a removed or renamed name at once; the run test
+catches everything else a demo can trip over.
 """
 
 import ast
 import importlib
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,19 @@ def test_demo_imports_exist(path):
         if name is not None and not hasattr(mod, name):
             missing.append(f"{module}.{name}")
     assert not missing, f"{path.name} imports names spdm lacks: {missing}"
+
+
+def test_demos_run(tmp_path):
+    # Each demo writes next to itself, so the copies keep the checkout's
+    # demos/out untouched.  All of them start at once and run side by side.
+    shutil.copytree(DEMOS[0].parent, tmp_path / "demos",
+                    ignore=shutil.ignore_patterns("out", "__pycache__"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    procs = {p.name: subprocess.Popen([sys.executable, p.name], cwd=tmp_path / "demos",
+                                      env=env, stdout=subprocess.DEVNULL,
+                                      stderr=subprocess.PIPE, text=True)
+             for p in DEMOS}
+    errors = {name: proc.communicate(timeout=600)[1] for name, proc in procs.items()}
+    failed = {name: errors[name][-2000:] for name, proc in procs.items()
+              if proc.returncode != 0}
+    assert not failed, failed

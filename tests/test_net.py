@@ -29,7 +29,7 @@ from spdm import (
     train,
     vp_schedule,
 )
-from spdm.nets import _draw_noisy_batch, _lane_rng, apply_elements, time_embed
+from spdm.nets import _diffuse, _draw_t_eps, _lane_rng, apply_elements, time_embed
 
 
 def small_mixture():
@@ -137,9 +137,10 @@ def test_oracle_score_beats_zero_function():
     s = vp_schedule()
     rng = np.random.default_rng(10)
     x0 = mix.sample(rng, 4096)
-    t, eps, sigma, x_t = _draw_noisy_batch(s, x0, rng)
+    t, eps = _draw_t_eps(s, x0, rng)
+    sigma, x_t = _diffuse(s, x0, t, eps)
     out = np.stack([diffused_score(mix, s, x, ti) for x, ti in zip(x_t, t)])
-    oracle = float(np.mean(np.sum((sigma[:, None] * out + eps) ** 2, axis=1)))
+    oracle = float(np.mean(np.sum((sigma * out + eps) ** 2, axis=1)))
     zero = float(np.mean(np.sum(eps**2, axis=1)))
     assert oracle < zero
     net = Mlp(2, hidden=(8,), seed=11)
@@ -156,9 +157,10 @@ def test_dsm_minimizer_matches_least_squares():
     s = vp_schedule()
     x0 = np.tile([[2.0]], (512, 1))
     rng = np.random.default_rng(12)
-    t, eps, sigma, x_t = _draw_noisy_batch(s, x0, rng)
+    t, eps = _draw_t_eps(s, x0, rng)
+    sigma, x_t = _diffuse(s, x0, t, eps)
     feats = np.concatenate([x_t, time_embed(t, s.T), np.ones((512, 1))], axis=1)
-    a = sigma[:, None] * feats
+    a = sigma * feats
     theta = np.linalg.solve(a.T @ a, -a.T @ eps[:, 0])
     net = Mlp(1, hidden=(), seed=13)
     net.weights[0] = theta[:4].reshape(1, 4)
@@ -275,11 +277,12 @@ def test_train_reaches_oracle_loss():
     res = train(cfg, mix, s)
     rng = np.random.default_rng(555)
     x0 = mix.sample(rng, 4096)
-    t, eps, sigma, x_t = _draw_noisy_batch(s, x0, rng)
+    t, eps = _draw_t_eps(s, x0, rng)
+    sigma, x_t = _diffuse(s, x0, t, eps)
 
     def loss_of(score_fn):
         out = np.stack([np.asarray(score_fn(x, ti)) for x, ti in zip(x_t, t)])
-        return float(np.mean(np.sum((sigma[:, None] * out + eps) ** 2, axis=1)))
+        return float(np.mean(np.sum((sigma * out + eps) ** 2, axis=1)))
 
     oracle = loss_of(lambda x, ti: diffused_score(mix, s, x, ti))
     learned = loss_of(lambda x, ti: res.ema_net(x, ti))
@@ -538,20 +541,20 @@ def test_apply_elements_matches_loop():
 
 
 def test_tied_kernel_free_parameter_counts():
-    assert make_tied_kernel("flip", 3).n_free == 6
+    assert make_tied_kernel("flip_h", 3).n_free == 6
     assert make_tied_kernel("C4", 5).n_free == 7
     assert make_tied_kernel("D4", 5).n_free == 6
 
 
 def test_flip_kernel_orbit_layout():
-    k = make_tied_kernel("flip", 3)
+    k = make_tied_kernel("flip_h", 3)
     np.testing.assert_array_equal(
         k.orbit_index, [[0, 1, 0], [2, 3, 2], [4, 5, 4]])
 
 
 def test_tied_kernel_expansion_invariance():
     for tag, size, ops in (
-        ("flip", 3, [np.fliplr]),
+        ("flip_h", 3, [np.fliplr]),
         ("C4", 5, [lambda a: np.rot90(a, -1)]),
         ("D4", 5, [lambda a: np.rot90(a, -1), np.fliplr]),
     ):
@@ -573,10 +576,11 @@ def test_tied_kernel_validation():
     with pytest.raises(UnsupportedSize):
         make_tied_kernel("C4", 4)
     with pytest.raises(UnsupportedSize):
-        make_tied_kernel("flip", 1)
-    with pytest.raises(InvalidParams):
-        make_tied_kernel("C8", 5)
-    k = make_tied_kernel("flip", 3)
+        make_tied_kernel("flip_h", 1)
+    for tag in ("C8", "flip"):
+        with pytest.raises(InvalidParams):
+            make_tied_kernel(tag, 5)
+    k = make_tied_kernel("flip_h", 3)
     with pytest.raises(ShapeMismatch):
         k.expand(np.ones(4))
 
@@ -618,7 +622,7 @@ def test_tied_conv_commutes_with_group_action():
     rng = np.random.default_rng(30)
     img = rng.standard_normal((8, 8))
     cases = [
-        ("flip", 3, make_flip_group("horizontal", (8, 8))),
+        ("flip_h", 3, make_flip_group("horizontal", (8, 8))),
         ("C4", 5, make_c4_group((8, 8))),
         ("D4", 5, make_d4_group((8, 8))),
     ]
