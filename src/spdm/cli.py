@@ -408,7 +408,7 @@ def cmd_sample(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     grid = sampling.sampling_grid(s, steps)
     x_T = _prior_draws(s, n, event_shape, seed)
     run = _chain_map(lambda x, noise: sampling.reverse_sde_sample(
-        score, s, lam, grid, x, noise=noise).terminal,
+        score, s, lam, grid, x, noise=noise, record=False).terminal,
         group, use_en, seed, grid.n_steps)
     samples, gap = _run_with_probe(run, x_T, group, min(4, n) if lam > 0 else 0, seed)
     summary = {"config_hash": chash, "seed": seed, "lam": lam, "steps": steps,
@@ -442,7 +442,7 @@ def cmd_bridge(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     grid = sampling.bridge_grid(s, steps)
     x_T = _prior_draws(s, n, event_shape, seed)
     run = _chain_map(lambda x, noise: sampling.ddbm_reverse_sample(
-        cond_score, s, x, tau, grid, noise=noise).terminal,
+        cond_score, s, x, tau, grid, noise=noise, record=False).terminal,
         group, use_en, seed, grid.n_steps)
     samples, gap = _run_with_probe(run, x_T, group, min(8, n), seed)
 

@@ -12,6 +12,8 @@ The 2x2 point rotation ``r1`` is the matrix ``[[0, -1], [1, 0]]``.
 
 from __future__ import annotations
 
+import inspect
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -443,6 +445,37 @@ def verify_group_axioms(group: IsometryGroup, atol: float = 1e-12) -> GroupCheck
     )
 
 
+class _WorkArrays:
+    """Float work arrays kept between calls, one grow-only buffer per key.
+
+    ``get(key, shape)`` returns a C-contiguous view of the first
+    ``prod(shape)`` entries of the key's flat buffer, replacing the buffer
+    by a larger one when it is too small.  Reusing the buffers keeps a
+    hot loop from allocating and page-faulting fresh large temporaries on
+    every call; they hold the largest call's size until their owner goes.
+    A view is valid until the next ``get`` of its key, so owners return
+    fresh arrays to their callers and are not shared between threads.
+    """
+
+    def __init__(self):
+        self._bufs: dict = {}
+
+    def get(self, key, shape) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._bufs.get(key)
+        if buf is None or buf.size < size:
+            buf = self._bufs[key] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def _takes_out(fn) -> bool:
+    """Whether calling ``fn`` accepts an ``out=`` array keyword."""
+    try:
+        return "out" in inspect.signature(fn).parameters
+    except (TypeError, ValueError):
+        return False
+
+
 class FrameAveragedField:
     """Group average of a vector field: s~(x) = mean_k k^-1 s(k x).
 
@@ -458,21 +491,29 @@ class FrameAveragedField:
     and are tiled |G| times; everything else is shared.  The terms are
     summed in ascending element-id order, so results are deterministic
     across runs.
+
+    On grids the moved copies, and the base output when the base takes
+    ``out=``, live in work arrays kept between calls, and the terms are
+    added one by one into the fresh result: the same sequential sum,
+    bit for bit, as adding up the stacked terms along their first axis.
+    A field object is therefore not safe to call from two threads at once.
     """
 
     def __init__(self, base, group: IsometryGroup, conditional: bool = False):
         self.base = base
         self.group = group
         self.conditional = conditional
+        if group.grid_shape is not None:
+            self._work = _WorkArrays()
+            self._base_takes_out = _takes_out(base)
+            self._inverse_perms = group.stacked[group.inverse_table]
 
     def __call__(self, x, *args):
         x = np.asarray(x, dtype=float)
+        if self.group.grid_shape is not None:
+            return self._grid_average(x, args)
         els = self.group.elements
-        # a state is (d,) for points, (H, W) or (H, W, C) for grids, read
-        # from the trailing axes as GroupElement.apply reads them
-        grid = self.group.grid_shape
-        state_ndim = 1 if grid is None else 2 if x.shape[-2:] == tuple(grid) else 3
-        lone = x.ndim == state_ndim
+        lone = x.ndim == 1
         join = np.stack if lone else np.concatenate
         n = None if lone else x.shape[0]
         states, args = ((x, args[0]), args[1:]) if self.conditional else ((x,), args)
@@ -484,6 +525,49 @@ class FrameAveragedField:
         del moved  # the stacked copies are dead; free them before the terms
         terms = [self.group.inverse(k).apply(out[k.gid]) for k in els]
         return np.sum(np.stack(terms, axis=0), axis=0) / len(els)
+
+    def _grid_average(self, x, args):
+        # a state is (H, W) or (H, W, C), read from the trailing axes as
+        # GroupElement.apply reads them; cells run along axis 1 of the
+        # (rows, H W, C) view of a batch, a lone state being one row
+        h, w = self.group.grid_shape
+        if x.shape[-2:] == (h, w):
+            lone = x.ndim == 2
+        elif x.ndim >= 3 and x.shape[-3:-1] == (h, w):
+            lone = x.ndim == 3
+        else:
+            raise ShapeMismatch(
+                f"array of shape {x.shape} does not end in grid shape {(h, w)}")
+        g, perms = len(self.group), self.group.stacked
+        n = None if lone else x.shape[0]
+        states, args = ((x, args[0]), args[1:]) if self.conditional else ((x,), args)
+        moved, bufs = [], []
+        for key, v in enumerate(states):
+            v = np.asarray(v, dtype=float)
+            rows = v.reshape(1 if lone else len(v), h * w, -1)
+            buf = self._work.get(key, (g, *rows.shape))
+            for k in range(g):
+                np.take(rows, perms[k], axis=1, out=buf[k], mode="wrap")
+            bufs.append(buf)
+            moved.append(buf.reshape((g, *v.shape) if lone else (g * len(v), *v.shape[1:])))
+        for a in args:
+            per_row = n is not None and np.ndim(a) >= 1 and len(a) == n
+            moved.append(np.concatenate([a] * g) if per_row else a)
+        if self._base_takes_out:
+            out = self._work.get("out", moved[0].shape)
+            self.base(*moved, out=out)
+        else:
+            out = np.asarray(self.base(*moved))
+        # x's moved copies are dead now: the first one is the term buffer
+        scratch = bufs[0][0]
+        terms = out.reshape(g, *scratch.shape)
+        total = np.empty(scratch.shape)
+        np.take(terms[0], self._inverse_perms[0], axis=1, out=total, mode="wrap")
+        for k in range(1, g):
+            np.take(terms[k], self._inverse_perms[k], axis=1, out=scratch, mode="wrap")
+            total += scratch
+        total /= g
+        return total.reshape(x.shape)
 
 
 def frame_average(score, group: IsometryGroup,

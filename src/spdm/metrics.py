@@ -197,7 +197,11 @@ def frechet_distance(a: FeatureStats, b: FeatureStats) -> float:
     """
     if a.mean.shape != b.mean.shape:
         raise ShapeMismatch("feature dimensions differ")
-    ra = _psd_sqrt(a.cov)
+    return _frechet(a, b, _psd_sqrt(a.cov))
+
+
+def _frechet(a: FeatureStats, b: FeatureStats, ra: np.ndarray) -> float:
+    """``frechet_distance(a, b)`` given ra = S_a^{1/2}."""
     mid = ra @ b.cov @ ra
     vals = np.linalg.eigvalsh(0.5 * (mid + mid.T))
     if np.min(vals) < -1e-6:
@@ -251,9 +255,10 @@ def inv_fid(dataset: np.ndarray, group: IsometryGroup, spec: FeatureSpec) -> flo
     stats = [dataset_stats(k.apply(np.asarray(dataset, dtype=float)), spec)
              for k in group.elements]
     worst = 0.0
-    for i in range(len(stats)):
+    for i in range(len(stats) - 1):
+        ra = _psd_sqrt(stats[i].cov)  # one square root per orientation
         for j in range(i + 1, len(stats)):
-            worst = max(worst, frechet_distance(stats[i], stats[j]))
+            worst = max(worst, _frechet(stats[i], stats[j], ra))
     return worst
 
 
@@ -300,17 +305,7 @@ def delta_x0_gap(model, inputs: np.ndarray, group: IsometryGroup,
 # ---- two-sample testing --------------------------------------------------
 
 
-def _pairwise_distance_matrix(x: np.ndarray, block: int = 2048) -> np.ndarray:
-    """Dense Euclidean distance matrix, built in row blocks."""
-    n = x.shape[0]
-    sq = np.sum(x**2, axis=1)
-    d = np.empty((n, n))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        g = sq[lo:hi, None] + sq[None, :] - 2.0 * (x[lo:hi] @ x.T)
-        np.maximum(g, 0.0, out=g)
-        d[lo:hi] = np.sqrt(g)
-    return d
+_ENERGY_BLOCK_ROWS = 64  # distance rows held at once by the energy test
 
 
 def energy_distance_test(a: np.ndarray, b: np.ndarray, permutations: int = 99,
@@ -320,8 +315,13 @@ def energy_distance_test(a: np.ndarray, b: np.ndarray, permutations: int = 99,
     The statistic is ``2 E||a-b|| - E||a-a'|| - E||b-b'||`` in V-statistic
     form; the p-value counts permuted label splits whose statistic is at
     least the observed one, with the +1 correction.  Each permutation
-    costs one matrix-vector product against the pooled distance matrix.
+    costs one matrix-vector product against the pooled distance matrix,
+    which is built and used in blocks of ``_ENERGY_BLOCK_ROWS`` rows, so
+    memory grows with the pooled size times (block rows + permutations),
+    not with its square.
     """
+    if permutations < 0:
+        raise InvalidParams(f"permutations must be >= 0, got {permutations}")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[0] == 0 or b.shape[0] == 0:
@@ -330,19 +330,32 @@ def energy_distance_test(a: np.ndarray, b: np.ndarray, permutations: int = 99,
         raise ShapeMismatch("sample dimensions differ")
     n, m = a.shape[0], b.shape[0]
     pooled = np.concatenate([a, b], axis=0)
-    dist = _pairwise_distance_matrix(pooled)
-    row_tot = dist.sum(axis=1)
-    s_tot = float(row_tot.sum())
 
     # All label assignments are packed into one indicator matrix so the
-    # permutation sweep costs a single matrix product on the pooled
-    # distances.  Column 0 is the observed labeling.
+    # permutation sweep costs one matrix product per block of distance
+    # rows.  Column 0 is the observed labeling.
     rng = np.random.default_rng(seed)
     z = np.zeros((n + m, permutations + 1))
     z[:n, 0] = 1.0
     for k in range(1, permutations + 1):
         z[rng.permutation(n + m)[:n], k] = 1.0
-    dz = dist @ z
+    # block rows of the distance matrix, |x|^2 + |y|^2 - 2 x.y clipped at 0,
+    # built in two arrays that every block reuses
+    sq = np.sum(pooled**2, axis=1)
+    block = min(_ENERGY_BLOCK_ROWS, n + m)
+    dist, sums = np.empty((block, n + m)), np.empty((block, n + m))
+    row_tot, dz = np.empty(n + m), np.empty((n + m, permutations + 1))
+    for lo in range(0, n + m, block):
+        hi = min(lo + block, n + m)
+        d_b = np.matmul(pooled[lo:hi], pooled.T, out=dist[:hi - lo])
+        d_b *= 2.0
+        np.subtract(np.add(sq[lo:hi, None], sq[None, :], out=sums[:hi - lo]), d_b,
+                    out=d_b)
+        np.maximum(d_b, 0.0, out=d_b)
+        np.sqrt(d_b, out=d_b)
+        row_tot[lo:hi] = d_b.sum(axis=1)
+        np.matmul(d_b, z, out=dz[lo:hi])
+    s_tot = float(row_tot.sum())
     s_aa = np.einsum("ik,ik->k", z, dz)
     s_ab = row_tot @ z - s_aa
     s_bb = s_tot - 2.0 * s_ab - s_aa

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateCoupling, InvalidParams, TimeOutOfRange
-from .groups import IsometryGroup
+from .groups import IsometryGroup, _WorkArrays
 from .process import GaussianParams, Schedule, bridge_coefficients
 
 _WEIGHT_ATOL = 1e-12
@@ -88,6 +88,11 @@ class GaussianMixture:
         flat = np.ascontiguousarray(self.means.reshape(len(self.weights), -1))
         return flat, np.ascontiguousarray(flat.T), (flat * flat).sum(axis=1)
 
+    @cached_property
+    def _work(self) -> _WorkArrays:
+        # the (rows, K) log-terms and a (rows, d) product of diffused_score
+        return _WorkArrays()
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n points; shape (n, *event_shape)."""
         ks = rng.choice(len(self.weights), size=n, p=self.weights)
@@ -126,7 +131,7 @@ def _flat(x: np.ndarray, event_shape: tuple[int, ...]) -> tuple[np.ndarray, bool
     return x.reshape(x.shape[0], -1), False
 
 
-def _log_terms(m: GaussianMixture, s: Schedule, x, t):
+def _log_terms(m: GaussianMixture, s: Schedule, x, t, work=None):
     """The log-terms of the diffused mixture at the rows of x.
 
     Returns ``(x2d, lr, a, v, n, single)``: the rows as a C-contiguous
@@ -134,7 +139,8 @@ def _log_terms(m: GaussianMixture, s: Schedule, x, t):
     row scales a and variances v (a (1, 1) / (1, K) pair for a shared t,
     (n, 1) / (n, K) for row times), the number n of input rows and
     whether x was a lone state.  A lone state runs as two equal rows; the
-    callers keep the first n rows.
+    callers keep the first n rows.  With ``work`` (``_WorkArrays``), lr is
+    one of its arrays.
     """
     x2d, single = _flat(x, m.event_shape)
     n = len(x2d)
@@ -155,7 +161,8 @@ def _log_terms(m: GaussianMixture, s: Schedule, x, t):
     # the (rows, K) product (fresh temporaries of that size cost page
     # faults); rounding is at the scale of |x|^2, which test_oracle
     # bounds far from the means
-    lr = x2d @ flat_t
+    lr = np.matmul(x2d, flat_t, out=None if work is None
+                   else work.get("lr", (len(x2d), len(m.weights))))
     lr -= 0.5 * a * sq
     lr *= a
     lr -= 0.5 * np.einsum("ij,ij->i", x2d, x2d)[:, None]
@@ -164,25 +171,43 @@ def _log_terms(m: GaussianMixture, s: Schedule, x, t):
     return x2d, lr, a, v, n, single
 
 
-def diffused_score(m: GaussianMixture, s: Schedule, x: np.ndarray, t) -> np.ndarray:
+def diffused_score(m: GaussianMixture, s: Schedule, x: np.ndarray, t,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Exact score of the time-t diffused mixture at x.
 
     Accepts a single point or a batch (leading axis), and t as one time
     or as an (n,) array with one time per batch row.  Valid for any t in
     [0, T]: component variances are strictly positive, so the t=0 limit
-    is the data-mixture score.
+    is the data-mixture score.  With ``out``, a C-contiguous float64
+    array of the result's shape, the score is written there and ``out``
+    returned, with the same bits.  The (rows, K) and (rows, d) work
+    arrays are kept on the mixture between calls, so one mixture is not
+    scored from two threads at once.
     """
-    x2d, lr, a, v, n, single = _log_terms(m, s, x, t)
+    work = m._work
+    x2d, lr, a, v, n, single = _log_terms(m, s, x, t, work)
+    shape = m.event_shape if single else (n, *m.event_shape)
+    if out is not None and (not isinstance(out, np.ndarray) or out.shape != shape
+                            or out.dtype != np.float64
+                            or not out.flags.c_contiguous):
+        raise InvalidParams(f"out must be a C-contiguous float64 array of shape "
+                            f"{shape}")
     lr -= lr.max(axis=1, keepdims=True)
     pull = np.exp(lr, out=lr)
     pull /= pull.sum(axis=1, keepdims=True)
     pull /= v
     # sum_i (gamma_i / v_i) (a m_i - x) as a second product with the means
-    out = pull @ m._flat_means[0]
-    out *= a
-    out -= x2d * pull.sum(axis=1, keepdims=True)
-    out = out[:n].reshape(-1, *m.event_shape)
-    return out[0] if single else out
+    score = np.matmul(pull, m._flat_means[0],
+                      out=None if out is None or single else out.reshape(n, -1))
+    score *= a
+    score -= np.multiply(x2d, pull.sum(axis=1, keepdims=True),
+                         out=work.get("x_pull", x2d.shape))
+    score = score[:n].reshape(-1, *m.event_shape)
+    if out is None:
+        return score[0] if single else score
+    if single:
+        out[...] = score[0]
+    return out
 
 
 def log_density(m: GaussianMixture, s: Schedule, x: np.ndarray, t) -> np.ndarray:
@@ -201,8 +226,8 @@ class AnalyticScoreField:
         self.mixture = mixture
         self.schedule = schedule
 
-    def __call__(self, x: np.ndarray, t) -> np.ndarray:
-        return diffused_score(self.mixture, self.schedule, x, t)
+    def __call__(self, x: np.ndarray, t, out: np.ndarray | None = None) -> np.ndarray:
+        return diffused_score(self.mixture, self.schedule, x, t, out=out)
 
     def log_density(self, x: np.ndarray, t):
         return log_density(self.mixture, self.schedule, x, t)

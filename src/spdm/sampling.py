@@ -146,7 +146,9 @@ class NoiseSequence:
 
 @dataclass
 class Trajectory:
-    """States recorded at every grid time; states[0] is the start.
+    """States recorded at every grid time; states[0] is the start.  A
+    sampler run with ``record=False`` keeps only the terminal state, as
+    ``states`` of leading length 1.
 
     The samplers' ``metadata`` holds their parameters and two counters:
     ``nfe``, the score evaluations made, and ``chains``, the rows along the
@@ -232,7 +234,7 @@ def _integrate(f, grid: TimeGrid, x: np.ndarray, scale=None, seq=None,
 
 
 def reverse_sde_sample(score, s: Schedule, lam: float, grid: TimeGrid,
-                       x_T, noise=None) -> Trajectory:
+                       x_T, noise=None, record: bool = True) -> Trajectory:
     """Integrate the reverse-time SDE family from the terminal state down.
 
     Parameters
@@ -248,6 +250,9 @@ def reverse_sde_sample(score, s: Schedule, lam: float, grid: TimeGrid,
         Terminal state or a prior sampler.
     noise : NoiseSequence or int seed or None
         Required (as sequence or seed) when lam > 0 or x_T is a sampler.
+    record : bool
+        Keep every state (default), or only the terminal one; the terminal
+        state is the same either way.
     """
     if lam < 0:
         raise InvalidParams(f"lambda must be >= 0, got {lam}")
@@ -259,7 +264,8 @@ def reverse_sde_sample(score, s: Schedule, lam: float, grid: TimeGrid,
     if lam > 0 and seq is None:
         raise InvalidParams("lambda > 0 needs a noise sequence or seed")
     f, g2 = _flow_drift(score, s, grid, 0.5 * (1.0 + lam**2))
-    states = _integrate(f, grid, x, lam * np.sqrt(g2) if lam > 0 else None, seq)
+    states = _integrate(f, grid, x, lam * np.sqrt(g2) if lam > 0 else None, seq,
+                        record=record)
     return Trajectory(grid=grid, states=states,
                       metadata={"lam": lam, "seed": seed, "kind": "reverse_sde",
                                 **_counters(x, grid.n_steps)})
@@ -282,12 +288,13 @@ def pf_ode_solve(score, s: Schedule, grid: TimeGrid, x_start) -> Trajectory:
 
 
 def ddbm_reverse_sample(cond_score, s: Schedule, x_T, tau: float,
-                        grid: TimeGrid, noise=None) -> Trajectory:
+                        grid: TimeGrid, noise=None, record: bool = True) -> Trajectory:
     """Integrate the backward bridge family conditioned on the endpoint x_T.
 
     The drift is ``u + g^2 h - ((1 + tau^2)/2) g^2 s(x | x_T, t)`` with
     injected noise ``tau g``; tau=0 is deterministic.  The grid must stay
-    within (t_clip, T - t_clip] where h is regular.
+    within (t_clip, T - t_clip] where h is regular.  ``record=False``
+    keeps only the terminal state, as in ``reverse_sde_sample``.
     """
     if tau < 0:
         raise InvalidParams(f"tau must be >= 0, got {tau}")
@@ -314,7 +321,8 @@ def ddbm_reverse_sample(cond_score, s: Schedule, x_T, tau: float,
         return dla[i] * x + g2[i] * h - weight * g2[i] * np.asarray(
             cond_score(x, x_T, times[i]))
 
-    states = _integrate(f, grid, x_T, tau * np.sqrt(g2) if tau > 0 else None, seq)
+    states = _integrate(f, grid, x_T, tau * np.sqrt(g2) if tau > 0 else None, seq,
+                        record=record)
     return Trajectory(grid=grid, states=states,
                       metadata={"tau": tau, "seed": seed, "kind": "ddbm",
                                 **_counters(x_T, grid.n_steps)})

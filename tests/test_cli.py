@@ -6,6 +6,7 @@ on-disk outputs.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ import pytest
 from spdm import cli, metrics, sampling
 from spdm.cli import main
 from spdm.io import read_spdt, write_spdt
+
+from fresh_process import ROOT, needs_resource, usage
 
 
 def run(cmd, cfg, out_dir, extra=()):
@@ -821,3 +824,28 @@ def test_verify_command_reports_a_failed_check(tmp_path, capsys, monkeypatch):
     assert "FAIL spdt_roundtrip" in printed
     n = len(doc["checks"])
     assert f"CHECKS FAILED ({n - 1}/{n})" in printed
+
+
+@needs_resource
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor-fault counts are read on Linux")
+def test_fresh_process_grid_sample_takes_few_page_faults(tmp_path):
+    # the benchmark's grid_batched sample, as a CLI user runs it: the
+    # frame-averaged oracle reuses its work arrays and the sampler keeps
+    # only the terminal states, so the run faults in about 1k pages; fresh
+    # multi-MB temporaries on every score call took about 25k
+    setup = f"""
+    import sys
+    from pathlib import Path
+    sys.path.insert(0, {str(ROOT / "bench")!r})
+    import workloads
+    from spdm import cli
+    out = Path({str(tmp_path)!r})
+    workloads.grid_batched(1).write_configs(out)
+    """
+    call = """
+    if cli.main(["sample", "--config", str(out / "config.json"), "--out", str(out)]):
+        raise SystemExit("sample failed")
+    """
+    _, faults = usage(setup, call)
+    assert faults < 5000

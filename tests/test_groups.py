@@ -1,6 +1,7 @@
 """Tests for finite isometry groups, their axioms, and frame averaging."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,6 +413,101 @@ def test_frame_average_makes_one_stacked_base_call():
     want = np.sum([g.inverse(k).apply(bridge(k.apply(x), k.apply(y), 0.4))
                    for k in g.elements], axis=0) / len(g)
     np.testing.assert_array_equal(got, want)
+
+
+def stacked_reference(base, g, x, *args, conditional=False):
+    """The frame average with fresh arrays: one base call on the stacked
+    moved copies, then the stacked terms summed along their first axis."""
+    lone = x.ndim == (2 if x.shape[-2:] == g.grid_shape else 3)
+    join = np.stack if lone else np.concatenate
+    states, rest = ((x, args[0]), args[1:]) if conditional else ((x,), args)
+    moved = [join([k.apply(v) for k in g.elements]) for v in states]
+    for a in rest:
+        per_row = not lone and np.ndim(a) >= 1 and len(a) == len(x)
+        moved.append(np.concatenate([a] * len(g)) if per_row else a)
+    out = np.asarray(base(*moved)).reshape(len(g), *x.shape)
+    terms = [g.inverse(k).apply(out[k.gid]) for k in g.elements]
+    return np.sum(np.stack(terms), axis=0) / len(g)
+
+
+def test_buffered_grid_average_matches_stacked_sum_bit_for_bit():
+    # the moved copies and base outputs live in kept work arrays and the
+    # terms are added one by one; the bits are those of the stacked sum
+    rng = np.random.default_rng(16)
+    s = vp_schedule()
+    for tag, size in ((t, n) for t in ("C4", "D4") for n in (4, 5, 8)):
+        g = make_group(tag, (size, size))
+        mix = symmetrize(GaussianMixture(weights=np.array([0.5, 0.5]),
+                                         means=rng.standard_normal((2, size, size)),
+                                         variances=np.array([0.3, 0.5])), g)
+        oracle = AnalyticScoreField(mix, s)
+        w = rng.standard_normal((size, size, 3))
+        # (base, conditional, takes per-row times); the oracle takes out=,
+        # the others return fresh arrays
+        fields = [
+            (oracle, False, True),
+            (lambda x, t: np.tanh(x) * w[..., 0] + np.reshape(t, (*np.shape(t), 1, 1)),
+             False, True),
+            (lambda x, y, t, out=None: oracle(x - 0.3 * y, t, out=out), True, True),
+            (BridgeScoreField(GaussianCoupling(matrix=0.8, noise_var=0.05), s),
+             True, False),
+        ]
+        for base, conditional, row_times in fields:
+            fa = frame_average(base, g, conditional=conditional)
+            for lead in ((), (1,), (7,)):
+                x = rng.standard_normal((*lead, size, size))
+                y = (rng.standard_normal(x.shape),) if conditional else ()
+                times = [0.4]
+                if lead and row_times:
+                    times.append(rng.uniform(0.05, 0.9, lead[0]))
+                for t in times:
+                    want = stacked_reference(base, g, x, *y, t, conditional=conditional)
+                    np.testing.assert_array_equal(fa(x, *y, t), want)
+        # a channel axis is carried through
+        fa = frame_average(lambda x, t: np.tanh(x) * w + t, g)
+        x = rng.standard_normal((3, size, size, 3))
+        want = stacked_reference(lambda x, t: np.tanh(x) * w + t, g, x, 0.2)
+        np.testing.assert_array_equal(fa(x, 0.2), want)
+        with pytest.raises(ShapeMismatch):
+            fa(np.zeros((3, size + 1, size)), 0.2)
+
+
+def test_grid_average_results_never_alias_work_arrays():
+    rng = np.random.default_rng(17)
+    g = make_d4_group((8, 8))
+    mix = symmetrize(GaussianMixture(weights=np.array([0.5, 0.5]),
+                                     means=rng.standard_normal((2, 8, 8)),
+                                     variances=np.array([0.3, 0.5])), g)
+    oracle = AnalyticScoreField(mix, vp_schedule())
+    fa = frame_average(oracle, g)
+    for f in (fa, oracle):
+        for shape in ((8, 8), (16, 8, 8)):
+            first = f(rng.standard_normal(shape), 0.3)
+            kept = first.copy()
+            f(rng.standard_normal(shape), 0.3)
+            f(rng.standard_normal((40, 8, 8)), 0.6)  # grows the work arrays
+            np.testing.assert_array_equal(first, kept)
+
+
+def test_warm_grid_average_allocates_only_its_output():
+    # fresh multi-MB temporaries on every call page-fault in a hot loop;
+    # a warm 256-row D4 8x8 call allocates its 128 KB result and small
+    # per-row vectors (it allocated 3.7 MB when nothing was kept)
+    rng = np.random.default_rng(18)
+    g = make_d4_group((8, 8))
+    mix = symmetrize(GaussianMixture(weights=np.full(4, 0.25),
+                                     means=0.4 * rng.standard_normal((4, 8, 8)),
+                                     variances=np.full(4, 0.5)), g)
+    fa = frame_average(AnalyticScoreField(mix, vp_schedule()), g)
+    x = rng.standard_normal((256, 8, 8))
+    fa(x, 0.4)
+    tracemalloc.start()
+    try:
+        out = fa(x, 0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes
 
 
 def test_apply_elements_matches_per_row_apply():

@@ -30,7 +30,9 @@ from spdm import (
     symmetrize,
     vp_schedule,
 )
-from spdm.metrics import _div_eval
+from spdm.metrics import _ENERGY_BLOCK_ROWS, _div_eval
+
+from fresh_process import needs_resource, usage
 
 
 def test_divergence_of_linear_field():
@@ -293,6 +295,19 @@ def test_inv_fid_detects_asymmetry():
         inv_fid(np.zeros((4, 2)), make_point_group_2d(1), spec)
 
 
+def test_inv_fid_matches_per_pair_frechet_loop():
+    # each orientation's square root is taken once; the value is the worst
+    # frechet_distance over the pairs, bit for bit
+    rng = np.random.default_rng(21)
+    for g, shape in ((make_d4_group((4, 4)), (4, 4)), (make_point_group_2d(4), (2,))):
+        data = rng.standard_normal((300, *shape)) + rng.standard_normal(shape)
+        spec = FeatureSpec(dim_in=int(np.prod(shape)), dim_out=16)
+        stats = [dataset_stats(k.apply(data), spec) for k in g.elements]
+        want = max(frechet_distance(stats[i], stats[j])
+                   for i in range(len(g)) for j in range(i + 1, len(g)))
+        assert inv_fid(data, g, spec) == want > 0.0
+
+
 def test_delta_x0_gap():
     g = make_point_group_2d(4)
     inputs = np.random.default_rng(9).standard_normal((16, 2))
@@ -371,6 +386,62 @@ def test_energy_test_validation():
         energy_distance_test(np.zeros((0, 2)), np.zeros((3, 2)))
     with pytest.raises(ShapeMismatch):
         energy_distance_test(np.zeros((3, 2)), np.zeros((3, 3)))
+    for bad in (-1, -2, -100):
+        with pytest.raises(InvalidParams):
+            energy_distance_test(np.ones((3, 2)), np.zeros((3, 2)), permutations=bad)
+    _, p = energy_distance_test(np.ones((3, 2)), np.zeros((3, 2)), permutations=0)
+    assert p == 1.0
+
+
+def dense_energy_reference(a, b, permutations, seed):
+    """The energy test on the whole (N, N) distance matrix at once."""
+    n, m = len(a), len(b)
+    x = np.concatenate([a, b])
+    sq = np.sum(x**2, axis=1)
+    g = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    dist = np.sqrt(np.maximum(g, 0.0))
+    row_tot = dist.sum(axis=1)
+    rng = np.random.default_rng(seed)
+    z = np.zeros((n + m, permutations + 1))
+    z[:n, 0] = 1.0
+    for k in range(1, permutations + 1):
+        z[rng.permutation(n + m)[:n], k] = 1.0
+    dz = dist @ z
+    s_aa = np.einsum("ik,ik->k", z, dz)
+    s_ab = row_tot @ z - s_aa
+    s_bb = float(row_tot.sum()) - 2.0 * s_ab - s_aa
+    stats = 2.0 * s_ab / (n * m) - s_aa / n**2 - s_bb / m**2
+    return float(stats[0]), (1.0 + np.sum(stats[1:] >= stats[0])) / (1.0 + permutations)
+
+
+def test_streamed_energy_test_matches_dense_reference():
+    # the same arithmetic per entry; only BLAS may block the two matrix
+    # products differently, which moves a sum by rounding at most
+    rng = np.random.default_rng(22)
+    block = _ENERGY_BLOCK_ROWS
+    for n, m, d in ((1, 1, 2), (3, 4, 2), (40, 24, 2), (block, block, 2),
+                    (block + 5, block - 2, 3), (150, 93, 5), (2 * block + 1, 60, 64)):
+        a = rng.standard_normal((n, d))
+        b = rng.standard_normal((m, d)) + 0.1
+        for perms, seed in ((0, 0), (19, 1), (99, 2)):
+            stat, p = energy_distance_test(a, b, permutations=perms, seed=seed)
+            want_stat, want_p = dense_energy_reference(a, b, perms, seed)
+            assert p == want_p
+            np.testing.assert_allclose(stat, want_stat, rtol=0.0, atol=1e-12)
+
+
+@needs_resource
+def test_energy_test_memory_grows_with_n_not_n_squared():
+    # 2 x 5000 points: the dense (N, N) matrix alone would be 800 MB
+    setup = """
+    import numpy as np
+    from spdm.metrics import energy_distance_test
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((5000, 2))
+    b = rng.standard_normal((5000, 2)) + 0.05
+    """
+    peak_mb, _ = usage(setup, "energy_distance_test(a, b, permutations=199, seed=0)")
+    assert peak_mb < 350.0
 
 
 def _gaussian_isotropic(var):

@@ -208,6 +208,27 @@ def test_batch_score_builds_no_point_component_dim_array():
     assert peak < n * k * d * 8 / 4
 
 
+def test_score_out_keeps_the_bits():
+    rng = np.random.default_rng(19)
+    m = symmetric_grid_mixture("D4", (8, 8), rng)
+    s = vp_schedule()
+    field = AnalyticScoreField(m, s)
+    cases = ((rng.standard_normal((8, 8)), 0.3), (rng.standard_normal((33, 8, 8)), 0.3),
+             (rng.standard_normal((5, 8, 8)), rng.uniform(0.0, s.T, 5)))
+    for x, t in cases:
+        want = diffused_score(m, s, x, t)
+        for score in (lambda o: diffused_score(m, s, x, t, out=o),
+                      lambda o: field(x, t, out=o)):
+            out = np.full(want.shape, np.nan)
+            assert score(out) is out
+            np.testing.assert_array_equal(out, want)
+    x = rng.standard_normal((4, 8, 8))
+    for bad in (np.zeros((3, 8, 8)), np.zeros((4, 8, 8), dtype=np.float32),
+                np.zeros((4, 8, 16))[..., ::2], np.zeros((4, 8, 8)).tolist()):
+        with pytest.raises(InvalidParams):
+            diffused_score(m, s, x, 0.3, out=bad)
+
+
 def test_row_times_are_checked():
     m = two_component_mixture()
     s = vp_schedule()

@@ -278,6 +278,27 @@ def test_trajectory_counters():
         assert meta["nfe"] == len(calls) > 0 and meta["chains"] == chains, meta
 
 
+def test_record_false_keeps_terminal_and_metadata():
+    s = vp_schedule()
+    field = AnalyticScoreField(broad_mixture(), s)
+    cond = BridgeScoreField(GaussianCoupling(matrix=0.5, noise_var=0.05), s)
+    xs = np.random.default_rng(3).standard_normal((6, 2))
+    runs = (
+        lambda record: reverse_sde_sample(field, s, 1.0, sampling_grid(s, 9), xs,
+                                          noise=4, record=record),
+        lambda record: reverse_sde_sample(field, s, 0.0, sampling_grid(s, 9), xs[0],
+                                          record=record),
+        lambda record: ddbm_reverse_sample(cond, s, xs, 1.0, bridge_grid(s, 9),
+                                           noise=4, record=record),
+    )
+    for run in runs:
+        full, last = run(True), run(False)
+        assert full.states.shape[0] == 10
+        assert last.states.shape == (1, *full.states.shape[1:])
+        np.testing.assert_array_equal(last.terminal, full.terminal)
+        assert last.metadata == full.metadata
+
+
 def test_ddbm_deterministic_when_tau_zero():
     s = vp_schedule()
     field = BridgeScoreField(GaussianCoupling(matrix=0.5, noise_var=0.05), s)
