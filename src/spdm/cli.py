@@ -505,8 +505,7 @@ def cmd_nll(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
 
 def _tweedie_denoiser(score, s: Schedule):
     t_probe = 0.5 * s.T
-    alpha = float(s.alpha(t_probe))
-    sigma2 = float(s.sigma2(t_probe))
+    alpha, sigma2 = map(float, s.alpha_sigma2(t_probe))
 
     def model(x):
         return (x + sigma2 * np.asarray(score(x, t_probe))) / alpha

@@ -206,28 +206,36 @@ def _compose_perms(p_outer: np.ndarray, p_inner: np.ndarray) -> np.ndarray:
     return p_inner[p_outer]
 
 
-def _identify(elements: list[GroupElement], perm=None, matrix=None) -> int:
-    for el in elements:
-        if perm is not None and np.array_equal(el.perm, perm):
-            return el.gid
-        if matrix is not None and np.allclose(
-            el.matrix, matrix, atol=_MATRIX_MATCH_ATOL
-        ):
-            return el.gid
-    raise InvalidParams("composition left the element set; group is not closed")
+def _exact_key(action: np.ndarray) -> bytes:
+    # a permutation, or an integer-valued matrix with -0.0 read as 0.0
+    if action.dtype.kind in "iu":
+        return action.astype(np.int64, copy=False).tobytes()
+    return (np.round(action) + 0.0).tobytes()
 
 
 def _build_group(name: str, tag: str, elements: list[GroupElement]) -> IsometryGroup:
     n = len(elements)
+    grid = elements[0].kind == "grid"
+    actions = [el.perm if grid else el.matrix for el in elements]
+    # permutations and signed-permutation matrices compose exactly, so each
+    # product is looked up by its bytes; general angles match by tolerance
+    exact = grid or all(np.array_equal(a, np.round(a)) for a in actions)
+    ids: dict = {}
+    if exact:
+        for el, a in zip(elements, actions):
+            ids.setdefault(_exact_key(a), el.gid)
     table = np.zeros((n, n), dtype=np.int64)
-    for a in elements:
-        for b in elements:
-            if a.kind == "grid":
-                prod = _compose_perms(a.perm, b.perm)
-                table[a.gid, b.gid] = _identify(elements, perm=prod)
+    for a, act_a in zip(elements, actions):
+        for b, act_b in zip(elements, actions):
+            prod = _compose_perms(act_a, act_b) if grid else act_a @ act_b
+            if exact:
+                k = ids.get(_exact_key(prod))
             else:
-                prod = a.matrix @ b.matrix
-                table[a.gid, b.gid] = _identify(elements, matrix=prod)
+                k = next((el.gid for el in elements if np.allclose(
+                    el.matrix, prod, atol=_MATRIX_MATCH_ATOL)), None)
+            if k is None:
+                raise InvalidParams("composition left the element set; group is not closed")
+            table[a.gid, b.gid] = k
     inv = np.zeros(n, dtype=np.int64)
     for a in elements:
         hits = np.nonzero(table[a.gid] == 0)[0]
@@ -507,24 +515,35 @@ class FrameAveragedField:
             self._work = _WorkArrays()
             self._base_takes_out = _takes_out(base)
             self._inverse_perms = group.stacked[group.inverse_table]
+        else:
+            # transposed views, so element k's product is ``x @ A_k.T``
+            # as in GroupElement.apply, one gemm per element
+            self._moves = group.stacked.transpose(0, 2, 1)
+            self._inverse_moves = group.stacked[group.inverse_table].transpose(0, 2, 1)
 
     def __call__(self, x, *args):
         x = np.asarray(x, dtype=float)
         if self.group.grid_shape is not None:
             return self._grid_average(x, args)
-        els = self.group.elements
+        g, d = len(self.group), len(self._moves[0])
         lone = x.ndim == 1
-        join = np.stack if lone else np.concatenate
         n = None if lone else x.shape[0]
         states, args = ((x, args[0]), args[1:]) if self.conditional else ((x,), args)
-        moved = [join([k.apply(v) for k in els]) for v in states]
+
+        def stacked_copies(v):
+            # every element's moved copy of v in one stacked product
+            v = np.asarray(v, dtype=float)
+            copies = np.matmul(v.reshape(1, -1, d), self._moves)
+            return copies.reshape((g, *v.shape) if lone else (g * len(v), *v.shape[1:]))
+
+        moved = [stacked_copies(v) for v in states]
         for a in args:
             per_row = n is not None and np.ndim(a) >= 1 and len(a) == n
-            moved.append(np.concatenate([a] * len(els)) if per_row else a)
-        out = np.asarray(self.base(*moved)).reshape(len(els), *x.shape)
+            moved.append(np.concatenate([a] * g) if per_row else a)
+        out = np.asarray(self.base(*moved)).reshape(g, -1, d)
         del moved  # the stacked copies are dead; free them before the terms
-        terms = [self.group.inverse(k).apply(out[k.gid]) for k in els]
-        return np.sum(np.stack(terms, axis=0), axis=0) / len(els)
+        # the terms k^-1 s(k x), summed along the element axis in id order
+        return (np.matmul(out, self._inverse_moves).sum(axis=0) / g).reshape(x.shape)
 
     def _grid_average(self, x, args):
         # a state is (H, W) or (H, W, C), read from the trailing axes as

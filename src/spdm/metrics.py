@@ -35,6 +35,12 @@ from .sampling import TimeGrid, _flow_drift, _integrate
 
 
 _DIV_BATCH_ENTRIES = 2**16  # state entries (rows x d) per field call
+# Consecutive recorded states of an NLL share a divergence call while their
+# perturbed rows hold at most this many entries: 4 states of one 2-D point
+# under 64 probes.  Larger calls stopped paying and raised the peak resident
+# set with their per-row-time work arrays; a grid state (one exact_fd 8x8
+# point is 8192 entries) is never regrouped, as larger gemms were slower.
+_DIV_GROUP_ENTRIES = 2**10
 
 
 def divergence(field, x: np.ndarray, t: float, mode: str = "exact_fd",
@@ -71,7 +77,10 @@ def pf_ode_nll(score, s: Schedule, x0: np.ndarray, grid: TimeGrid,
     with Heun steps, takes the divergence integral over the recorded
     states by the trapezoid rule (the divergence at grid index j uses seed
     ``seed + j``), then adds the terminal Gaussian log-density
-    log N(x_T; 0, sigma_T^2 I).
+    log N(x_T; 0, sigma_T^2 I).  Consecutive recorded states whose
+    perturbed rows together hold at most ``_DIV_GROUP_ENTRIES`` entries
+    share one field call, with one time per row; each state's divergence
+    keeps the bits of its own call.
 
     ``dequant_offset`` is added to bits-per-dim when discrete data was
     dequantized; desk-scale data is continuous so the default is 0.
@@ -83,13 +92,21 @@ def pf_ode_nll(score, s: Schedule, x0: np.ndarray, grid: TimeGrid,
     x0 = np.asarray(x0, dtype=float)
     single = x0.ndim == 1
     xs = np.atleast_2d(x0)
-    d = xs.shape[1]
+    n, d = xs.shape
+    per_state = 2 * _n_directions(div_mode, probes, d) * d * n
+    group = max(1, _DIV_GROUP_ENTRIES // per_state)
     f, _ = _flow_drift(score, s, grid, 0.5)
     states = _integrate(f, grid, xs, heun=True)
     times = grid.times
-    divs = np.stack([_div_eval(lambda y, t, j=j: f(y, j), states[j], times[j],
-                               div_mode, probes, seed + j)
-                     for j in range(grid.n_steps + 1)])
+    divs = np.empty((grid.n_steps + 1, n))
+    for lo in range(0, len(divs), group):
+        hi = min(lo + group, len(divs))
+        if hi - lo == 1:
+            divs[lo] = _div_eval(lambda y, t: f(y, lo), states[lo], times[lo],
+                                 div_mode, probes, seed + lo)
+        else:
+            divs[lo:hi] = _div_eval(f, states[lo:hi], np.arange(lo, hi),
+                                    div_mode, probes, seed + lo)
     integral = np.cumsum(0.5 * np.diff(times)[:, None] * (divs[:-1] + divs[1:]),
                          axis=0)[-1]
     s2_T = float(s.sigma2(s.T))
@@ -103,6 +120,46 @@ def pf_ode_nll(score, s: Schedule, x0: np.ndarray, grid: TimeGrid,
                      div_mode=div_mode, steps=grid.n_steps)
 
 
+def _n_directions(mode, probes, d) -> int:
+    if mode == "exact_fd":
+        return d
+    if mode == "hutchinson":
+        if probes < 1:
+            raise InvalidParams(f"hutchinson needs probes >= 1, got {probes}")
+        return probes
+    raise InvalidParams(f"unknown divergence mode {mode!r}")
+
+
+def _probe_set(xs, mode, probes, seed):
+    """The steps h, (n, d) or (n, 1), and the (k, d) directions v at rows xs."""
+    d = xs.shape[1]
+    k = _n_directions(mode, probes, d)
+    if mode == "exact_fd":
+        return 1e-5 * (1.0 + np.abs(xs)), np.eye(k)
+    # norm per row: the axis=1 form rounds differently for ~20% of rows
+    h = 1e-5 * (1.0 + np.array([[np.linalg.norm(x)] for x in xs]))
+    return h, np.random.default_rng(seed).choice([-1.0, 1.0], size=(k, d))
+
+
+def _perturbed(xs, hc, v):
+    """The states x + h v, then x - h v, of every row and direction."""
+    x = xs[:, None, :]
+    return np.concatenate([x + hc * v, x - hc * v]).reshape(-1, xs.shape[1])
+
+
+def _div_terms(out, hc, v, mode):
+    """The (rows, k) terms v . (J v) from the field values at _perturbed."""
+    out = np.asarray(out, dtype=float).reshape(2, -1, *v.shape)
+    jv = (out[0] - out[1]) / (2.0 * hc)
+    return np.diagonal(jv, axis1=1, axis2=2) if mode == "exact_fd" \
+        else np.sum(v * jv, axis=-1)
+
+
+def _div_total(terms, mode, probes):
+    total = np.cumsum(terms, axis=1)[:, -1]
+    return total if mode == "exact_fd" else total / probes
+
+
 def _div_eval(f, xs, t, mode, probes, seed):
     """Divergence of the field ``f(y, t)`` at every row of ``xs`` (n, d).
 
@@ -112,32 +169,39 @@ def _div_eval(f, xs, t, mode, probes, seed):
     All states x +- h v of a chunk of whole points (at most
     ``_DIV_BATCH_ENTRIES`` entries, or one point) go to ``f`` in one call;
     terms are summed in sequential order, so chunking never moves a bit.
+
+    ``xs`` may also be a stack (m, n, d) of small states, with ``t`` an
+    (m,) array: see ``_div_eval_states``.
     """
     xs = np.asarray(xs, dtype=float)
+    if xs.ndim == 3:
+        return _div_eval_states(f, xs, t, mode, probes, seed)
     n, d = xs.shape
-    if mode == "exact_fd":
-        h = 1e-5 * (1.0 + np.abs(xs))
-        v = np.eye(d)
-    elif mode == "hutchinson":
-        if probes < 1:
-            raise InvalidParams(f"hutchinson needs probes >= 1, got {probes}")
-        # norm per row: the axis=1 form rounds differently for ~20% of rows
-        h = 1e-5 * (1.0 + np.array([[np.linalg.norm(x)] for x in xs]))
-        v = np.random.default_rng(seed).choice([-1.0, 1.0], size=(probes, d))
-    else:
-        raise InvalidParams(f"unknown divergence mode {mode!r}")
+    h, v = _probe_set(xs, mode, probes, seed)
     k = len(v)
     chunk = max(1, _DIV_BATCH_ENTRIES // (2 * k * d))
     terms = np.empty((n, k))
     for lo in range(0, n, chunk):
-        x, hc = xs[lo:lo + chunk, None, :], h[lo:lo + chunk, :, None]
-        rows = np.concatenate([x + hc * v, x - hc * v]).reshape(-1, d)
-        out = np.asarray(f(rows, t), dtype=float).reshape(2, -1, k, d)
-        jv = (out[0] - out[1]) / (2.0 * hc)
-        terms[lo:lo + chunk] = (np.diagonal(jv, axis1=1, axis2=2)
-                                if mode == "exact_fd" else np.sum(v * jv, axis=-1))
-    total = np.cumsum(terms, axis=1)[:, -1]
-    return total if mode == "exact_fd" else total / probes
+        hc = h[lo:lo + chunk, :, None]
+        out = f(_perturbed(xs[lo:lo + chunk], hc, v), t)
+        terms[lo:lo + chunk] = _div_terms(out, hc, v, mode)
+    return _div_total(terms, mode, probes)
+
+
+def _div_eval_states(f, states, ts, mode, probes, seed):
+    """``_div_eval`` at every state of ``states`` (m, n, d) in one field call.
+
+    State s draws its probes with seed ``seed + s``.  ``f(y, t)`` gets
+    every state's perturbed rows, in state order, with ``t[r] = ts[s]``
+    for the rows r of state s.  Row by row this is the call ``_div_eval``
+    would make for the state alone, so with a field that rounds a row the
+    same in any batch each divergence keeps its bits.
+    """
+    steps = [_probe_set(xs, mode, probes, seed + i) for i, xs in enumerate(states)]
+    rows = [_perturbed(xs, h[:, :, None], v) for xs, (h, v) in zip(states, steps)]
+    out = f(np.concatenate(rows), np.repeat(ts, len(rows[0])))
+    return np.stack([_div_total(_div_terms(o, h[:, :, None], v, mode), mode, probes)
+                     for o, (h, v) in zip(np.split(out, len(states)), steps)])
 
 
 # ---- feature statistics and Frechet distances ---------------------------

@@ -294,13 +294,11 @@ def _draw_t_eps(schedule: Schedule, x0: np.ndarray, rng: np.random.Generator):
 def _diffuse(schedule: Schedule, x0: np.ndarray, t: np.ndarray, eps: np.ndarray):
     """sigma_t as a (rows, 1) column and x_t = alpha_t x0 + sigma_t eps.
 
-    One checked lookup of log alpha_t gives both coefficients, by the
-    expressions of ``Schedule.alpha`` and ``Schedule.sigma`` (same bits).
+    One checked schedule lookup gives both coefficients.
     """
-    la = schedule.log_alpha(t)
-    sigma2 = -np.expm1(2.0 * la) if schedule.kind == "vp" else schedule.sigma2(t)
+    alpha, sigma2 = schedule.alpha_sigma2(t)
     sigma = np.sqrt(sigma2)[:, None]
-    return sigma, np.exp(la)[:, None] * x0 + sigma * eps
+    return sigma, alpha[:, None] * x0 + sigma * eps
 
 
 def _dsm_terms(net: Mlp, params, feats, sigma, eps):

@@ -9,15 +9,21 @@ with max-shifted log-sum-exp for stability.
 Both are two matrix products over the flat (n, d) rows x and (K, d) means
 M, and build no (n, K, d) array.  The squared distances are
 ``|x|^2 - 2 a x.m_i + a^2 |m_i|^2``, with the cross terms ``x @ M^T``
-taken once on the unscaled means and scaled by each row's alpha_t, so one
-time per row costs no more than one shared time.  With the
+taken once on the unscaled means and scaled by each row's alpha_t; row
+times add only (rows, K) coefficient arrays, computed once per run of
+equal times.  With the
 responsibilities gamma, the score is ``a (gamma/v) @ M - x sum_i
-gamma_i/v_i``.  A batch row rounds exactly as the same lone state, for any
-batch size, because of two rules: a lone row runs as two equal rows,
-since numpy would hand a one-row product to gemv, which sums in a
-different order from gemm; and both operands of each product are
-C-contiguous, since a transposed view makes gemm's bits depend on the
-number of rows.
+gamma_i/v_i``.  Two rules make a batch row round as the same lone state:
+a lone row runs as two equal rows, since numpy would hand a one-row
+product to gemv, which sums in a different order from gemm; and both
+operands of each product are C-contiguous, since a transposed view makes
+gemm's bits depend on the number of rows.  With them a row keeps its
+bits at any batch size for 2-D points and for the grid mixtures
+checked (K = 8 on C4 5x5 and 6x6, K = 16 on D4 8x8, flip_v 4x6),
+which is what frame averages and the NLL's grouped divergence calls rely
+on.  It is not so for every (d, K): with K = 16 on 6x6 and 7x7 grids
+every batch size tried, and on 5x5 some, round a row differently from a
+2048-row call in the last bits, as the gemm takes another kernel path.
 
 Symmetrizing a mixture over a finite isometry group produces an invariant
 density, whose score is then exactly equivariant; this is the analytic
@@ -77,9 +83,13 @@ class GaussianMixture:
     def event_shape(self) -> tuple[int, ...]:
         return self.means.shape[1:]
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return int(np.prod(self.event_shape))
+
+    @cached_property
+    def _log_weights(self) -> np.ndarray:
+        return np.log(self.weights)
 
     @cached_property
     def _flat_means(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -90,7 +100,8 @@ class GaussianMixture:
 
     @cached_property
     def _work(self) -> _WorkArrays:
-        # the (rows, K) log-terms and a (rows, d) product of diffused_score
+        # diffused_score's (rows, K) log-terms, and its (rows, d) product,
+        # which shares its array with a transposed copy of the log-terms
         return _WorkArrays()
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -147,27 +158,36 @@ def _log_terms(m: GaussianMixture, s: Schedule, x, t, work=None):
     t = np.asarray(t, dtype=float)
     if t.ndim > 1 or (t.ndim == 1 and t.shape != (n,)):
         raise InvalidParams(f"t must be a scalar or have shape ({n},), got {t.shape}")
-    bad = (t < 0.0) | (t > s.T)
-    if np.any(bad):
-        raise TimeOutOfRange(f"t={t[bad].flat[0]} outside [0, {s.T}]")
-    tc = t.reshape(-1, 1)  # one shared time, or one per row
+    t = t.reshape(-1, 1)  # one shared time, or one per row
+    runs = None
+    if len(t) > 1:
+        # row times come in runs (a frame average tiles them, and an NLL
+        # groups recorded states): each coefficient row is computed once
+        # per run, by the same operations, and then repeated
+        first = np.flatnonzero(np.concatenate(([True], t[1:, 0] != t[:-1, 0])))
+        runs = np.diff(first, append=n)
+        t = t[first]
+    _, flat_t, sq = m._flat_means
+    a, s2 = s.alpha_sigma2(t)  # one checked schedule lookup
+    v = a * a * m.variances + s2
+    shift = 0.5 * a * sq
+    norm = m._log_weights - 0.5 * m.dim * np.log(2.0 * np.pi * v)
+    if runs is not None and len(runs) < n:
+        a, v, shift, norm = (np.repeat(c, runs, axis=0) for c in (a, v, shift, norm))
     if n == 1:
         x2d = np.concatenate([x2d, x2d])
     x2d = np.ascontiguousarray(x2d)
-    a = s.alpha(tc)
-    v = a * a * m.variances + s.sigma2(tc)
-    _, flat_t, sq = m._flat_means
     # |x - a m_i|^2 = |x|^2 - 2 a x.m_i + a^2 |m_i|^2, built in place in
     # the (rows, K) product (fresh temporaries of that size cost page
     # faults); rounding is at the scale of |x|^2, which test_oracle
     # bounds far from the means
     lr = np.matmul(x2d, flat_t, out=None if work is None
                    else work.get("lr", (len(x2d), len(m.weights))))
-    lr -= 0.5 * a * sq
+    lr -= shift
     lr *= a
     lr -= 0.5 * np.einsum("ij,ij->i", x2d, x2d)[:, None]
     lr /= v
-    lr += np.log(m.weights) - 0.5 * m.dim * np.log(2.0 * np.pi * v)
+    lr += norm
     return x2d, lr, a, v, n, single
 
 
@@ -192,7 +212,13 @@ def diffused_score(m: GaussianMixture, s: Schedule, x: np.ndarray, t,
                             or not out.flags.c_contiguous):
         raise InvalidParams(f"out must be a C-contiguous float64 array of shape "
                             f"{shape}")
-    lr -= lr.max(axis=1, keepdims=True)
+    # the row maxima, taken down the columns of a transposed copy: a max
+    # along the short rows of lr costs ~80 ns per row, and max is exact.
+    # The copy is dead before the (rows, d) product is written, so the
+    # two share one work array
+    lr_t = work.get("rows", lr.shape[::-1])
+    np.copyto(lr_t, lr.T)
+    lr -= lr_t.max(axis=0)[:, None]
     pull = np.exp(lr, out=lr)
     pull /= pull.sum(axis=1, keepdims=True)
     pull /= v
@@ -201,7 +227,7 @@ def diffused_score(m: GaussianMixture, s: Schedule, x: np.ndarray, t,
                       out=None if out is None or single else out.reshape(n, -1))
     score *= a
     score -= np.multiply(x2d, pull.sum(axis=1, keepdims=True),
-                         out=work.get("x_pull", x2d.shape))
+                         out=work.get("rows", x2d.shape))
     score = score[:n].reshape(-1, *m.event_shape)
     if out is None:
         return score[0] if single else score
@@ -283,8 +309,12 @@ def bridge_score_oracle(coupling: GaussianCoupling, s: Schedule, x_t: np.ndarray
 
     Requires t strictly inside (0, T): at both endpoints the conditional
     collapses (variance -> coupling noise at t=0, -> 0 at t=T) and the
-    score is undefined for zero variance.
+    score is undefined for zero variance.  The time is one scalar shared
+    by every row; an array of row times raises InvalidParams.
     """
+    if np.ndim(t) != 0:
+        raise InvalidParams(f"the bridge score takes one scalar time t, "
+                            f"got shape {np.shape(t)}")
     t = float(t)
     if t <= 0.0 or t >= s.T:
         raise TimeOutOfRange(f"t={t} outside (0, {s.T})")

@@ -67,8 +67,9 @@ class Schedule:
 
     def _check_time(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > self.T):
-            raise TimeOutOfRange(f"t={t} outside [0, {self.T}]")
+        bad = (t < 0.0) | (t > self.T)
+        if bad.any():
+            raise TimeOutOfRange(f"t={t[bad].flat[0]} outside [0, {self.T}]")
         return t
 
     def beta(self, t):
@@ -76,7 +77,10 @@ class Schedule:
         return self.beta_min + (self.beta_max - self.beta_min) * t / self.T
 
     def log_alpha(self, t):
-        t = self._check_time(t)
+        return self._log_alpha(self._check_time(t))
+
+    def _log_alpha(self, t):
+        # t: checked float times
         if self.kind == "ve":
             return np.zeros_like(t)
         return -0.25 * t**2 * (self.beta_max - self.beta_min) / self.T \
@@ -92,10 +96,21 @@ class Schedule:
 
     def sigma2(self, t):
         t = self._check_time(t)
+        return self._sigma2(t, self._log_alpha(t))
+
+    def _sigma2(self, t, la):
+        # t: checked float times, la: log alpha at t
         if self.kind == "ve":
             return self.sigma_min**2 * (self.sigma_max / self.sigma_min) ** (2.0 * t / self.T)
         # 1 - alpha^2 computed as -expm1(2 log alpha) to keep precision near t=0
-        return -np.expm1(2.0 * self.log_alpha(t))
+        return -np.expm1(2.0 * la)
+
+    def alpha_sigma2(self, t):
+        """``(alpha_t, sigma_t^2)`` from one checked lookup of log alpha_t,
+        with the bits of ``alpha(t)`` and ``sigma2(t)``."""
+        t = self._check_time(t)
+        la = self._log_alpha(t)
+        return np.exp(la), self._sigma2(t, la)
 
     def sigma(self, t):
         return np.sqrt(self.sigma2(t))
@@ -161,9 +176,8 @@ def ve_schedule(sigma_min: float = 0.01, sigma_max: float = 10.0, T: float = 1.0
 
 def transition(s: Schedule, x0: np.ndarray, t: float) -> GaussianParams:
     """Gaussian forward transition p(x_t | x_0) = N(alpha_t x_0, sigma_t^2 I)."""
-    t = float(np.asarray(t, dtype=float))
-    a = float(s.alpha(t))
-    return GaussianParams(mean=a * np.asarray(x0, dtype=float), variance=float(s.sigma2(t)))
+    a, s2 = map(float, s.alpha_sigma2(float(np.asarray(t, dtype=float))))
+    return GaussianParams(mean=a * np.asarray(x0, dtype=float), variance=s2)
 
 
 def _h_denominator(s: Schedule, t) -> tuple[np.ndarray, np.ndarray]:
@@ -208,13 +222,8 @@ def bridge_kernel(s: Schedule, x0: np.ndarray, x_T: np.ndarray, t: float) -> Gau
 def bridge_coefficients(s: Schedule, t: float) -> tuple[float, float, float, float]:
     """``(alpha_t, alpha_T, sigma_t^2, r_t)`` of the pinned bridge at time t,
     with mixing weight ``r_t = eta_T / eta_t``; t must lie in [0, T]."""
-    t = float(t)
-    if t < 0.0 or t > s.T:
-        raise TimeOutOfRange(f"t={t} outside [0, {s.T}]")
-    a_t = float(s.alpha(t))
-    a_T = float(s.alpha(s.T))
-    s2_t = float(s.sigma2(t))
-    s2_T = float(s.sigma2(s.T))
+    a_t, s2_t = map(float, s.alpha_sigma2(float(t)))
+    a_T, s2_T = map(float, s.alpha_sigma2(s.T))
     return a_t, a_T, s2_t, (a_T**2 * s2_t) / (a_t**2 * s2_T)
 
 

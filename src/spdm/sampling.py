@@ -195,12 +195,21 @@ def _coefficients(s: Schedule, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _flow_drift(score, s: Schedule, grid: TimeGrid, weight: float):
-    """Drift ``u - weight g^2 s`` at grid index i, and the g^2 table."""
+    """Drift ``u - weight g^2 s`` at grid index i, and the g^2 table.
+
+    ``i`` may also be an array with one grid index per row of x; the
+    score then gets one time per row, and each row the bits it would get
+    with its own scalar index.
+    """
     dla, g2 = _coefficients(s, grid)
     times = grid.times
 
     def f(x, i):
-        return dla[i] * x - weight * g2[i] * np.asarray(score(x, times[i]))
+        if np.ndim(i) == 0:
+            return dla[i] * x - weight * g2[i] * np.asarray(score(x, times[i]))
+        col = (-1,) + (1,) * (np.ndim(x) - 1)
+        return dla[i].reshape(col) * x \
+            - (weight * g2[i]).reshape(col) * np.asarray(score(x, times[i]))
 
     return f, g2
 

@@ -847,5 +847,4 @@ def test_fresh_process_grid_sample_takes_few_page_faults(tmp_path):
     if cli.main(["sample", "--config", str(out / "config.json"), "--out", str(out)]):
         raise SystemExit("sample failed")
     """
-    _, faults = usage(setup, call)
-    assert faults < 5000
+    assert usage(setup, call).minflt < 5000

@@ -27,6 +27,7 @@ from spdm import (
     verify_group_axioms,
     vp_schedule,
 )
+from spdm import groups as groups_module
 from spdm.io import _load_schema
 from spdm.sampling import default_canonicalizer
 
@@ -418,7 +419,10 @@ def test_frame_average_makes_one_stacked_base_call():
 def stacked_reference(base, g, x, *args, conditional=False):
     """The frame average with fresh arrays: one base call on the stacked
     moved copies, then the stacked terms summed along their first axis."""
-    lone = x.ndim == (2 if x.shape[-2:] == g.grid_shape else 3)
+    if g.grid_shape is None:
+        lone = x.ndim == 1
+    else:
+        lone = x.ndim == (2 if x.shape[-2:] == g.grid_shape else 3)
     join = np.stack if lone else np.concatenate
     states, rest = ((x, args[0]), args[1:]) if conditional else ((x,), args)
     moved = [join([k.apply(v) for k in g.elements]) for v in states]
@@ -428,6 +432,72 @@ def stacked_reference(base, g, x, *args, conditional=False):
     out = np.asarray(base(*moved)).reshape(len(g), *x.shape)
     terms = [g.inverse(k).apply(out[k.gid]) for k in g.elements]
     return np.sum(np.stack(terms), axis=0) / len(g)
+
+
+@pytest.mark.parametrize("tag", ["C3", "C4", "D4", "C5", "D6"])
+def test_stacked_point_average_matches_per_element_reference(tag):
+    # one stacked product moves the states and one moves the terms back;
+    # each element's slice is the gemm of ``x @ A_k.T``, as in apply,
+    # also for the general angles of C3, C5 and D6
+    rng = np.random.default_rng(23)
+    g = make_group(tag)
+    s = vp_schedule()
+    mix = symmetrize(GaussianMixture(np.array([0.6, 0.4]),
+                                     np.array([[2.4, 0.6], [0.6, 1.8]]),
+                                     np.array([0.4, 0.5])), g)
+    base = AnalyticScoreField(mix, s)
+    fa = frame_average(base, g)
+    bridge = BridgeScoreField(GaussianCoupling(matrix=0.8, noise_var=0.05), s)
+    cond = frame_average(bridge, g, conditional=True)
+    for shape in ((2,), (1, 2), (7, 2), (300, 2)):
+        x, y = 2.0 * rng.standard_normal(shape), rng.standard_normal(shape)
+        times = [0.4] if len(shape) == 1 else [0.4, rng.uniform(0.0, s.T, shape[0])]
+        for t in times:
+            got = fa(x, t)
+            assert got.shape == shape
+            np.testing.assert_array_equal(got, stacked_reference(base, g, x, t))
+        np.testing.assert_array_equal(
+            cond(x, y, 0.3), stacked_reference(bridge, g, x, y, 0.3, conditional=True))
+
+
+def search_tables(g):
+    """Composition and inverse tables found by searching every element for
+    each product, with exact equality for permutations and 1e-9 for matrices."""
+    n = len(g)
+    table = np.zeros((n, n), dtype=np.int64)
+    for a in g.elements:
+        for b in g.elements:
+            for c in g.elements:
+                if a.perm is not None:
+                    hit = np.array_equal(b.perm[a.perm], c.perm)
+                else:
+                    hit = np.allclose(a.matrix @ b.matrix, c.matrix, atol=1e-9)
+                if hit:
+                    table[a.gid, b.gid] = c.gid
+                    break
+            else:
+                raise AssertionError(f"{a.name} o {b.name} left the group")
+    return table, np.argmax(table == 0, axis=1)
+
+
+def test_compose_tables_match_a_search_over_the_elements():
+    # products are looked up by exact keys (permutation bytes, rounded
+    # signed-permutation matrices) or, at general angles, by tolerance
+    groups = [make_group(tag, shape) for tag in ("flip_v", "flip_h", "C4", "D4")
+              for shape in ((3, 3), (4, 4), (8, 8))]
+    groups += [make_group("flip_v", (4, 6)), make_group("flip_h", (5, 2))]
+    groups += [make_group(f"{kind}{n}") for kind in "CD" for n in range(1, 9)]
+    for g in groups:
+        table, inverse = search_tables(g)
+        np.testing.assert_array_equal(g.compose_table, table, err_msg=g.name)
+        np.testing.assert_array_equal(g.inverse_table, inverse, err_msg=g.name)
+        assert verify_group_axioms(g).passed, g.name
+    # a set that is not closed under composition is refused on either path
+    c4 = make_group("C4")
+    for els in ((c4.elements[0], c4.elements[1]),
+                tuple(make_group("C6").elements[:2])):
+        with pytest.raises(InvalidParams):
+            groups_module._build_group("open", "", list(els))
 
 
 def test_buffered_grid_average_matches_stacked_sum_bit_for_bit():

@@ -31,6 +31,7 @@ from spdm import (
     vp_schedule,
 )
 from spdm.metrics import _ENERGY_BLOCK_ROWS, _div_eval
+from spdm.sampling import _flow_drift, pf_ode_solve
 
 from fresh_process import needs_resource, usage
 
@@ -179,15 +180,107 @@ def test_div_eval_matches_reference_loop_bit_for_bit():
             np.testing.assert_array_equal(got, want)
 
 
-def test_div_eval_one_field_call_per_recorded_state():
+class TimeRecordingField(CountingField):
+    def __init__(self, field):
+        super().__init__(field)
+        self.times = []
+
+    def __call__(self, y, t):
+        self.times.append(np.array(t, dtype=float))
+        return super().__call__(y, t)
+
+
+def test_nll_groups_small_recorded_states_into_one_field_call():
     s = vp_schedule()
-    x0 = np.random.default_rng(9).standard_normal((4, 2))
-    grid = nll_grid(s, 12)
-    for mode in ("exact_fd", "hutchinson"):
-        field = CountingField(point_field())
-        pf_ode_nll(field, s, x0, grid, div_mode=mode)
-        # two Heun evaluations per step, then one per recorded state
-        assert field.calls == 2 * 12 + 13
+    rng = np.random.default_rng(9)
+    # (points, d, mode, steps, divergence calls): the perturbed rows of one
+    # state hold 2 k d n entries (k = d or the probes); consecutive states
+    # share a call up to 1024 entries, a grid state is never regrouped
+    cases = ((point_field(), 4, 2, "exact_fd", 12, 1),     # 32 entries: all 13
+             (point_field(), 4, 2, "hutchinson", 12, 13),  # 1024: one state each
+             (point_field(), 1, 2, "hutchinson", 28, 8),   # 256: 4 a call, 29 states
+             (grid_field(), 2, 64, "exact_fd", 3, 4))      # 16384: one state each
+    for field, n, d, mode, steps, div_calls in cases:
+        grid = nll_grid(s, steps)
+        recorder = TimeRecordingField(field)
+        pf_ode_nll(recorder, s, rng.standard_normal((n, d)), grid, div_mode=mode)
+        assert recorder.calls == 2 * steps + div_calls
+        # the divergence calls come last; a lone state keeps its scalar time,
+        # a group of states passes each row the time of its state
+        seen = np.concatenate([np.unique(t) for t in recorder.times[2 * steps:]])
+        np.testing.assert_array_equal(seen, grid.times)
+        for t in recorder.times[2 * steps:]:
+            assert t.ndim == (0 if len(np.unique(t)) == 1 else 1)
+
+
+def reference_nll(score, s, x0, grid, mode, probes, seed):
+    """pf_ode_nll with every divergence from reference_divergence: one
+    field call per point and probe, at each state's own scalar time."""
+    f, _ = _flow_drift(score, s, grid, 0.5)
+    states = pf_ode_solve(score, s, grid, x0).states
+    times = grid.times
+    divs = np.stack([reference_divergence(lambda y, t, j=j: f(y, j), states[j],
+                                          times[j], mode, probes, seed + j)
+                     for j in range(len(times))])
+    integral = np.cumsum(0.5 * np.diff(times)[:, None] * (divs[:-1] + divs[1:]),
+                         axis=0)[-1]
+    s2_T = float(s.sigma2(s.T))
+    d = x0.shape[1]
+    return -0.5 * d * np.log(2.0 * np.pi * s2_T) \
+        - 0.5 * np.sum(states[-1]**2, axis=1) / s2_T + integral
+
+
+def test_grouped_nll_matches_per_state_reference_bit_for_bit():
+    # several recorded states in one field call rely on the oracle rounding
+    # a row alike in any batch, which holds for 2-D points and D4 8x8
+    s = vp_schedule()
+    rng = np.random.default_rng(24)
+    cases = []
+    for g in (make_point_group_2d(4), make_point_group_2d(4, with_reflection=True)):
+        mix = symmetrize(GaussianMixture(np.array([0.6, 0.4]),
+                                         np.array([[2.4, 0.6], [0.6, 1.8]]),
+                                         np.array([0.4, 0.5])), g)
+        field = frame_average(AnalyticScoreField(mix, s), g)
+        cases += [(field, 2, "exact_fd", 64, 8), (field, 2, "hutchinson", 64, 8)]
+    d4 = make_d4_group((8, 8))
+    means = 0.4 * np.random.default_rng(0).standard_normal((2, 8, 8))
+    fa = frame_average(AnalyticScoreField(
+        symmetrize(GaussianMixture(np.array([0.5, 0.5]), means,
+                                   np.array([0.5, 0.5])), d4), s), d4)
+    grid_fa = lambda y, t: fa(y.reshape(-1, 8, 8), t).reshape(len(y), -1)
+    cases += [(grid_fa, 64, "exact_fd", 64, 2), (grid_fa, 64, "hutchinson", 2, 4)]
+    for field, d, mode, probes, steps in cases:
+        grid = nll_grid(s, steps)
+        for n in (1, 2, 3):
+            x0 = rng.standard_normal((n, d))
+            got = pf_ode_nll(field, s, x0, grid, div_mode=mode, probes=probes,
+                             seed=3).log_likelihood
+            want = reference_nll(field, s, x0, grid, mode, probes, 3)
+            np.testing.assert_array_equal(got, want)
+
+
+@needs_resource
+def test_point_nll_keeps_the_peak_resident_set():
+    # a point_en-sized NLL: C4 points, 28 steps, 64 probes.  Grouping four
+    # recorded states per field call keeps its (rows, K) work arrays at
+    # 128 KB; all 29 states in one call raised the peak by about 3.4 MB
+    setup = """
+    import numpy as np
+    import spdm
+    s = spdm.vp_schedule()
+    g = spdm.make_point_group_2d(4)
+    mix = spdm.symmetrize(spdm.GaussianMixture(
+        np.array([0.6, 0.4]), np.array([[2.4, 0.6], [0.6, 1.8]]),
+        np.array([0.4, 0.5])), g)
+    field = spdm.frame_average(spdm.AnalyticScoreField(mix, s), g)
+    x0 = np.array([[1.2, -0.4]])
+    # warm-up: one step, so its two recorded states share one call
+    spdm.pf_ode_nll(field, s, x0, spdm.nll_grid(s, 1), div_mode="hutchinson")
+    """
+    call = """
+    spdm.pf_ode_nll(field, s, x0, spdm.nll_grid(s, 28), div_mode="hutchinson")
+    """
+    assert usage(setup, call).growth_mb < 0.5
 
 
 def test_div_eval_chunks_whole_points_on_large_states():
@@ -440,8 +533,8 @@ def test_energy_test_memory_grows_with_n_not_n_squared():
     a = rng.standard_normal((5000, 2))
     b = rng.standard_normal((5000, 2)) + 0.05
     """
-    peak_mb, _ = usage(setup, "energy_distance_test(a, b, permutations=199, seed=0)")
-    assert peak_mb < 350.0
+    use = usage(setup, "energy_distance_test(a, b, permutations=199, seed=0)")
+    assert use.maxrss_mb < 350.0
 
 
 def _gaussian_isotropic(var):

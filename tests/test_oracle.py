@@ -17,6 +17,7 @@ from spdm import (
     bridge_kernel,
     bridge_score_oracle,
     diffused_score,
+    frame_average,
     log_density,
     make_c4_group,
     make_group,
@@ -176,14 +177,19 @@ def test_batch_rows_match_lone_states(tag, shape):
 
 
 def test_row_times_match_scalar_calls():
+    # distinct times, and times in runs, whose coefficients are computed
+    # once per run; a time may come back in a later run
     rng = np.random.default_rng(12)
     s = vp_schedule()
     for m, shape in ((two_component_mixture(), (2,)),
                      (symmetric_grid_mixture("D4", (8, 8), rng), (8, 8))):
-        for n in (1, 2, 17):
+        for n in (1, 2, 17, 40):
             x = rng.standard_normal((n, *shape))
             ts = rng.uniform(0.0, s.T, n)
             ts[:2] = (0.0, s.T)[:n]
+            if n == 40:
+                ts = np.repeat(ts[:4], (16, 1, 3, 20))
+                ts[30:] = ts[0]
             score = diffused_score(m, s, x, ts)
             density = log_density(m, s, x, ts)
             for i in range(n):
@@ -400,3 +406,19 @@ def test_bridge_score_endpoint_behavior():
     np.testing.assert_array_equal(
         field(np.zeros(2), np.ones(2), 0.5),
         bridge_score_oracle(coupling, s, np.zeros(2), np.ones(2), 0.5))
+
+
+def test_bridge_score_refuses_row_times():
+    # one time is shared by every row; an array of row times is refused
+    # with a typed error, not an untyped TypeError from float(t)
+    s = vp_schedule()
+    field = BridgeScoreField(GaussianCoupling(matrix=0.8, noise_var=0.05), s)
+    x = np.zeros((3, 2))
+    for t in (np.array([0.2, 0.4, 0.6]), np.array([0.5]), [0.3, 0.4, 0.5]):
+        with pytest.raises(InvalidParams):
+            field(x, np.ones((3, 2)), t)
+    fa = frame_average(field, make_point_group_2d(4), conditional=True)
+    with pytest.raises(InvalidParams):
+        fa(x, np.ones((3, 2)), np.array([0.2, 0.4, 0.6]))
+    np.testing.assert_array_equal(field(x, np.ones((3, 2)), np.float64(0.5)),
+                                  field(x, np.ones((3, 2)), 0.5))

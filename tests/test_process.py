@@ -16,6 +16,7 @@ from spdm import (
     ve_schedule,
     vp_schedule,
 )
+from spdm.process import bridge_coefficients
 
 
 def test_vp_boundary_values():
@@ -59,6 +60,28 @@ def test_ve_schedule_values():
     np.testing.assert_array_equal(s.drift(np.ones(3), 0.5), np.zeros(3))
     want = s.sigma2(0.5) * 2.0 * np.log(1000.0)
     np.testing.assert_allclose(s.g2(0.5), want, rtol=1e-12)
+
+
+def test_alpha_sigma2_is_one_lookup_with_the_same_bits():
+    ts = (0.0, 0.37, 1.0, np.linspace(0.0, 1.0, 9), np.array([[0.2], [0.9]]))
+    for s in (vp_schedule(), ve_schedule(), vp_schedule(beta_min=0.3, T=2.0)):
+        for t in ts:
+            t = np.asarray(t) * s.T
+            a, s2 = s.alpha_sigma2(t)
+            np.testing.assert_array_equal(a, s.alpha(t))
+            np.testing.assert_array_equal(s2, s.sigma2(t))
+            assert np.shape(a) == np.shape(s2) == np.shape(t)
+        for bad in (-0.1, 1.5 * s.T, np.array([0.2, 2.0 * s.T])):
+            with pytest.raises(TimeOutOfRange):
+                s.alpha_sigma2(bad)
+        # the pinned-bridge coefficients keep the bits of four separate calls
+        for t in (0.0, 0.25, 0.5 * s.T, s.T):
+            a_t, a_T = float(s.alpha(t)), float(s.alpha(s.T))
+            s2_t, s2_T = float(s.sigma2(t)), float(s.sigma2(s.T))
+            assert bridge_coefficients(s, t) == (a_t, a_T, s2_t,
+                                                 (a_T**2 * s2_t) / (a_t**2 * s2_T))
+        with pytest.raises(TimeOutOfRange):
+            bridge_coefficients(s, 1.5 * s.T)
 
 
 def test_schedule_validation():
