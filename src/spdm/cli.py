@@ -239,6 +239,7 @@ def build_bridge_score(cfg: dict, s: Schedule, group: IsometryGroup | None,
 
 def cmd_gen_data(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     chash = io.config_hash(cfg)
+    build_schedule(cfg)  # refuse here a schedule that every later command refuses
     group = build_group(cfg)
     mix = build_mixture(cfg, group)
     data_cfg = cfg.get("data", {})
@@ -462,15 +463,11 @@ def cmd_bridge(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
 def _nll_field(cfg: dict, s: Schedule, group: IsometryGroup | None, out_dir: Path,
                event_shape: tuple[int, ...]):
     """The ``nll`` section's points, steps and div_mode, defaults filled in,
-    and the configured score as a field on flat (n, d) rows."""
+    and the configured score."""
     spec = cfg.get("nll", {})
-    score = build_score(cfg, s, group, out_dir, event_shape)
-
-    def field(x, t):
-        return score(x.reshape(len(x), *event_shape), t).reshape(len(x), -1)
-
     return (spec.get("points", 16), spec.get("steps", 200),
-            spec.get("div_mode", "exact_fd"), field)
+            spec.get("div_mode", "exact_fd"),
+            build_score(cfg, s, group, out_dir, event_shape))
 
 
 def cmd_nll(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
@@ -480,13 +477,12 @@ def cmd_nll(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     seed = seed_override if seed_override is not None else 0
 
     data = io.read_spdt(_require_file(out_dir / "data.spdt", "dataset"))
-    n_points, steps, div_mode, field = _nll_field(cfg, s, group, out_dir,
+    n_points, steps, div_mode, score = _nll_field(cfg, s, group, out_dir,
                                                   data.shape[1:])
-    flat = data.reshape(data.shape[0], -1)[:n_points]
-    report = metrics.pf_ode_nll(field, s, flat, sampling.nll_grid(s, steps),
+    report = metrics.pf_ode_nll(score, s, data[:n_points], sampling.nll_grid(s, steps),
                                 div_mode=div_mode, seed=seed)
     ll, bpd = report.log_likelihood, report.bits_per_dim
-    d = flat.shape[1]
+    d = data[0].size
     rows = [[i, float(ll[i]), float(-ll[i] / d), float(bpd[i]), chash, seed]
             for i in range(len(ll))]
     io.write_csv(out_dir / "nll.csv",
@@ -530,6 +526,8 @@ def cmd_metrics(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     rows = []
 
     def emit(name, value):
+        if not np.isfinite(value):
+            raise NonFiniteState(f"metric {name} is {value}")
         rows.append([name, float(value), chash, seed])
 
     for name in wanted:
@@ -588,14 +586,13 @@ def _nll_table(cfg, s, group, out_dir: Path, data: np.ndarray, chash: str,
                seed: int) -> None:
     """Mean NLL of the dataset under every orientation of the inputs, all
     orientations stacked into one ``pf_ode_nll`` call."""
-    n_points, steps, div_mode, field = _nll_field(cfg, s, group, out_dir,
+    n_points, steps, div_mode, score = _nll_field(cfg, s, group, out_dir,
                                                   data.shape[1:])
     n_points = min(n_points, data.shape[0])
-    moved = np.concatenate([el.apply(data[:n_points]).reshape(n_points, -1)
-                            for el in group.elements])
-    rep = metrics.pf_ode_nll(field, s, moved, sampling.nll_grid(s, steps),
+    moved = np.concatenate([el.apply(data[:n_points]) for el in group.elements])
+    rep = metrics.pf_ode_nll(score, s, moved, sampling.nll_grid(s, steps),
                              div_mode=div_mode, seed=seed)
-    nll = (-rep.log_likelihood / moved.shape[1]).reshape(len(group), n_points)
+    nll = (-rep.log_likelihood / data[0].size).reshape(len(group), n_points)
     rows = [[el.name, float(np.mean(nll[el.gid])), chash, seed]
             for el in group.elements]
     io.write_csv(out_dir / "nll_table.csv",

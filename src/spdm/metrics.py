@@ -45,17 +45,12 @@ _DIV_GROUP_ENTRIES = 2**10
 
 def divergence(field, x: np.ndarray, t: float, mode: str = "exact_fd",
                probes: int = 64, seed: int = 0) -> float:
-    """Divergence of a vector field at one point (estimators: ``_div_eval``).
+    """Divergence of a vector field at one state x (estimators: ``_div_eval``).
 
     ``field(y, t)`` is called once, on a batch of states shaped like ``x``.
     """
     x = np.asarray(x, dtype=float)
-
-    def flat(y, t):
-        out = np.asarray(field(y.reshape(-1, *x.shape), t), dtype=float)
-        return out.reshape(len(y), -1)
-
-    return float(_div_eval(flat, x.reshape(1, -1), t, mode, probes, seed)[0])
+    return float(_div_eval(field, x[None, None], [t], mode, probes, seed)[0, 0])
 
 
 @dataclass
@@ -73,14 +68,15 @@ def pf_ode_nll(score, s: Schedule, x0: np.ndarray, grid: TimeGrid,
                dequant_offset: float = 0.0) -> NllReport:
     """Log-likelihood of data points under the PF-ODE flow of a score field.
 
-    Integrates dx = [u - g^2 s / 2] dt forward along an ascending grid
-    with Heun steps, takes the divergence integral over the recorded
+    ``x0`` is a batch of states along its leading axis, each in the shape
+    the score takes (a grid state is passed as ``x[None]``), or one 1-D
+    state.  Integrates dx = [u - g^2 s / 2] dt forward along an ascending
+    grid with Heun steps, takes the divergence integral over the recorded
     states by the trapezoid rule (the divergence at grid index j uses seed
     ``seed + j``), then adds the terminal Gaussian log-density
     log N(x_T; 0, sigma_T^2 I).  Consecutive recorded states whose
     perturbed rows together hold at most ``_DIV_GROUP_ENTRIES`` entries
-    share one field call, with one time per row; each state's divergence
-    keeps the bits of its own call.
+    share one field call (``_div_eval``).
 
     ``dequant_offset`` is added to bits-per-dim when discrete data was
     dequantized; desk-scale data is continuous so the default is 0.
@@ -90,32 +86,26 @@ def pf_ode_nll(score, s: Schedule, x0: np.ndarray, grid: TimeGrid,
     if grid.descending:
         raise InvalidParams("NLL integration needs an ascending grid")
     x0 = np.asarray(x0, dtype=float)
-    single = x0.ndim == 1
-    xs = np.atleast_2d(x0)
-    n, d = xs.shape
-    per_state = 2 * _n_directions(div_mode, probes, d) * d * n
-    group = max(1, _DIV_GROUP_ENTRIES // per_state)
+    xs = x0.reshape(1, -1) if x0.ndim < 2 else x0
+    if len(xs) == 0:
+        raise InvalidParams("NLL integration needs at least one state")
+    n, d = len(xs), xs[0].size
+    group = max(1, _DIV_GROUP_ENTRIES // (2 * _n_directions(div_mode, probes, d) * d * n))
     f, _ = _flow_drift(score, s, grid, 0.5)
     states = _integrate(f, grid, xs, heun=True)
     times = grid.times
     divs = np.empty((grid.n_steps + 1, n))
     for lo in range(0, len(divs), group):
         hi = min(lo + group, len(divs))
-        if hi - lo == 1:
-            divs[lo] = _div_eval(lambda y, t: f(y, lo), states[lo], times[lo],
-                                 div_mode, probes, seed + lo)
-        else:
-            divs[lo:hi] = _div_eval(f, states[lo:hi], np.arange(lo, hi),
-                                    div_mode, probes, seed + lo)
+        divs[lo:hi] = _div_eval(f, states[lo:hi], range(lo, hi), div_mode, probes,
+                                seed + lo)
     integral = np.cumsum(0.5 * np.diff(times)[:, None] * (divs[:-1] + divs[1:]),
                          axis=0)[-1]
     s2_T = float(s.sigma2(s.T))
     log_prior = -0.5 * d * np.log(2.0 * np.pi * s2_T) \
-        - 0.5 * np.sum(states[-1]**2, axis=1) / s2_T
+        - 0.5 * np.sum(states[-1].reshape(n, d)**2, axis=1) / s2_T
     ll = log_prior + integral
     bpd = -ll / (d * np.log(2.0)) + dequant_offset
-    if single:
-        ll, bpd = ll[:1], bpd[:1]
     return NllReport(log_likelihood=ll, bits_per_dim=bpd,
                      div_mode=div_mode, steps=grid.n_steps)
 
@@ -130,78 +120,48 @@ def _n_directions(mode, probes, d) -> int:
     raise InvalidParams(f"unknown divergence mode {mode!r}")
 
 
-def _probe_set(xs, mode, probes, seed):
-    """The steps h, (n, d) or (n, 1), and the (k, d) directions v at rows xs."""
-    d = xs.shape[1]
+def _div_eval(f, states, ts, mode, probes, seed):
+    """Divergence of the field ``f(y, t)`` at every point of m states.
+
+    ``states`` is a stack (m, n, *event) of m states of n points each, in
+    the shape ``f`` takes; state j is at time ``ts[j]`` and draws its probes
+    with seed ``seed + j``.  Returns the (m, n) divergences.  ``exact_fd``
+    sums central differences of step 1e-5 (1 + |x_i|) along each coordinate
+    e_i; ``hutchinson`` averages v . (J v) over the probes
+    ``default_rng(seed + j).choice([-1, 1], (probes, d))``, step
+    1e-5 (1 + |x|).  The perturbed points x +- h v of every state go to
+    ``f`` together, in calls of whole points of at most
+    ``_DIV_BATCH_ENTRIES`` entries (or one point): a lone state with its
+    scalar time, several states with the time of its state on every row.
+    Terms are summed in sequential order, so neither chunking nor grouping
+    moves a bit when ``f`` rounds a row alike in any batch.
+    """
+    states = np.asarray(states, dtype=float)
+    (m, n), event = states.shape[:2], states.shape[2:]
+    xs = states.reshape(m, n, -1)
+    d = xs.shape[2]
     k = _n_directions(mode, probes, d)
     if mode == "exact_fd":
-        return 1e-5 * (1.0 + np.abs(xs)), np.eye(k)
-    # norm per row: the axis=1 form rounds differently for ~20% of rows
-    h = 1e-5 * (1.0 + np.array([[np.linalg.norm(x)] for x in xs]))
-    return h, np.random.default_rng(seed).choice([-1.0, 1.0], size=(k, d))
-
-
-def _perturbed(xs, hc, v):
-    """The states x + h v, then x - h v, of every row and direction."""
-    x = xs[:, None, :]
-    return np.concatenate([x + hc * v, x - hc * v]).reshape(-1, xs.shape[1])
-
-
-def _div_terms(out, hc, v, mode):
-    """The (rows, k) terms v . (J v) from the field values at _perturbed."""
-    out = np.asarray(out, dtype=float).reshape(2, -1, *v.shape)
-    jv = (out[0] - out[1]) / (2.0 * hc)
-    return np.diagonal(jv, axis1=1, axis2=2) if mode == "exact_fd" \
-        else np.sum(v * jv, axis=-1)
-
-
-def _div_total(terms, mode, probes):
-    total = np.cumsum(terms, axis=1)[:, -1]
-    return total if mode == "exact_fd" else total / probes
-
-
-def _div_eval(f, xs, t, mode, probes, seed):
-    """Divergence of the field ``f(y, t)`` at every row of ``xs`` (n, d).
-
-    ``exact_fd`` sums central differences of step 1e-5 (1 + |x_j|) along
-    each coordinate e_j; ``hutchinson`` averages v . (J v) over the probes
-    ``default_rng(seed).choice([-1, 1], (probes, d))``, step 1e-5 (1 + |x|).
-    All states x +- h v of a chunk of whole points (at most
-    ``_DIV_BATCH_ENTRIES`` entries, or one point) go to ``f`` in one call;
-    terms are summed in sequential order, so chunking never moves a bit.
-
-    ``xs`` may also be a stack (m, n, d) of small states, with ``t`` an
-    (m,) array: see ``_div_eval_states``.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 3:
-        return _div_eval_states(f, xs, t, mode, probes, seed)
-    n, d = xs.shape
-    h, v = _probe_set(xs, mode, probes, seed)
-    k = len(v)
-    chunk = max(1, _DIV_BATCH_ENTRIES // (2 * k * d))
-    terms = np.empty((n, k))
+        h, v = 1e-5 * (1.0 + np.abs(xs)), np.eye(k)[None, None]
+    else:
+        # norm per point: the axis=-1 form rounds differently for ~20% of points
+        h = 1e-5 * (1.0 + np.array([np.linalg.norm(x) for x in xs.reshape(-1, d)]))
+        h = h.reshape(m, n, 1)
+        v = np.stack([np.random.default_rng(seed + j).choice([-1.0, 1.0], size=(k, d))
+                      for j in range(m)])[:, None]
+    chunk = max(1, _DIV_BATCH_ENTRIES // (2 * k * d * m))
+    terms = np.empty((m, n, k))
     for lo in range(0, n, chunk):
-        hc = h[lo:lo + chunk, :, None]
-        out = f(_perturbed(xs[lo:lo + chunk], hc, v), t)
-        terms[lo:lo + chunk] = _div_terms(out, hc, v, mode)
-    return _div_total(terms, mode, probes)
-
-
-def _div_eval_states(f, states, ts, mode, probes, seed):
-    """``_div_eval`` at every state of ``states`` (m, n, d) in one field call.
-
-    State s draws its probes with seed ``seed + s``.  ``f(y, t)`` gets
-    every state's perturbed rows, in state order, with ``t[r] = ts[s]``
-    for the rows r of state s.  Row by row this is the call ``_div_eval``
-    would make for the state alone, so with a field that rounds a row the
-    same in any batch each divergence keeps its bits.
-    """
-    steps = [_probe_set(xs, mode, probes, seed + i) for i, xs in enumerate(states)]
-    rows = [_perturbed(xs, h[:, :, None], v) for xs, (h, v) in zip(states, steps)]
-    out = f(np.concatenate(rows), np.repeat(ts, len(rows[0])))
-    return np.stack([_div_total(_div_terms(o, h[:, :, None], v, mode), mode, probes)
-                     for o, (h, v) in zip(np.split(out, len(states)), steps)])
+        hc = h[:, lo:lo + chunk, :, None]
+        x, step = xs[:, lo:lo + chunk, None], hc * v
+        rows = np.stack([x + step, x - step], axis=1)
+        t = ts[0] if m == 1 else np.repeat(ts, rows[0].size // d)
+        out = np.asarray(f(rows.reshape(-1, *event), t), dtype=float).reshape(rows.shape)
+        jv = (out[:, 0] - out[:, 1]) / (2.0 * hc)
+        terms[:, lo:lo + chunk] = np.diagonal(jv, axis1=2, axis2=3) \
+            if mode == "exact_fd" else np.sum(v * jv, axis=-1)
+    total = np.cumsum(terms, axis=-1)[..., -1]
+    return total if mode == "exact_fd" else total / probes
 
 
 # ---- feature statistics and Frechet distances ---------------------------

@@ -148,13 +148,17 @@ def vp_schedule(beta_min: float = 0.1, beta_max: float = 20.0, T: float = 1.0) -
     beta_min, beta_max : float
         Endpoints of the linear ramp; require 0 < beta_min <= beta_max.
     T : float
-        Terminal time, > 0.
+        Terminal time, > 0.  alpha_T^2 must not underflow (bridges divide by it).
     """
     if not (0.0 < beta_min <= beta_max):
         raise InvalidParams(f"need 0 < beta_min <= beta_max, got {beta_min}, {beta_max}")
     if T <= 0.0:
         raise InvalidParams(f"T must be > 0, got {T}")
-    return Schedule(kind="vp", T=float(T), beta_min=float(beta_min), beta_max=float(beta_max))
+    s = Schedule(kind="vp", T=float(T), beta_min=float(beta_min), beta_max=float(beta_max))
+    if not float(s.alpha(s.T)) ** 2 >= np.finfo(float).tiny:
+        raise InvalidParams(f"beta_max={beta_max} (T={T}) drives alpha_T^2 below "
+                            f"{np.finfo(float).tiny:.3g}; lower beta_max or T")
+    return s
 
 
 def ve_schedule(sigma_min: float = 0.01, sigma_max: float = 10.0, T: float = 1.0) -> Schedule:

@@ -205,9 +205,7 @@ def _flow_drift(score, s: Schedule, grid: TimeGrid, weight: float):
     times = grid.times
 
     def f(x, i):
-        if np.ndim(i) == 0:
-            return dla[i] * x - weight * g2[i] * np.asarray(score(x, times[i]))
-        col = (-1,) + (1,) * (np.ndim(x) - 1)
+        col = np.shape(i) + (1,) * (np.ndim(x) - np.ndim(i))
         return dla[i].reshape(col) * x \
             - (weight * g2[i]).reshape(col) * np.asarray(score(x, times[i]))
 
@@ -263,8 +261,8 @@ def reverse_sde_sample(score, s: Schedule, lam: float, grid: TimeGrid,
         Keep every state (default), or only the terminal one; the terminal
         state is the same either way.
     """
-    if lam < 0:
-        raise InvalidParams(f"lambda must be >= 0, got {lam}")
+    if not (lam >= 0 and np.isfinite(lam * lam)):
+        raise InvalidParams(f"lambda must be >= 0 with a finite square, got {lam}")
     if grid.n_steps > 0 and not grid.descending:
         raise InvalidParams("reverse sampling needs a descending time grid")
     seed = noise.seed if isinstance(noise, NoiseSequence) else noise
@@ -305,8 +303,8 @@ def ddbm_reverse_sample(cond_score, s: Schedule, x_T, tau: float,
     within (t_clip, T - t_clip] where h is regular.  ``record=False``
     keeps only the terminal state, as in ``reverse_sde_sample``.
     """
-    if tau < 0:
-        raise InvalidParams(f"tau must be >= 0, got {tau}")
+    if not (tau >= 0 and np.isfinite(tau * tau)):
+        raise InvalidParams(f"tau must be >= 0 with a finite square, got {tau}")
     if grid.n_steps > 0 and not grid.descending:
         raise InvalidParams("bridge sampling needs a descending time grid")
     eps_t = 1e-12 * s.T

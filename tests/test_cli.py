@@ -774,6 +774,47 @@ def test_metrics_inv_fid_without_group_exits_2(tmp_path):
     assert run("metrics", cfg, out) == 2
 
 
+def test_metrics_never_writes_a_non_finite_value(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "run"
+    cfg = metrics_config()
+    cfg["metrics"] = ["fid", "inv_fid"]
+    assert run("gen-data", cfg, out) == 0
+    assert run("sample", cfg, out) == 0
+    monkeypatch.setattr(metrics, "inv_fid", lambda *args: float("nan"))
+    capsys.readouterr()
+    assert run("metrics", cfg, out) == 3
+    assert "inv_fid" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+# ---- out-of-range numbers ------------------------------------------------
+
+
+def test_underflowing_schedule_exits_2_in_every_command(tmp_path, capsys):
+    # alpha_T^2 underflows to 0; bridge weights and the Tweedie denoiser divide by it
+    cfg = train_config()
+    cfg["schedule"]["beta_max"] = 1e6
+    cfg["model"]["coupling"] = {"matrix": 0.5, "noise_var": 0.04}
+    cfg["sampler"] = {"lam": 1.0, "tau": 1.0, "steps": 10, "n_samples": 4,
+                      "seed": 1}
+    cfg["nll"] = {"points": 1, "steps": 10}
+    cfg["metrics"] = ["fid", "delta_x0"]
+    for cmd in ("gen-data", "train", "sample", "bridge", "nll", "metrics"):
+        capsys.readouterr()
+        assert run(cmd, cfg, tmp_path / "run") == 2
+        assert "beta_max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd,key", [("sample", "lam"), ("bridge", "tau")])
+def test_noise_level_with_an_overflowing_square_exits_2(tmp_path, capsys, cmd, key):
+    # the samplers weigh the score by (1 + lam^2) / 2 or (1 + tau^2) / 2
+    cfg = base_config()
+    cfg["model"]["coupling"] = {"matrix": 0.5, "noise_var": 0.04}
+    cfg["sampler"] = {key: 1e300, "steps": 10, "n_samples": 4, "seed": 1}
+    assert run(cmd, cfg, tmp_path / "run") == 2
+    assert "finite square" in capsys.readouterr().err
+
+
 # ---- mlp pipeline --------------------------------------------------------
 
 

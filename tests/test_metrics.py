@@ -11,6 +11,7 @@ from spdm import (
     InvalidParams,
     NonPsd,
     ShapeMismatch,
+    SpdmError,
     dataset_stats,
     delta_x0_gap,
     divergence,
@@ -98,6 +99,8 @@ def test_nll_dequant_offset_and_validation():
     np.testing.assert_allclose(shifted.bits_per_dim, base.bits_per_dim + 7.0)
     with pytest.raises(InvalidParams):
         pf_ode_nll(field, s, x0, grid.reversed())
+    with pytest.raises(InvalidParams):
+        pf_ode_nll(field, s, np.zeros((0, 2)), grid)
 
 
 def test_nll_invariant_under_rotations():
@@ -124,11 +127,11 @@ def reference_divergence(f, xs, t, mode, probes=64, seed=0):
         total = 0.0
         if mode == "exact_fd":
             for j in range(x.size):
-                h = 1e-5 * (1.0 + abs(x[j]))
+                h = 1e-5 * (1.0 + abs(x.flat[j]))
                 xp, xm = x.copy(), x.copy()
-                xp[j] += h
-                xm[j] -= h
-                total += (call(xp)[j] - call(xm)[j]) / (2.0 * h)
+                xp.flat[j] += h
+                xm.flat[j] -= h
+                total += (call(xp).flat[j] - call(xm).flat[j]) / (2.0 * h)
         else:
             rng = np.random.default_rng(seed)
             h = 1e-5 * (1.0 + float(np.linalg.norm(x)))
@@ -160,22 +163,20 @@ def point_field():
 
 
 def grid_field():
-    # No frame average here: on grids it gives a lone state different last
-    # bits than the same state inside a batch, which no reduction order fixes.
     s = vp_schedule()
+    d4 = make_d4_group((8, 8))
     means = 0.4 * np.random.default_rng(0).standard_normal((2, 8, 8))
     mix = symmetrize(GaussianMixture(np.array([0.5, 0.5]), means,
-                                     np.array([0.5, 0.5])), make_d4_group((8, 8)))
-    score = AnalyticScoreField(mix, s)
-    return lambda y, t: score(y.reshape(-1, 8, 8), t).reshape(len(y), -1)
+                                     np.array([0.5, 0.5])), d4)
+    return frame_average(AnalyticScoreField(mix, s), d4)
 
 
 def test_div_eval_matches_reference_loop_bit_for_bit():
     rng = np.random.default_rng(8)
-    for field, d in ((point_field(), 2), (grid_field(), 64)):
-        xs = rng.standard_normal((3, d))
+    for field, event in ((point_field(), (2,)), (grid_field(), (8, 8))):
+        xs = rng.standard_normal((3, *event))
         for mode, probes in (("exact_fd", 64), ("hutchinson", 16)):
-            got = _div_eval(field, xs, 0.4, mode, probes, 5)
+            got = _div_eval(field, xs[None], [0.4], mode, probes, 5)[0]
             want = reference_divergence(field, xs, 0.4, mode, probes, 5)
             np.testing.assert_array_equal(got, want)
 
@@ -193,17 +194,17 @@ class TimeRecordingField(CountingField):
 def test_nll_groups_small_recorded_states_into_one_field_call():
     s = vp_schedule()
     rng = np.random.default_rng(9)
-    # (points, d, mode, steps, divergence calls): the perturbed rows of one
-    # state hold 2 k d n entries (k = d or the probes); consecutive states
-    # share a call up to 1024 entries, a grid state is never regrouped
-    cases = ((point_field(), 4, 2, "exact_fd", 12, 1),     # 32 entries: all 13
-             (point_field(), 4, 2, "hutchinson", 12, 13),  # 1024: one state each
-             (point_field(), 1, 2, "hutchinson", 28, 8),   # 256: 4 a call, 29 states
-             (grid_field(), 2, 64, "exact_fd", 3, 4))      # 16384: one state each
-    for field, n, d, mode, steps, div_calls in cases:
+    # (points, event, mode, steps, divergence calls): the perturbed rows of
+    # one state hold 2 k d n entries (k = d or the probes); consecutive
+    # states share a call up to 1024 entries, a grid state is never regrouped
+    cases = ((point_field(), 4, (2,), "exact_fd", 12, 1),     # 32 entries: all 13
+             (point_field(), 4, (2,), "hutchinson", 12, 13),  # 1024: one state each
+             (point_field(), 1, (2,), "hutchinson", 28, 8),   # 256: 4 a call, 29 states
+             (grid_field(), 2, (8, 8), "exact_fd", 3, 4))     # 16384: one state each
+    for field, n, event, mode, steps, div_calls in cases:
         grid = nll_grid(s, steps)
         recorder = TimeRecordingField(field)
-        pf_ode_nll(recorder, s, rng.standard_normal((n, d)), grid, div_mode=mode)
+        pf_ode_nll(recorder, s, rng.standard_normal((n, *event)), grid, div_mode=mode)
         assert recorder.calls == 2 * steps + div_calls
         # the divergence calls come last; a lone state keeps its scalar time,
         # a group of states passes each row the time of its state
@@ -225,9 +226,9 @@ def reference_nll(score, s, x0, grid, mode, probes, seed):
     integral = np.cumsum(0.5 * np.diff(times)[:, None] * (divs[:-1] + divs[1:]),
                          axis=0)[-1]
     s2_T = float(s.sigma2(s.T))
-    d = x0.shape[1]
+    d = x0[0].size
     return -0.5 * d * np.log(2.0 * np.pi * s2_T) \
-        - 0.5 * np.sum(states[-1]**2, axis=1) / s2_T + integral
+        - 0.5 * np.sum(states[-1].reshape(len(x0), d)**2, axis=1) / s2_T + integral
 
 
 def test_grouped_nll_matches_per_state_reference_bit_for_bit():
@@ -241,22 +242,47 @@ def test_grouped_nll_matches_per_state_reference_bit_for_bit():
                                          np.array([[2.4, 0.6], [0.6, 1.8]]),
                                          np.array([0.4, 0.5])), g)
         field = frame_average(AnalyticScoreField(mix, s), g)
-        cases += [(field, 2, "exact_fd", 64, 8), (field, 2, "hutchinson", 64, 8)]
-    d4 = make_d4_group((8, 8))
-    means = 0.4 * np.random.default_rng(0).standard_normal((2, 8, 8))
-    fa = frame_average(AnalyticScoreField(
-        symmetrize(GaussianMixture(np.array([0.5, 0.5]), means,
-                                   np.array([0.5, 0.5])), d4), s), d4)
-    grid_fa = lambda y, t: fa(y.reshape(-1, 8, 8), t).reshape(len(y), -1)
-    cases += [(grid_fa, 64, "exact_fd", 64, 2), (grid_fa, 64, "hutchinson", 2, 4)]
-    for field, d, mode, probes, steps in cases:
+        cases += [(field, (2,), "exact_fd", 64, 8), (field, (2,), "hutchinson", 64, 8)]
+    cases += [(grid_field(), (8, 8), "exact_fd", 64, 2),
+              (grid_field(), (8, 8), "hutchinson", 2, 4)]
+    for field, event, mode, probes, steps in cases:
         grid = nll_grid(s, steps)
         for n in (1, 2, 3):
-            x0 = rng.standard_normal((n, d))
+            x0 = rng.standard_normal((n, *event))
             got = pf_ode_nll(field, s, x0, grid, div_mode=mode, probes=probes,
                              seed=3).log_likelihood
             want = reference_nll(field, s, x0, grid, mode, probes, 3)
             np.testing.assert_array_equal(got, want)
+
+
+def test_grid_states_in_their_own_shape_match_the_flat_adapter_bit_for_bit():
+    # the reference: the score on flat (n, 64) rows through a reshaping adapter
+    s = vp_schedule()
+    fa = grid_field()
+    flat = lambda y, t: fa(y.reshape(-1, 8, 8), t).reshape(len(y), -1)
+    grid = nll_grid(s, 2)
+    rng = np.random.default_rng(25)
+    for mode, probes in (("exact_fd", 64), ("hutchinson", 4)):
+        for n in (1, 2):
+            x0 = rng.standard_normal((n, 8, 8))
+            got = pf_ode_nll(fa, s, x0, grid, div_mode=mode, probes=probes, seed=3)
+            want = pf_ode_nll(flat, s, x0.reshape(n, -1), grid, div_mode=mode,
+                              probes=probes, seed=3)
+            np.testing.assert_array_equal(got.log_likelihood, want.log_likelihood)
+            np.testing.assert_array_equal(got.bits_per_dim, want.bits_per_dim)
+        x = rng.standard_normal((8, 8))
+        assert divergence(fa, x, 0.4, mode, probes, 5) == \
+            divergence(flat, x.reshape(-1), 0.4, mode, probes, 5)
+
+
+def test_lone_grid_state_raises_a_typed_error():
+    # (8, 8) is a batch of eight 8-vectors; a lone grid state is x[None]
+    s = vp_schedule()
+    x = np.random.default_rng(26).standard_normal((8, 8))
+    with pytest.raises(SpdmError):
+        pf_ode_nll(grid_field(), s, x, nll_grid(s, 2))
+    assert np.isfinite(pf_ode_nll(grid_field(), s, x[None], nll_grid(s, 2))
+                       .log_likelihood).all()
 
 
 @needs_resource
@@ -292,7 +318,7 @@ def test_div_eval_chunks_whole_points_on_large_states():
     xs = np.random.default_rng(10).standard_normal((3, 300))
     for mode in ("exact_fd", "hutchinson"):
         counting = CountingField(field)
-        got = _div_eval(counting, xs, 0.3, mode, 64, 2)
+        got = _div_eval(counting, xs[None], [0.3], mode, 64, 2)[0]
         assert counting.calls == 3
         np.testing.assert_array_equal(
             got, reference_divergence(field, xs, 0.3, mode, 64, 2))

@@ -97,6 +97,18 @@ def test_schedule_validation():
         ve_schedule(sigma_min=0.0)
 
 
+def test_vp_schedule_refuses_an_underflowing_alpha_T():
+    # alpha_T^2 = exp(-T (beta_min + beta_max) / 2) passes the smallest
+    # normal float near beta_min + beta_max = 1417 at T = 1; the bridge
+    # weights and the Tweedie denoiser divide by it
+    s = vp_schedule(beta_max=1400.0)
+    assert float(s.alpha(s.T)) ** 2 >= np.finfo(float).tiny
+    for kwargs in ({"beta_max": 1e6}, {"beta_max": 1600.0},
+                   {"beta_max": 20.0, "T": 200.0}):
+        with pytest.raises(InvalidParams, match="beta_max"):
+            vp_schedule(**kwargs)
+
+
 def test_time_range_enforced():
     s = vp_schedule()
     with pytest.raises(TimeOutOfRange):

@@ -121,6 +121,9 @@ def test_reverse_sde_validation():
     grid = sampling_grid(s, 5)
     with pytest.raises(InvalidParams):
         reverse_sde_sample(field, s, -0.5, grid, np.zeros(2))
+    for lam in (1e300, np.nan):  # the drift weighs the score by (1 + lam^2) / 2
+        with pytest.raises(InvalidParams, match="lambda"):
+            reverse_sde_sample(field, s, lam, grid, np.zeros(2), noise=0)
     with pytest.raises(InvalidParams):
         reverse_sde_sample(field, s, 0.0, grid.reversed(), np.zeros(2))
     with pytest.raises(InvalidParams):
@@ -214,6 +217,9 @@ def test_ddbm_validation():
     good = bridge_grid(s, 10)
     with pytest.raises(InvalidParams):
         ddbm_reverse_sample(field, s, np.zeros(2), -1.0, good)
+    for tau in (1e300, np.nan):
+        with pytest.raises(InvalidParams, match="tau"):
+            ddbm_reverse_sample(field, s, np.zeros(2), tau, good, noise=0)
     with pytest.raises(InvalidParams):
         ddbm_reverse_sample(field, s, np.zeros(2), 0.5, good)  # no noise
     with pytest.raises(InvalidParams):
