@@ -124,15 +124,18 @@ def _require_file(path: Path, what: str) -> Path:
     return path
 
 
-def _write_manifest(out_dir: Path, command: str, chash: str, seed: int,
-                    outputs: list[str], params: dict) -> None:
-    io.write_json(out_dir / f"{command}_manifest.json", {
-        "command": command,
-        "config_hash": chash,
-        "seed": seed,
-        "outputs": sorted(outputs),
-        "params": params,
-    })
+def _load_states(path: Path, what: str, group: IsometryGroup | None) -> np.ndarray:
+    """The states in a tensor file; an IoError unless they are a nonempty
+    batch of nonempty states, of the group's state shape under a group."""
+    x = io.read_spdt(_require_file(path, what))
+    if x.ndim < 2 or x.size == 0 or (group is not None and x.shape[1:] != group.state_shape):
+        want = "states" if group is None else f"states of shape {group.state_shape}"
+        raise IoError(f"{what} {path} has shape {x.shape}, not a nonempty batch of {want}")
+    return x
+
+
+def _seed(seed_override: int | None, section: dict) -> int:
+    return seed_override if seed_override is not None else section.get("seed", 0)
 
 
 # ---- model loading -------------------------------------------------------
@@ -237,13 +240,16 @@ def build_bridge_score(cfg: dict, s: Schedule, group: IsometryGroup | None,
 # ---- commands ------------------------------------------------------------
 
 
-def cmd_gen_data(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
-    chash = io.config_hash(cfg)
-    build_schedule(cfg)  # refuse here a schedule that every later command refuses
-    group = build_group(cfg)
+# Each command takes the config, the output directory, the --seed value,
+# and the config hash, schedule and group that ``main`` builds for it; it
+# returns the (seed, outputs, params) of its manifest.
+
+
+def cmd_gen_data(cfg: dict, out_dir: Path, seed_override: int | None, chash: str,
+                 s: Schedule, group: IsometryGroup | None):
     mix = build_mixture(cfg, group)
     data_cfg = cfg.get("data", {})
-    seed = seed_override if seed_override is not None else data_cfg.get("seed", 0)
+    seed = _seed(seed_override, data_cfg)
     n = data_cfg.get("n_samples", 1000)
     samples = mix.sample(np.random.default_rng(seed), n)
     io.write_spdt(out_dir / "data.spdt", samples)
@@ -264,26 +270,21 @@ def cmd_gen_data(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
         spec_doc["orientation_counts"] = {el.name: int(counts[el.gid])
                                           for el in group.elements}
     io.write_json(out_dir / "data_spec.json", spec_doc)
-    _write_manifest(out_dir, "gen-data", chash, seed,
-                    ["data.spdt", "data_spec.json"],
-                    {"n_samples": n, "components": len(mix.weights)})
-    return EXIT_OK
+    return seed, ["data.spdt", "data_spec.json"], {"n_samples": n,
+                                                   "components": len(mix.weights)}
 
 
-def cmd_train(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
-    chash = io.config_hash(cfg)
-    s = build_schedule(cfg)
-    group = build_group(cfg)
+def cmd_train(cfg: dict, out_dir: Path, seed_override: int | None, chash: str,
+              s: Schedule, group: IsometryGroup | None):
     tcfg_raw = dict(cfg.get("train", {}))
     mode = tcfg_raw.pop("mode", "plain")
     init_path = tcfg_raw.pop("init_checkpoint", None)
-    if seed_override is not None:
-        tcfg_raw["seed"] = seed_override
+    tcfg_raw["seed"] = _seed(seed_override, tcfg_raw)
     hidden = tcfg_raw.pop("hidden", None)
     tcfg = TrainerConfig(**tcfg_raw) if hidden is None else \
         TrainerConfig(hidden=tuple(hidden), **tcfg_raw)
 
-    data = io.read_spdt(_require_file(out_dir / "data.spdt", "dataset"))
+    data = _load_states(out_dir / "data.spdt", "dataset", group)
     flat = data.reshape(data.shape[0], -1)
 
     resume = {}
@@ -324,12 +325,9 @@ def cmd_train(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
         rows.append([i, float(result.losses[i]), reg, chash, tcfg.seed])
     io.write_csv(out_dir / "loss.csv",
                  ["step", "dsm_loss", "reg_loss", "config_hash", "seed"], rows)
-    _write_manifest(out_dir, "train", chash, tcfg.seed,
-                    ["checkpoint.spdt", "checkpoint_ema.spdt",
-                     "checkpoint_adam.spdt", "checkpoint.json", "loss.csv"],
-                    {"mode": mode, "steps": tcfg.steps,
-                     "free_parameters": result.free_parameters})
-    return EXIT_OK
+    return tcfg.seed, ["checkpoint.spdt", "checkpoint_ema.spdt", "checkpoint_adam.spdt",
+                       "checkpoint.json", "loss.csv"], \
+        {"mode": mode, "steps": tcfg.steps, "free_parameters": result.free_parameters}
 
 
 def _event_shape(cfg: dict, group: IsometryGroup | None,
@@ -393,16 +391,13 @@ def _run_with_probe(run, x_T: np.ndarray, group: IsometryGroup | None,
     return out[:n], metrics.delta_x0_from_ends(out[:n_probe], out[n:], group, ids)
 
 
-def cmd_sample(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
-    chash = io.config_hash(cfg)
-    s = build_schedule(cfg)
-    group = build_group(cfg)
+def cmd_sample(cfg: dict, out_dir: Path, seed_override: int | None, chash: str,
+               s: Schedule, group: IsometryGroup | None):
     sp = cfg.get("sampler", {})
-    seed = seed_override if seed_override is not None else sp.get("seed", 0)
-    lam = sp.get("lam", 1.0)
-    steps = sp.get("steps", 400)
-    n = sp.get("n_samples", 512)
+    seed = _seed(seed_override, sp)
+    lam, steps, n = sp.get("lam", 1.0), sp.get("steps", 400), sp.get("n_samples", 512)
     use_en = sp.get("equivariant_noise", False)
+    params = {"lam": lam, "steps": steps, "n_samples": n, "equivariant_noise": use_en}
 
     event_shape = _event_shape(cfg, group, out_dir)
     score = build_score(cfg, s, group, out_dir, event_shape)
@@ -412,31 +407,23 @@ def cmd_sample(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
         score, s, lam, grid, x, noise=noise, record=False).terminal,
         group, use_en, seed, grid.n_steps)
     samples, gap = _run_with_probe(run, x_T, group, min(4, n) if lam > 0 else 0, seed)
-    summary = {"config_hash": chash, "seed": seed, "lam": lam, "steps": steps,
-               "n_samples": n, "equivariant_noise": use_en,
+    summary = {"config_hash": chash, "seed": seed, **params,
                "mean_norm": float(np.mean(np.linalg.norm(
                    samples.reshape(n, -1), axis=1)))}
     if gap is not None:
         summary["delta_x0"] = gap
     io.write_spdt(out_dir / "samples.spdt", samples)
     io.write_json(out_dir / "sample_summary.json", summary)
-    _write_manifest(out_dir, "sample", chash, seed, ["samples.spdt",
-                    "sample_summary.json"],
-                    {"lam": lam, "steps": steps, "n_samples": n,
-                     "equivariant_noise": use_en})
-    return EXIT_OK
+    return seed, ["samples.spdt", "sample_summary.json"], params
 
 
-def cmd_bridge(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
-    chash = io.config_hash(cfg)
-    s = build_schedule(cfg)
-    group = build_group(cfg)
+def cmd_bridge(cfg: dict, out_dir: Path, seed_override: int | None, chash: str,
+               s: Schedule, group: IsometryGroup | None):
     sp = cfg.get("sampler", {})
-    seed = seed_override if seed_override is not None else sp.get("seed", 0)
-    tau = sp.get("tau", 1.0)
-    steps = sp.get("steps", 400)
-    n = sp.get("n_samples", 256)
+    seed = _seed(seed_override, sp)
+    tau, steps, n = sp.get("tau", 1.0), sp.get("steps", 400), sp.get("n_samples", 256)
     use_en = sp.get("equivariant_noise", False)
+    params = {"tau": tau, "steps": steps, "n_samples": n, "equivariant_noise": use_en}
 
     event_shape = _event_shape(cfg, group, out_dir)
     cond_score = build_bridge_score(cfg, s, group, event_shape)
@@ -446,18 +433,12 @@ def cmd_bridge(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
         cond_score, s, x, tau, grid, noise=noise, record=False).terminal,
         group, use_en, seed, grid.n_steps)
     samples, gap = _run_with_probe(run, x_T, group, min(8, n), seed)
-
-    summary = {"config_hash": chash, "seed": seed, "tau": tau, "steps": steps,
-               "n_samples": n, "equivariant_noise": use_en}
+    summary = {"config_hash": chash, "seed": seed, **params}
     if gap is not None:
         summary["delta_x0"] = gap
     io.write_spdt(out_dir / "bridge_samples.spdt", samples)
     io.write_json(out_dir / "bridge_summary.json", summary)
-    _write_manifest(out_dir, "bridge", chash, seed,
-                    ["bridge_samples.spdt", "bridge_summary.json"],
-                    {"tau": tau, "steps": steps, "n_samples": n,
-                     "equivariant_noise": use_en})
-    return EXIT_OK
+    return seed, ["bridge_samples.spdt", "bridge_summary.json"], params
 
 
 def _nll_field(cfg: dict, s: Schedule, group: IsometryGroup | None, out_dir: Path,
@@ -470,13 +451,10 @@ def _nll_field(cfg: dict, s: Schedule, group: IsometryGroup | None, out_dir: Pat
             build_score(cfg, s, group, out_dir, event_shape))
 
 
-def cmd_nll(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
-    chash = io.config_hash(cfg)
-    s = build_schedule(cfg)
-    group = build_group(cfg)
-    seed = seed_override if seed_override is not None else 0
-
-    data = io.read_spdt(_require_file(out_dir / "data.spdt", "dataset"))
+def cmd_nll(cfg: dict, out_dir: Path, seed_override: int | None, chash: str,
+            s: Schedule, group: IsometryGroup | None):
+    seed = _seed(seed_override, {})
+    data = _load_states(out_dir / "data.spdt", "dataset", group)
     n_points, steps, div_mode, score = _nll_field(cfg, s, group, out_dir,
                                                   data.shape[1:])
     report = metrics.pf_ode_nll(score, s, data[:n_points], sampling.nll_grid(s, steps),
@@ -488,15 +466,13 @@ def cmd_nll(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
     io.write_csv(out_dir / "nll.csv",
                  ["index", "log_likelihood", "nll_nats_per_dim",
                   "bits_per_dim", "config_hash", "seed"], rows)
+    params = {"points": len(ll), "steps": steps, "div_mode": div_mode}
     io.write_json(out_dir / "nll_summary.json", {
-        "config_hash": chash, "seed": seed, "points": len(ll),
-        "steps": steps, "div_mode": div_mode,
+        "config_hash": chash, "seed": seed, **params,
         "mean_nll_nats_per_dim": float(np.mean(-ll / d)),
         "mean_bits_per_dim": float(np.mean(bpd)),
     })
-    _write_manifest(out_dir, "nll", chash, seed, ["nll.csv", "nll_summary.json"],
-                    {"points": len(ll), "steps": steps, "div_mode": div_mode})
-    return EXIT_OK
+    return seed, ["nll.csv", "nll_summary.json"], params
 
 
 def _tweedie_denoiser(score, s: Schedule):
@@ -509,16 +485,17 @@ def _tweedie_denoiser(score, s: Schedule):
     return model
 
 
-def cmd_metrics(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
-    chash = io.config_hash(cfg)
-    s = build_schedule(cfg)
-    group = build_group(cfg)
-    seed = seed_override if seed_override is not None else 0
+def cmd_metrics(cfg: dict, out_dir: Path, seed_override: int | None, chash: str,
+                s: Schedule, group: IsometryGroup | None):
+    seed = _seed(seed_override, {})
     wanted = cfg.get("metrics", ["fid", "inv_fid"])
 
-    data = io.read_spdt(_require_file(out_dir / "data.spdt", "dataset"))
-    samples = io.read_spdt(_require_file(out_dir / "samples.spdt", "sample set"))
+    data = _load_states(out_dir / "data.spdt", "dataset", group)
+    samples = _load_states(out_dir / "samples.spdt", "sample set", group)
     event_shape = data.shape[1:]
+    for name in wanted:
+        if group is None and name in ("inv_fid", "delta_x0", "nll_table"):
+            raise ConfigError(f"{name} needs a group section")
     data_flat = data.reshape(data.shape[0], -1)
     samp_flat = samples.reshape(samples.shape[0], -1)
     fspec = metrics.FeatureSpec(dim_in=data_flat.shape[1])
@@ -536,12 +513,8 @@ def cmd_metrics(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
                 metrics.dataset_stats(data_flat, fspec),
                 metrics.dataset_stats(samp_flat, fspec)))
         elif name == "inv_fid":
-            if group is None:
-                raise ConfigError("inv_fid needs a group section")
             emit("inv_fid", metrics.inv_fid(samples, group, fspec))
         elif name == "delta_x0":
-            if group is None:
-                raise ConfigError("delta_x0 needs a group section")
             score = build_score(cfg, s, group, out_dir, event_shape)
             model = _tweedie_denoiser(score, s)
             emit("delta_x0", metrics.delta_x0_gap(
@@ -553,8 +526,6 @@ def cmd_metrics(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
             emit("energy_stat", stat)
             emit("energy_p", p)
         elif name == "nll_table":
-            if group is None:
-                raise ConfigError("nll_table needs a group section")
             _nll_table(cfg, s, group, out_dir, data, chash, seed)
             emit("nll_table_rows", len(group))
     io.write_csv(out_dir / "metrics.csv",
@@ -575,11 +546,9 @@ def cmd_metrics(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
                    comment=f"config {chash} seed {seed}")
 
     outputs = ["metrics.csv", "scatter.svg"]
-    if "nll_table" in wanted and group is not None:
+    if "nll_table" in wanted:
         outputs.append("nll_table.csv")
-    _write_manifest(out_dir, "metrics", chash, seed, outputs,
-                    {"metrics": list(wanted)})
-    return EXIT_OK
+    return seed, outputs, {"metrics": list(wanted)}
 
 
 def _nll_table(cfg, s, group, out_dir: Path, data: np.ndarray, chash: str,
@@ -600,7 +569,7 @@ def _nll_table(cfg, s, group, out_dir: Path, data: np.ndarray, chash: str,
                  rows)
 
 
-def cmd_verify(cfg: dict, out_dir: Path, seed_override: int | None) -> int:
+def cmd_verify(cfg: dict, out_dir: Path) -> int:
     chash = io.config_hash(cfg)
     results = verify_mod.run_all()
     all_passed = all(r.passed for r in results)
@@ -624,7 +593,6 @@ HANDLERS = {
     "bridge": cmd_bridge,
     "nll": cmd_nll,
     "metrics": cmd_metrics,
-    "verify": cmd_verify,
 }
 
 
@@ -660,7 +628,16 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise IoError(f"cannot create output directory {out_dir}: {exc}") from exc
-        code = HANDLERS[args.command](cfg, out_dir, args.seed)
+        if args.command == "verify":
+            code = cmd_verify(cfg, out_dir)
+        else:
+            chash, s, group = io.config_hash(cfg), build_schedule(cfg), build_group(cfg)
+            seed, outputs, params = HANDLERS[args.command](cfg, out_dir, args.seed,
+                                                           chash, s, group)
+            io.write_json(out_dir / f"{args.command}_manifest.json", {
+                "command": args.command, "config_hash": chash, "seed": seed,
+                "outputs": sorted(outputs), "params": params})
+            code = EXIT_OK
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_NUMERIC

@@ -184,21 +184,27 @@ def equivariance_residuals(field, group: IsometryGroup, xs, *args) -> np.ndarray
     """``field(k x, *args) - k field(x, *args)`` for every element k and row x.
 
     Returns an array shaped (|G|, n, ...) whose entry [k, i] belongs to
-    ``group.elements[k]`` and row i of ``xs``.  Array arguments hold one
-    value per row and travel with their row; scalar arguments are shared.
-    The field is called twice: once on all |G| n moved rows, once on xs.
+    ``group.elements[k]`` and row i of ``xs``.  The other arguments follow
+    ``_tile_rows``: arrays of batch length travel with their row, the rest
+    is shared.  The field is called twice: once on all |G| n moved rows,
+    once on xs.
     """
     xs = np.asarray(xs, dtype=float)
     g, n = len(group), xs.shape[0]
     ids = np.repeat(np.arange(g), n)
-
-    def tiled(a):
-        return np.concatenate([np.asarray(a, dtype=float)] * g)
-
-    rows = [a if np.ndim(a) == 0 else tiled(a) for a in args]
-    moved = np.asarray(field(apply_elements(group, ids, tiled(xs)), *rows))
-    base = apply_elements(group, ids, tiled(field(xs, *args)))
+    moved = np.asarray(field(apply_elements(group, ids, np.concatenate([xs] * g)),
+                             *_tile_rows(args, n, g)))
+    base = apply_elements(group, ids, np.concatenate([field(xs, *args)] * g))
     return (moved - base).reshape(g, n, *moved.shape[1:])
+
+
+def _tile_rows(args, n: int | None, g: int) -> list:
+    """Arguments for g stacked copies of a batch of n rows: arrays whose
+    leading axis has the batch length hold one value per row and are
+    tiled g times; everything else, and every argument of a lone state
+    (n None), is shared."""
+    return [np.concatenate([a] * g) if n is not None and np.ndim(a) >= 1 and len(a) == n
+            else a for a in args]
 
 
 def _compose_perms(p_outer: np.ndarray, p_inner: np.ndarray) -> np.ndarray:
@@ -494,9 +500,9 @@ class FrameAveragedField:
     Each call makes one base call on the |G| moved copies of its input,
     stacked element by element along the leading axis: |G| states for a
     lone state, |G| n rows for a batch of n.  A conditional field's y is
-    moved and stacked the same way.  Of the other arguments, arrays whose
-    leading axis has the batch length hold one value per row (times, say)
-    and are tiled |G| times; everything else is shared.  The terms are
+    moved and stacked the same way.  The other arguments follow
+    ``_tile_rows``: arrays of batch length (times, say) are tiled |G|
+    times, everything else is shared.  The terms are
     summed in ascending element-id order, so results are deterministic
     across runs.
 
@@ -521,14 +527,19 @@ class FrameAveragedField:
             self._moves = group.stacked.transpose(0, 2, 1)
             self._inverse_moves = group.stacked[group.inverse_table].transpose(0, 2, 1)
 
+    def _split(self, x, args, lone: bool) -> tuple[tuple, list]:
+        """The states the elements move (x, and y if conditional) and the
+        other arguments for the |G| stacked copies."""
+        states, args = ((x, args[0]), args[1:]) if self.conditional else ((x,), args)
+        return states, _tile_rows(args, None if lone else len(x), len(self.group))
+
     def __call__(self, x, *args):
         x = np.asarray(x, dtype=float)
         if self.group.grid_shape is not None:
             return self._grid_average(x, args)
         g, d = len(self.group), len(self._moves[0])
         lone = x.ndim == 1
-        n = None if lone else x.shape[0]
-        states, args = ((x, args[0]), args[1:]) if self.conditional else ((x,), args)
+        states, rest = self._split(x, args, lone)
 
         def stacked_copies(v):
             # every element's moved copy of v in one stacked product
@@ -536,10 +547,7 @@ class FrameAveragedField:
             copies = np.matmul(v.reshape(1, -1, d), self._moves)
             return copies.reshape((g, *v.shape) if lone else (g * len(v), *v.shape[1:]))
 
-        moved = [stacked_copies(v) for v in states]
-        for a in args:
-            per_row = n is not None and np.ndim(a) >= 1 and len(a) == n
-            moved.append(np.concatenate([a] * g) if per_row else a)
+        moved = [stacked_copies(v) for v in states] + rest
         out = np.asarray(self.base(*moved)).reshape(g, -1, d)
         del moved  # the stacked copies are dead; free them before the terms
         # the terms k^-1 s(k x), summed along the element axis in id order
@@ -558,8 +566,7 @@ class FrameAveragedField:
             raise ShapeMismatch(
                 f"array of shape {x.shape} does not end in grid shape {(h, w)}")
         g, perms = len(self.group), self.group.stacked
-        n = None if lone else x.shape[0]
-        states, args = ((x, args[0]), args[1:]) if self.conditional else ((x,), args)
+        states, rest = self._split(x, args, lone)
         moved, bufs = [], []
         for key, v in enumerate(states):
             v = np.asarray(v, dtype=float)
@@ -569,9 +576,7 @@ class FrameAveragedField:
                 np.take(rows, perms[k], axis=1, out=buf[k], mode="wrap")
             bufs.append(buf)
             moved.append(buf.reshape((g, *v.shape) if lone else (g * len(v), *v.shape[1:])))
-        for a in args:
-            per_row = n is not None and np.ndim(a) >= 1 and len(a) == n
-            moved.append(np.concatenate([a] * g) if per_row else a)
+        moved += rest
         if self._base_takes_out:
             out = self._work.get("out", moved[0].shape)
             self.base(*moved, out=out)

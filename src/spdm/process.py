@@ -155,7 +155,9 @@ def vp_schedule(beta_min: float = 0.1, beta_max: float = 20.0, T: float = 1.0) -
     if T <= 0.0:
         raise InvalidParams(f"T must be > 0, got {T}")
     s = Schedule(kind="vp", T=float(T), beta_min=float(beta_min), beta_max=float(beta_max))
-    if not float(s.alpha(s.T)) ** 2 >= np.finfo(float).tiny:
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge T gives alpha_T 0 or NaN
+        alpha_T = float(s.alpha(s.T))
+    if not alpha_T**2 >= np.finfo(float).tiny:
         raise InvalidParams(f"beta_max={beta_max} (T={T}) drives alpha_T^2 below "
                             f"{np.finfo(float).tiny:.3g}; lower beta_max or T")
     return s
@@ -167,7 +169,8 @@ def ve_schedule(sigma_min: float = 0.01, sigma_max: float = 10.0, T: float = 1.0
     Parameters
     ----------
     sigma_min, sigma_max : float
-        Noise levels at t=0 and t=T; require 0 < sigma_min < sigma_max.
+        Noise levels at t=0 and t=T; require 0 < sigma_min < sigma_max, with
+        sigma_T^2 and g^2(T) finite.
     T : float
         Terminal time, > 0.
     """
@@ -175,13 +178,29 @@ def ve_schedule(sigma_min: float = 0.01, sigma_max: float = 10.0, T: float = 1.0
         raise InvalidParams(f"need 0 < sigma_min < sigma_max, got {sigma_min}, {sigma_max}")
     if T <= 0.0:
         raise InvalidParams(f"T must be > 0, got {T}")
-    return Schedule(kind="ve", T=float(T), sigma_min=float(sigma_min), sigma_max=float(sigma_max))
+    s = Schedule(kind="ve", T=float(T), sigma_min=float(sigma_min), sigma_max=float(sigma_max))
+    try:  # g^2 = sigma^2 2 log(sigma_max / sigma_min) / T grows with t, as sigma^2 does
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(s.g2(s.T))
+    except OverflowError:  # sigma_min**2, a Python float
+        finite = False
+    if not finite:
+        raise InvalidParams(f"sigma_max={sigma_max} (sigma_min={sigma_min}, T={T}) makes "
+                            "sigma_T^2 or g^2(T) overflow; lower sigma_max")
+    return s
 
 
 def transition(s: Schedule, x0: np.ndarray, t: float) -> GaussianParams:
     """Gaussian forward transition p(x_t | x_0) = N(alpha_t x_0, sigma_t^2 I)."""
     a, s2 = map(float, s.alpha_sigma2(float(np.asarray(t, dtype=float))))
     return GaussianParams(mean=a * np.asarray(x0, dtype=float), variance=s2)
+
+
+def _refuse_terminal(s: Schedule, t) -> None:
+    """Refuse times past ``T - t_clip``, the float ``bridge_grid`` starts at;
+    h and the bridge weights are singular at T."""
+    if np.any(np.asarray(t) > s.T - s.t_clip):
+        raise SingularAtTerminal(f"t={np.max(t)} is within t_clip={s.t_clip} of T={s.T}")
 
 
 def _h_denominator(s: Schedule, t) -> tuple[np.ndarray, np.ndarray]:
@@ -198,13 +217,12 @@ def grad_log_transition_h(s: Schedule, x_t: np.ndarray, x_T: np.ndarray,
     For the VP family this is ``((alpha_t/alpha_T) x_T - x_t) /
     (sigma_t^2 (eta_t/eta_T - 1))``; the VE family reduces to
     ``(x_T - x_t) / (sigma_T^2 - sigma_t^2)``.  Singular at the terminal
-    time: times with ``T - t < t_clip`` are refused.
+    time: times past ``T - t_clip`` are refused.
     """
     t = float(t)
     if t < 0.0 or t > s.T:
         raise TimeOutOfRange(f"t={t} outside [0, {s.T}]")
-    if s.T - t < s.t_clip:
-        raise SingularAtTerminal(f"t={t} is within t_clip={s.t_clip} of T={s.T}")
+    _refuse_terminal(s, t)
     ratio, denom = _h_denominator(s, t)
     return (ratio * np.asarray(x_T, dtype=float) - np.asarray(x_t, dtype=float)) / denom
 

@@ -32,9 +32,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidParams, NonFiniteState, SingularAtTerminal, TimeOutOfRange
+from .errors import InvalidParams, NonFiniteState, TimeOutOfRange
 from .groups import GroupElement, IsometryGroup, apply_elements
-from .process import Schedule, _h_denominator
+from .process import Schedule, _h_denominator, _refuse_terminal
 
 
 @dataclass(frozen=True)
@@ -316,9 +316,7 @@ def ddbm_reverse_sample(cond_score, s: Schedule, x_T, tau: float,
     if tau > 0 and seq is None:
         raise InvalidParams("tau > 0 needs a noise sequence or seed")
     times = grid.times
-    if np.any(s.T - times[:-1] < s.t_clip):
-        raise SingularAtTerminal(f"bridge grid time {times[0]} is within "
-                                 f"t_clip={s.t_clip} of T={s.T}")
+    _refuse_terminal(s, times[:-1])
     dla, g2 = _coefficients(s, grid)
     ratio, denom = _h_denominator(s, times)  # h = (ratio x_T - x) / denom
     weight = 0.5 * (1.0 + tau**2)

@@ -7,11 +7,12 @@ on-disk outputs.
 
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from spdm import cli, metrics, sampling
+from spdm import cli, io, metrics, sampling
 from spdm.cli import main
 from spdm.io import read_spdt, write_spdt
 
@@ -182,6 +183,72 @@ def test_nan_dataset_exits_3(tmp_path):
     cfg["train"] = {"steps": 5, "hidden": [8], "seed": 0,
                     "batch_size": 16, "learning_rate": 1e-3}
     assert run("train", cfg, out) == 3
+
+
+@pytest.mark.parametrize("cmd", ["train", "nll", "metrics"])
+@pytest.mark.parametrize("shape", [(0, 2), (3, 0), (3,), (3, 3)])
+def test_malformed_dataset_exits_2_naming_the_file(tmp_path, capsys, cmd, shape):
+    # not a nonempty batch of nonempty C4 point states
+    out = tmp_path / "run"
+    out.mkdir()
+    write_spdt(out / "data.spdt", np.ones(shape))
+    write_spdt(out / "samples.spdt", np.ones((4, 2)))
+    cfg = train_config()
+    cfg["nll"] = {"points": 2, "steps": 5}
+    assert run(cmd, cfg, out) == 2
+    assert "data.spdt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (4, 3), (4,)])
+def test_malformed_sample_set_exits_2_naming_the_file(tmp_path, capsys, shape):
+    out = tmp_path / "run"
+    assert run("gen-data", base_config(), out) == 0
+    write_spdt(out / "samples.spdt", np.ones(shape))
+    capsys.readouterr()
+    assert run("metrics", base_config(), out) == 2
+    assert "samples.spdt" in capsys.readouterr().err
+
+
+# ---- manifests -----------------------------------------------------------
+
+
+def _written(out):
+    return {f.name: (f.stat().st_ino, f.stat().st_mtime_ns) for f in out.iterdir()}
+
+
+def test_every_manifest_lists_the_files_its_command_wrote(tmp_path):
+    out = tmp_path / "run"
+    cfg = train_config(steps=5, hidden=[8])
+    cfg["model"]["coupling"] = {"matrix": 0.5, "noise_var": 0.04}
+    cfg["train"]["seed"] = 3
+    cfg["sampler"] = {"lam": 1.0, "tau": 1.0, "steps": 5, "n_samples": 4, "seed": 5}
+    cfg["nll"] = {"points": 2, "steps": 5}
+    table = json.loads(json.dumps(cfg))
+    table["metrics"] = ["fid", "nll_table"]
+    out.mkdir()
+    paths = {}
+    for name, doc in (("config.json", cfg), ("table.json", table)):
+        paths[name] = out / name
+        paths[name].write_text(json.dumps(doc), "utf-8")
+    runs = [("gen-data", "config.json", 7), ("train", "config.json", 3),
+            ("sample", "config.json", 5), ("bridge", "config.json", 5),
+            ("nll", "config.json", 0), ("metrics", "config.json", 0),
+            ("metrics", "table.json", 0)]
+    for cmd, cfg_name, seed in runs:
+        before = _written(out)
+        assert main([cmd, "--config", str(paths[cfg_name]), "--out", str(out)]) == 0
+        after = _written(out)
+        wrote = {f for f in after if before.get(f) != after[f]} - {"run.log"}
+        manifest = json.loads((out / f"{cmd}_manifest.json").read_text("utf-8"))
+        assert manifest["outputs"] == sorted(wrote - {f"{cmd}_manifest.json"}), cmd
+        assert manifest["command"] == cmd
+        assert manifest["seed"] == seed, cmd
+        assert manifest["config_hash"] == io.config_hash(io.load_config(paths[cfg_name]))
+    assert "nll_table.csv" in manifest["outputs"]
+    # a --seed override reaches the manifest
+    assert main(["sample", "--config", str(paths["config.json"]), "--out", str(out),
+                 "--seed", "11"]) == 0
+    assert json.loads((out / "sample_manifest.json").read_text("utf-8"))["seed"] == 11
 
 
 # ---- train ---------------------------------------------------------------
@@ -813,6 +880,36 @@ def test_noise_level_with_an_overflowing_square_exits_2(tmp_path, capsys, cmd, k
     cfg["sampler"] = {key: 1e300, "steps": 10, "n_samples": 4, "seed": 1}
     assert run(cmd, cfg, tmp_path / "run") == 2
     assert "finite square" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("schedule", [{"kind": "ve", "sigma_max": 1e200},
+                                      {"kind": "vp", "T": 1e300}])
+def test_overflowing_schedule_exits_2_in_every_command_without_a_warning(
+        tmp_path, capsys, schedule):
+    cfg = train_config()
+    cfg["schedule"] = schedule
+    cfg["model"]["coupling"] = {"matrix": 0.5, "noise_var": 0.04}
+    cfg["sampler"] = {"steps": 10, "n_samples": 4, "seed": 1}
+    key = "sigma_max" if schedule["kind"] == "ve" else "beta_max"
+    for cmd in ("gen-data", "train", "sample", "bridge", "nll", "metrics"):
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(cmd, cfg, tmp_path / "run") == 2, cmd
+        assert not caught, (cmd, [str(w.message) for w in caught])
+        assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["vp", "ve"])
+def test_bridge_runs_at_a_long_horizon(tmp_path, kind):
+    # bridge_grid's first time T - t_clip is no longer refused as within
+    # t_clip of T when T - (T - t_clip) rounds below t_clip
+    cfg = base_config()
+    cfg["schedule"] = {"kind": kind, "T": 5.0}
+    cfg["model"]["coupling"] = {"matrix": 0.5, "noise_var": 0.04}
+    cfg["sampler"] = {"tau": 1.0, "steps": 10, "n_samples": 4, "seed": 1}
+    assert run("bridge", cfg, tmp_path / "run") == 0
+    assert np.all(np.isfinite(read_spdt(tmp_path / "run" / "bridge_samples.spdt")))
 
 
 # ---- mlp pipeline --------------------------------------------------------

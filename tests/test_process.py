@@ -1,5 +1,7 @@
 """Tests for noise schedules, transition kernels and pinned bridges."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,23 @@ def test_vp_schedule_refuses_an_underflowing_alpha_T():
             vp_schedule(**kwargs)
 
 
+def test_overflowing_schedules_are_refused_without_a_warning():
+    # VP: alpha_T at a huge horizon overflows t^2 on its way to 0 (or NaN when
+    # beta_min == beta_max); VE: sigma_T^2 or g^2(T) overflows
+    cases = [(vp_schedule, {"T": 1e300}, "beta_max"),
+             (vp_schedule, {"beta_min": 1.0, "beta_max": 1.0, "T": 1e300}, "beta_max"),
+             (ve_schedule, {"sigma_max": 1e200}, "sigma_max"),
+             (ve_schedule, {"sigma_min": 1e199, "sigma_max": 1e200}, "sigma_max"),
+             (ve_schedule, {"sigma_max": 1e150, "T": 1e-300}, "sigma_max")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make, kwargs, key in cases:
+            with pytest.raises(InvalidParams, match=key):
+                make(**kwargs)
+        s = ve_schedule(sigma_max=1e150)
+        assert np.isfinite(s.g2(s.T)) and np.isfinite(s.sigma2(s.T))
+
+
 def test_time_range_enforced():
     s = vp_schedule()
     with pytest.raises(TimeOutOfRange):
@@ -192,6 +211,17 @@ def test_h_refuses_terminal_window():
     grad_log_transition_h(s, np.zeros(2), np.ones(2), 1.0 - 2e-3)
     with pytest.raises(TimeOutOfRange):
         grad_log_transition_h(s, np.zeros(2), np.ones(2), 1.5)
+
+
+def test_h_refuses_exactly_past_the_bridge_grid_start():
+    # the terminal limit is the float T - t_clip that bridge_grid starts at,
+    # at horizons where T - (T - t_clip) rounds below t_clip
+    for T in (0.5, 1.0, 3.0, 5.0, 7.0, 10.0, 100.0):
+        for s in (vp_schedule(beta_min=0.1 / T, beta_max=20.0 / T, T=T), ve_schedule(T=T)):
+            t_max = s.T - s.t_clip
+            assert np.all(np.isfinite(grad_log_transition_h(s, np.zeros(2), np.ones(2), t_max)))
+            with pytest.raises(SingularAtTerminal):
+                grad_log_transition_h(s, np.zeros(2), np.ones(2), np.nextafter(t_max, s.T))
 
 
 def test_h_is_equivariant():

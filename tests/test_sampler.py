@@ -232,6 +232,17 @@ def test_ddbm_validation():
         ddbm_reverse_sample(field, s, np.zeros(2), 0.0, near)
 
 
+def test_ddbm_runs_on_the_bridge_grid_at_every_horizon():
+    # bridge_grid starts at the float T - t_clip; the sampler's terminal
+    # check must accept it whichever way T - (T - t_clip) rounds
+    for T in (0.5, 1.0, 3.0, 5.0, 7.0, 10.0, 100.0):
+        for s in (vp_schedule(beta_min=0.1 / T, beta_max=20.0 / T, T=T), ve_schedule(T=T)):
+            field = BridgeScoreField(GaussianCoupling(matrix=0.5, noise_var=0.05), s)
+            traj = ddbm_reverse_sample(field, s, np.ones((3, 2)), 1.0, bridge_grid(s, 10),
+                                       noise=0, record=False)
+            assert np.all(np.isfinite(traj.terminal)), (T, s.kind)
+
+
 def test_ddbm_matches_per_step_h_reference():
     # The bridge takes h's ratio and denominator once per grid; stepping with
     # grad_log_transition_h at every step gives the same states bit for bit.
