@@ -15,6 +15,7 @@ failure, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -596,7 +597,10 @@ HANDLERS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; it keeps no state
+    between ``parse_args`` calls."""
     parser = argparse.ArgumentParser(
         prog="spdm",
         description="Simulation and verification toolkit for "
@@ -618,7 +622,11 @@ def main(argv=None) -> int:
                        help="output directory (default: config out_dir or ./out)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the command's seed")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     out_dir = None
     try:

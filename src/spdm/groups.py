@@ -468,18 +468,25 @@ class _WorkArrays:
     hot loop from allocating and page-faulting fresh large temporaries on
     every call; they hold the largest call's size until their owner goes.
     A view is valid until the next ``get`` of its key, so owners return
-    fresh arrays to their callers and are not shared between threads.
+    fresh arrays to their callers and are not shared between threads.  A
+    get in the shape of the key's last get returns that same view.
     """
 
     def __init__(self):
         self._bufs: dict = {}
+        self._last: dict = {}    # key -> (shape, view) of its last get
 
     def get(self, key, shape) -> np.ndarray:
+        last = self._last.get(key)
+        if last is not None and last[0] == shape:
+            return last[1]
         size = math.prod(shape)
         buf = self._bufs.get(key)
         if buf is None or buf.size < size:
             buf = self._bufs[key] = np.empty(size)
-        return buf[:size].reshape(shape)
+        view = buf[:size].reshape(shape)
+        self._last[key] = (shape, view)
+        return view
 
 
 def _takes_out(fn) -> bool:

@@ -120,6 +120,14 @@ def _n_directions(mode, probes, d) -> int:
     raise InvalidParams(f"unknown divergence mode {mode!r}")
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array, with the bits of
+    ``np.linalg.norm(row)``: the square root of one dot product per row.
+    The ``axis=-1`` form sums the squares in another order."""
+    x = np.ascontiguousarray(x, dtype=float)
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None]))[:, 0, 0]
+
+
 def _div_eval(f, states, ts, mode, probes, seed):
     """Divergence of the field ``f(y, t)`` at every point of m states.
 
@@ -144,9 +152,7 @@ def _div_eval(f, states, ts, mode, probes, seed):
     if mode == "exact_fd":
         h, v = 1e-5 * (1.0 + np.abs(xs)), np.eye(k)[None, None]
     else:
-        # norm per point: the axis=-1 form rounds differently for ~20% of points
-        h = 1e-5 * (1.0 + np.array([np.linalg.norm(x) for x in xs.reshape(-1, d)]))
-        h = h.reshape(m, n, 1)
+        h = (1e-5 * (1.0 + _row_norms(xs.reshape(-1, d)))).reshape(m, n, 1)
         v = np.stack([np.random.default_rng(seed + j).choice([-1.0, 1.0], size=(k, d))
                       for j in range(m)])[:, None]
     chunk = max(1, _DIV_BATCH_ENTRIES // (2 * k * d * m))

@@ -25,14 +25,15 @@ counts 6 (flip_h 3x3), 7 (C4 5x5) and 6 (D4 5x5).
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DivergedLoss, InvalidParams, ShapeMismatch, UnsupportedSize
-from .groups import (IsometryGroup, apply_elements, equivariance_residuals,
-                     make_group)
+from .groups import (IsometryGroup, _WorkArrays, apply_elements,
+                     equivariance_residuals, make_group)
 from .process import Schedule
 
 
@@ -92,6 +93,7 @@ class Mlp:
         self._tie_index = self._tie_sign = None
         if tie_group is not None:
             self._build_tying(tie_group)
+        self._work = _WorkArrays()
 
     # ---- weight tying ----------------------------------------------------
 
@@ -147,22 +149,43 @@ class Mlp:
         self._tie_index = np.concatenate(index, axis=1)
         self._tie_sign = np.concatenate(sign, axis=1)
 
-    def _effective(self, flat: np.ndarray) -> np.ndarray:
-        """The flat parameters the forward pass uses: tied, or ``flat`` itself."""
+    def _project(self, flat: np.ndarray, out: np.ndarray, work) -> np.ndarray:
+        """The tied vector ``sum_k sign[k] flat[index[k]] / |G|``, into ``out``.
+
+        The gathered rows are summed along the element axis in id order.
+        """
+        gathered = work.get("gather", self._tie_index.shape)
+        np.take(flat, self._tie_index, out=gathered, mode="wrap")
+        gathered *= self._tie_sign
+        np.add.reduce(gathered, axis=0, out=out)
+        out /= len(gathered)
+        return out
+
+    def _effective(self, flat: np.ndarray, work=None) -> np.ndarray:
+        """The flat parameters the forward pass uses: tied, or ``flat`` itself.
+
+        A tied vector goes to ``work``, or to a fresh array without one.
+        """
+        work = _WorkArrays() if work is None else work
         if self._tie_index is None:
             return flat
-        return np.sum(self._tie_sign * flat[self._tie_index], axis=0) / len(self._tie_index)
+        return self._project(flat, work.get("tied", flat.shape), work)
 
     def _unflatten(self, flat: np.ndarray):
         """Weight and bias views of a flat parameter vector."""
         parts = [flat[a:b].reshape(shape) for a, b, shape in self._layout]
         return parts[:len(self.weights)], parts[len(self.weights):]
 
+    def _forward_parameters(self, work):
+        """Weights and biases of the forward pass; tied ones in ``work``."""
+        if self._tie_index is None:
+            return self.weights, self.biases
+        return self._unflatten(self._effective(self.flat_parameters(), work))
+
     def effective_parameters(self):
         """Weights and biases actually used in the forward pass."""
-        if self._tie_index is None:
-            return list(self.weights), list(self.biases)
-        return self._unflatten(self._effective(self.flat_parameters()))
+        ws, bs = self._forward_parameters(_WorkArrays())
+        return list(ws), list(bs)
 
     def free_parameter_count(self) -> int:
         """Dimension of the parameter space after tying.
@@ -202,16 +225,21 @@ class Mlp:
 
         A lone row runs as two equal rows: numpy hands a one-row product
         to gemv, which sums in another order than the gemm of a batch, so
-        a lone state rounds like the same row inside a batch.
+        a lone state rounds like the same row inside a batch.  The layers
+        run in the net's work arrays, and the output is a fresh array; a
+        cache for ``backward`` holds fresh arrays of its own.
         """
         single = np.asarray(x).ndim == 1
         a = self._features(x, y, t)
-        ws, bs = self.effective_parameters()
+        work = _WorkArrays() if want_cache else self._work
+        ws, bs = self._forward_parameters(work)
         if len(a) == 1:
-            inputs = [v[:1] for v in _layers(np.concatenate([a, a]), ws, bs)]
+            inputs = [v[:1] for v in _layers(np.concatenate([a, a]), ws, bs, work)]
         else:
-            inputs = _layers(a, ws, bs)
-        out = inputs[-1][0] if single else inputs[-1]
+            inputs = _layers(a, ws, bs, work)
+        out = inputs[-1] if want_cache else inputs[-1].copy()
+        if single:
+            out = out[0]
         if not want_cache:
             return out
         cache = {"inputs": inputs, "eff_weights": ws}
@@ -227,19 +255,29 @@ class Mlp:
     def backward(self, cache, out_adjoint: np.ndarray) -> "MlpGrads":
         """Gradients of a scalar loss given d loss / d output (batch rows)."""
         adj = np.atleast_2d(np.asarray(out_adjoint, dtype=float))
-        gw, gb = self._unflatten(self._flat_grad(cache["inputs"], cache["eff_weights"], adj))
-        return MlpGrads(weights=gw, biases=gb)
+        grad = self._flat_grad(cache["inputs"], cache["eff_weights"], adj,
+                               np.empty(self._layout[-1][1]), self._work)
+        return MlpGrads(*self._unflatten(grad))
 
-    def _flat_grad(self, inputs, ws, adj) -> np.ndarray:
-        """Flat loss gradient (projected when tied) from the layer inputs."""
-        grad = np.empty(self._layout[-1][1])
+    def _flat_grad(self, inputs, ws, adj, out: np.ndarray, work) -> np.ndarray:
+        """Flat loss gradient (projected when tied) from the layer inputs.
+
+        The gradient goes to ``out``; the adjoints of the hidden layers,
+        and the unprojected gradient of a tied net, go to ``work``.
+        """
+        grad = out if self._tie_index is None else work.get("raw_grad", out.shape)
         gw, gb = self._unflatten(grad)
         for layer in range(len(ws) - 1, -1, -1):
             np.matmul(adj.T, inputs[layer], out=gw[layer])
-            np.sum(adj, axis=0, out=gb[layer])
+            np.add.reduce(adj, axis=0, out=gb[layer])
             if layer > 0:
-                adj = (adj @ ws[layer]) * (1.0 - inputs[layer] ** 2)
-        return self._effective(grad)
+                # (adj @ W) * (1 - a**2), a the layer's tanh input
+                a = inputs[layer]
+                slope = np.square(a, out=work.get("slope", a.shape))
+                np.subtract(1.0, slope, out=slope)
+                adj = np.matmul(adj, ws[layer], out=work.get(("adjoint", layer), a.shape))
+                adj *= slope
+        return grad if self._tie_index is None else self._project(grad, out, work)
 
     # ---- parameter vector helpers ---------------------------------------
 
@@ -254,19 +292,27 @@ class Mlp:
         self.weights, self.biases = self._unflatten(v)
 
     def clone(self) -> "Mlp":
+        """A copy with its own parameters and its own work arrays."""
         other = copy.copy(self)
         other.weights = [w.copy() for w in self.weights]
         other.biases = [b.copy() for b in self.biases]
+        other._work = _WorkArrays()
         return other
 
 
-def _layers(a: np.ndarray, ws, bs) -> list:
-    """Every layer's input, the features first, and the output last."""
+def _layers(a: np.ndarray, ws, bs, work) -> list:
+    """Every layer's input, the features first, and the output last.
+
+    Layer l computes ``tanh(a @ W.T + b)`` (no tanh on the last) in the
+    work array of its output.
+    """
     inputs = [a]
     last = len(ws) - 1
     for layer, (w, b) in enumerate(zip(ws, bs)):
-        z = a @ w.T + b
-        a = z if layer == last else np.tanh(z)
+        a = np.matmul(a, w.T, out=work.get(("layer", layer), (len(a), len(b))))
+        a += b
+        if layer != last:
+            np.tanh(a, out=a)
         inputs.append(a)
     return inputs
 
@@ -301,29 +347,49 @@ def _diffuse(schedule: Schedule, x0: np.ndarray, t: np.ndarray, eps: np.ndarray)
     return sigma, alpha[:, None] * x0 + sigma * eps
 
 
-def _dsm_terms(net: Mlp, params, feats, sigma, eps):
-    """Weighted DSM loss of one noisy batch and its flat gradient.
+def _mean_row_square(resid: np.ndarray, work) -> float:
+    """``mean_i ||resid_i||^2``, summed as ``np.mean(np.sum(resid**2, axis=1))``."""
+    square = np.square(resid, out=work.get("square", resid.shape))
+    rows = np.add.reduce(square, axis=1, out=work.get("row_sums", resid.shape[:1]))
+    return float(np.add.reduce(rows)) / len(rows)
+
+
+def _dsm_terms(net: Mlp, params, feats, sigma, eps, out: np.ndarray) -> float:
+    """Weighted DSM loss of one noisy batch; its flat gradient goes to ``out``.
 
     ``params`` are the (weights, biases) the forward pass uses, ``feats``
-    the net inputs at x_t and ``sigma`` the (rows, 1) noise scales.
+    the net inputs at x_t and ``sigma`` the (rows, 1) noise scales.  The
+    passes run in the net's work arrays.
     """
-    inputs = _layers(feats, *params)
-    resid = sigma * inputs[-1] + eps
-    loss = float(np.mean(np.sum(resid**2, axis=1)))
-    return loss, net._flat_grad(inputs, params[0], 2.0 * sigma * resid / len(feats))
+    work = net._work
+    inputs = _layers(feats, *params, work)
+    resid = np.multiply(sigma, inputs[-1], out=work.get("resid", eps.shape))
+    resid += eps
+    loss = _mean_row_square(resid, work)
+    # the adjoint 2 sigma resid / rows
+    adj = np.multiply(np.multiply(sigma, 2.0, out=work.get("two_sigma", sigma.shape)),
+                      resid, out=work.get("out_adjoint", eps.shape))
+    adj /= len(feats)
+    net._flat_grad(inputs, params[0], adj, out, work)
+    return loss
 
 
-def _reg_terms(net: Mlp, params, ema_params, group, ids, feats, moved_feats):
-    """Equivariance penalty of one batch and its flat gradient.
+def _reg_terms(net: Mlp, params, ema: Mlp, ema_params, group, ids, feats,
+               moved_feats, out: np.ndarray) -> float:
+    """Equivariance penalty of one batch; its flat gradient goes to ``out``.
 
     ``feats`` are the EMA net's inputs at x_t, ``moved_feats`` the trained
     net's inputs at k x_t (and k y), row i moved by element ``ids[i]``.
     """
-    target = apply_elements(group, ids, _layers(feats, *ema_params)[-1])
-    inputs = _layers(moved_feats, *params)
-    resid = inputs[-1] - target
-    loss = float(np.mean(np.sum(resid**2, axis=1)))
-    return loss, net._flat_grad(inputs, params[0], 2.0 * resid / len(feats))
+    target = apply_elements(group, ids, _layers(feats, *ema_params, ema._work)[-1])
+    work = net._work
+    inputs = _layers(moved_feats, *params, work)
+    resid = np.subtract(inputs[-1], target, out=work.get("resid", target.shape))
+    loss = _mean_row_square(resid, work)
+    adj = np.multiply(resid, 2.0, out=work.get("out_adjoint", target.shape))
+    adj /= len(feats)
+    net._flat_grad(inputs, params[0], adj, out, work)
+    return loss
 
 
 def dsm_loss(net: Mlp, schedule: Schedule, batch, rng: np.random.Generator,
@@ -339,8 +405,9 @@ def dsm_loss(net: Mlp, schedule: Schedule, batch, rng: np.random.Generator,
         raise InvalidParams("batch must be nonempty")
     t, eps = _draw_t_eps(schedule, x0, rng)
     sigma, x_t = _diffuse(schedule, x0, t, eps)
-    loss, grad = _dsm_terms(net, net.effective_parameters(), net._features(x_t, y, t),
-                            sigma, eps)
+    grad = np.empty(net._layout[-1][1])
+    loss = _dsm_terms(net, net._forward_parameters(net._work), net._features(x_t, y, t),
+                      sigma, eps, grad)
     return loss, MlpGrads(*net._unflatten(grad))
 
 
@@ -360,24 +427,29 @@ def equivariance_regularizer(net: Mlp, ema_net: Mlp, group: IsometryGroup,
     _, x_t = _diffuse(schedule, x0, t, eps)
     ids = rng.integers(len(group), size=x0.shape[0])
     yk = None if y is None else apply_elements(group, ids, np.atleast_2d(y))
-    loss, grad = _reg_terms(net, net.effective_parameters(),
-                            ema_net.effective_parameters(), group, ids,
-                            ema_net._features(x_t, y, t),
-                            net._features(apply_elements(group, ids, x_t), yk, t))
+    grad = np.empty(net._layout[-1][1])
+    loss = _reg_terms(net, net._forward_parameters(net._work), ema_net,
+                      ema_net._forward_parameters(ema_net._work), group, ids,
+                      ema_net._features(x_t, y, t),
+                      net._features(apply_elements(group, ids, x_t), yk, t), grad)
     return loss, MlpGrads(*net._unflatten(grad))
 
 
-def _ema_step(ema: np.ndarray, theta: np.ndarray, mu: float) -> np.ndarray:
-    return mu * ema + (1.0 - mu) * theta
+def _ema_step(ema: np.ndarray, theta: np.ndarray, mu: float, tmp: np.ndarray) -> None:
+    """``ema <- mu * ema + (1 - mu) * theta`` in place, with the bits of
+    that expression; ``tmp`` is a work array shaped like theta."""
+    ema *= mu
+    ema += np.multiply(theta, 1.0 - mu, out=tmp)
 
 
 def ema_update(ema_net: Mlp, net: Mlp, mu: float) -> Mlp:
     """Return a new EMA net with parameters mu * ema + (1 - mu) * current."""
     if not (0.0 <= mu < 1.0):
         raise InvalidParams(f"mu must be in [0, 1), got {mu}")
+    ema, theta = ema_net.flat_parameters(), net.flat_parameters()
+    _ema_step(ema, theta, mu, np.empty_like(theta))
     out = ema_net.clone()
-    out.set_flat_parameters(_ema_step(ema_net.flat_parameters(),
-                                      net.flat_parameters(), mu))
+    out.set_flat_parameters(ema)
     return out
 
 
@@ -405,14 +477,33 @@ class Adam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.step_count = 0
+        self._work = _WorkArrays()
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Update the moments in place; return the new parameters.
+
+        Each in-place update has the bits of its expression:
+        ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g**2`` and
+        ``params - lr mh / (sqrt(vh) + eps)`` with the bias-corrected
+        moments mh and vh.
+        """
         self.step_count += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad**2
-        mh = self.m / (1.0 - self.beta1**self.step_count)
-        vh = self.v / (1.0 - self.beta2**self.step_count)
-        return params - self.lr * mh / (np.sqrt(vh) + self.eps)
+        b1, b2 = self.beta1, self.beta2
+        tmp = self._work.get("tmp", grad.shape)
+        self.m *= b1
+        self.m += np.multiply(grad, 1.0 - b1, out=tmp)
+        self.v *= b2
+        scaled_sq = np.square(grad, out=tmp)
+        scaled_sq *= 1.0 - b2
+        self.v += scaled_sq
+        mh = np.divide(self.m, 1.0 - b1**self.step_count, out=tmp)
+        vh = np.divide(self.v, 1.0 - b2**self.step_count,
+                       out=self._work.get("vh", grad.shape))
+        np.sqrt(vh, out=vh)
+        vh += self.eps
+        mh *= self.lr
+        mh /= vh
+        return params - mh
 
 
 @dataclass(frozen=True)
@@ -449,8 +540,9 @@ class TrainResult:
 
 def _lane_rng(seed: int, lane: int, index: int) -> np.random.Generator:
     """Independent per-step generator; lanes keep draw patterns decoupled."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(lane, index))
-    return np.random.default_rng(ss)
+    # the stream of default_rng(SeedSequence(...)), built without its checks
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(lane, index))))
 
 
 # Training rows diffused at once: a block holds the noisy batches of
@@ -499,11 +591,14 @@ def train(config: TrainerConfig, data, schedule: Schedule,
         if tied != (group.name if mode == "WT" else None):
             raise InvalidParams(f"mode {mode!r} cannot resume a net tied to {tied}")
 
-    def draw(rng, n):
-        if hasattr(data, "sample"):
+    if hasattr(data, "sample"):
+        def draw(rng, n):
             return np.asarray(data.sample(rng, n), dtype=float)
+    else:
         arr = np.asarray(data, dtype=float)
-        return arr[rng.integers(arr.shape[0], size=n)]
+
+        def draw(rng, n):
+            return arr[rng.integers(arr.shape[0], size=n)]
 
     if init_net is not None:
         net = init_net.clone()
@@ -525,6 +620,10 @@ def train(config: TrainerConfig, data, schedule: Schedule,
     rows = config.batch_size
     per_block = max(1, _BLOCK_ROWS // rows)
     theta, ema_theta = net.flat_parameters(), ema.flat_parameters()
+    # the step runs in the nets' work arrays, and the EMA is updated in place
+    work = net._work
+    grad, reg_grad, ema_tmp = (work.get(key, theta.shape)
+                               for key in ("grad", "reg_grad", "ema_tmp"))
 
     for first in range(0, config.steps, per_block):
         steps = range(first, min(first + per_block, config.steps))
@@ -553,21 +652,28 @@ def train(config: TrainerConfig, data, schedule: Schedule,
 
         for j, step in enumerate(steps):
             r = slice(j * rows, (j + 1) * rows)
-            params = net._unflatten(net._effective(theta))
-            loss, grad = _dsm_terms(net, params, feats[r], sigma[r], eps[r])
+            params = net._unflatten(net._effective(theta, work))
+            loss = _dsm_terms(net, params, feats[r], sigma[r], eps[r], grad)
             loss_total = loss
             if use_reg:
-                rloss, rgrad = _reg_terms(
-                    net, params, ema._unflatten(ema._effective(ema_theta)), group,
-                    ids[r], ema_feats[r], moved_feats[r])
-                grad = grad + config.reg_weight * rgrad
+                ema_params = ema._unflatten(ema._effective(ema_theta, ema._work))
+                rloss = _reg_terms(net, params, ema, ema_params, group, ids[r],
+                                   ema_feats[r], moved_feats[r], reg_grad)
+                # grad + reg_weight * reg_grad
+                reg_grad *= config.reg_weight
+                grad += reg_grad
                 reg_losses[step] = rloss
                 loss_total = loss + config.reg_weight * rloss
-            if not np.isfinite(loss_total):
+            if not math.isfinite(loss_total):
                 raise DivergedLoss(f"loss became {loss_total} at step {step}")
             losses[step] = loss
             theta = opt.step(theta, grad)
-            ema_theta = _ema_step(ema_theta, theta, config.ema_mu)
+            _ema_step(ema_theta, theta, config.ema_mu, ema_tmp)
+        # a finite loss can still give a gradient whose square overflows the
+        # second moment, or a step that overflows the parameters
+        if not all(np.isfinite(v).all() for v in (theta, ema_theta, opt.m, opt.v)):
+            raise DivergedLoss(f"parameters or Adam moments became non-finite "
+                               f"in steps {steps[0]}..{steps[-1]}")
 
     net.set_flat_parameters(theta)
     ema.set_flat_parameters(ema_theta)

@@ -251,6 +251,21 @@ def test_every_manifest_lists_the_files_its_command_wrote(tmp_path):
     assert json.loads((out / "sample_manifest.json").read_text("utf-8"))["seed"] == 11
 
 
+def test_consecutive_mains_keep_their_own_arguments(tmp_path):
+    # the parser is built once per process; each call parses only its argv
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(base_config()), "utf-8")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["gen-data", "--config", str(cfg_path), "--out", str(first),
+                 "--seed", "11"]) == 0
+    assert main(["gen-data", "--config", str(cfg_path), "--out", str(second)]) == 0
+    seeds = [json.loads((out / "gen-data_manifest.json").read_text("utf-8"))["seed"]
+             for out in (first, second)]
+    assert seeds == [11, 7]
+    assert sorted(p.name for p in second.iterdir()) == sorted(p.name for p in first.iterdir())
+    assert cli._parser() is cli._parser()
+
+
 # ---- train ---------------------------------------------------------------
 
 
@@ -380,6 +395,57 @@ def test_mlp_wt_kind_refuses_an_untied_checkpoint(tmp_path, capsys):
     assert run("sample", cfg, out) == 2
     assert "mlp+WT" in capsys.readouterr().err
     assert not (out / "samples.spdt").exists()
+
+
+def _non_finite_outputs(out):
+    """Names of the data files under out that hold a NaN or an infinity."""
+    def numbers(path):
+        if path.suffix == ".spdt":
+            return read_spdt(path).ravel()
+        if path.suffix == ".json":
+            found = []
+            json.loads(path.read_text("utf-8"), parse_constant=found.append)
+            return [float("nan")] * len(found)   # NaN, Infinity or -Infinity
+        values = []
+        for field in path.read_text("utf-8").replace("\n", ",").split(","):
+            try:
+                values.append(float(field))
+            except ValueError:   # a header, a name or a config hash
+                pass
+        return values
+
+    return [p.name for p in sorted(out.iterdir())
+            if p.suffix in (".spdt", ".json", ".csv") and p.name != "config.json"
+            and not np.all(np.isfinite(numbers(p)))]
+
+
+TRAIN_EDGES = {"batch_1": {"batch_size": 1}, "steps_0": {"steps": 0},
+               "hidden_2": {"hidden": [2]}, "lr_1e6": {"learning_rate": 1e6},
+               "ema_0": {"ema_mu": 0.0}, "ema_0.999999": {"ema_mu": 0.999999},
+               "reg_0": {"mode": "regularized", "reg_weight": 0.0},
+               "reg_1e300": {"mode": "regularized", "reg_weight": 1e300}}
+
+
+@pytest.mark.parametrize("kind", ["mlp", "mlp+WT"])
+def test_train_edge_values_end_in_typed_exits(tmp_path, capsys, kind):
+    # every command a trained net feeds, on each edge value of the train
+    # section: a typed exit code, and only finite numbers after exit 0
+    for name, edge in TRAIN_EDGES.items():
+        out = tmp_path / name
+        cfg = train_config(**{"mode": "plain" if kind == "mlp" else "WT",
+                              "steps": 3, "hidden": [4], "batch_size": 8,
+                              "learning_rate": 1e-2, "ema_mu": 0.5, **edge})
+        cfg["data"]["n_samples"] = 16
+        cfg["model"] = {"kind": kind}
+        cfg["sampler"] = {"lam": 1.0, "steps": 3, "n_samples": 4, "seed": 1}
+        cfg["nll"] = {"points": 2, "steps": 3}
+        for cmd in ("gen-data", "train", "sample", "nll"):
+            code = run(cmd, cfg, out)
+            assert code in (0, 2, 3, 4), (name, cmd, code)
+            if code == 0:
+                assert _non_finite_outputs(out) == [], (name, cmd)
+            else:
+                assert "error:" in capsys.readouterr().err, (name, cmd)
 
 
 @pytest.mark.parametrize("damage", ["truncated", "missing_hidden", "missing_steps_done",

@@ -31,7 +31,7 @@ from spdm import (
     symmetrize,
     vp_schedule,
 )
-from spdm.metrics import _ENERGY_BLOCK_ROWS, _div_eval
+from spdm.metrics import _ENERGY_BLOCK_ROWS, _div_eval, _row_norms
 from spdm.sampling import _flow_drift, pf_ode_solve
 
 from fresh_process import needs_resource, usage
@@ -179,6 +179,17 @@ def test_div_eval_matches_reference_loop_bit_for_bit():
             got = _div_eval(field, xs[None], [0.4], mode, probes, 5)[0]
             want = reference_divergence(field, xs, 0.4, mode, probes, 5)
             np.testing.assert_array_equal(got, want)
+
+
+def test_row_norms_match_per_row_norm_bit_for_bit():
+    # the Hutchinson step 1e-5 (1 + |x|) takes its norms in one stacked product
+    rng = np.random.default_rng(36)
+    for d in (2, 3, 64):
+        for scale in (0.1, 1.0, 10.0, 100.0):
+            x = scale * rng.standard_normal((5000, d))
+            want = np.array([np.linalg.norm(row) for row in x])
+            np.testing.assert_array_equal(_row_norms(x), want)
+            np.testing.assert_array_equal(_row_norms(x.T.copy().T), want)
 
 
 class TimeRecordingField(CountingField):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spdm import (
+    Adam,
     DivergedLoss,
     GaussianMixture,
     InvalidParams,
@@ -258,10 +259,17 @@ def test_train_resume_is_bit_exact():
     cfg_a = TrainerConfig(steps=30, seed=3, hidden=(8,), batch_size=16)
     cfg_b = TrainerConfig(steps=60, seed=3, hidden=(8,), batch_size=16)
     first = train(cfg_a, small_mixture(), vp_schedule())
+    state = (*first.opt_state[:2], first.net.flat_parameters(),
+             first.ema_net.flat_parameters())
+    before = [a.copy() for a in state]
     resumed = train(cfg_a, small_mixture(), vp_schedule(),
                     init_net=first.net, init_ema=first.ema_net,
                     init_opt_state=first.opt_state, start_step=first.steps_done)
     straight = train(cfg_b, small_mixture(), vp_schedule())
+    # the caller's resume state is read, never written
+    for a, b in zip(before, (*first.opt_state[:2], first.net.flat_parameters(),
+                             first.ema_net.flat_parameters())):
+        np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(resumed.net.flat_parameters(),
                                   straight.net.flat_parameters())
     np.testing.assert_array_equal(resumed.ema_net.flat_parameters(),
@@ -475,17 +483,29 @@ def _reference_train(cfg, data, s, net, ema, group=None, mode="plain",
     return net.flat(), ema.flat(), losses, reg_losses, (m, v, count)
 
 
-@pytest.mark.parametrize("case", ["plain", "WT_C4", "WT_D4", "regularized", "resumed"])
+# Training shapes: by default a batch of 1000 rows puts 4 steps in a block,
+# so 9 steps make three blocks, the last one short.  The bench shape puts 16
+# steps in a block, so 33 steps end on a block of one; a batch of one row
+# takes the lone-row (gemv) products.
+_TRAIN_SHAPES = {
+    "bench": dict(steps=33, hidden=(16, 16), batch_size=256),
+    "batch_1": dict(steps=40, hidden=(8, 8), batch_size=1),
+}
+
+
+@pytest.mark.parametrize("case", ["plain", "WT_C4", "WT_D4", "regularized", "resumed",
+                                  "WT_C4_bench", "plain_batch_1", "WT_C4_batch_1",
+                                  "regularized_batch_1"])
 def test_train_matches_reference_loop_bit_for_bit(case):
-    # A batch of 1000 rows puts 4 steps in a block, so 9 steps make three
-    # blocks, the last one short.
     s = vp_schedule()
     data = small_mixture().sample(np.random.default_rng(35), 500)
-    cfg = TrainerConfig(steps=9, seed=6, hidden=(8, 8), batch_size=1000,
-                        learning_rate=1e-2, ema_mu=0.9, reg_weight=0.5)
+    shape = next((v for k, v in _TRAIN_SHAPES.items() if case.endswith(k)),
+                 dict(steps=9, hidden=(8, 8), batch_size=1000))
+    cfg = TrainerConfig(seed=6, learning_rate=1e-2, ema_mu=0.9, reg_weight=0.5, **shape)
+    kind = case.split("_batch")[0].split("_bench")[0]
     group = {"WT_C4": make_point_group_2d(4), "regularized": make_point_group_2d(4),
-             "WT_D4": make_point_group_2d(4, with_reflection=True)}.get(case)
-    mode = {"WT_C4": "WT", "WT_D4": "WT", "regularized": "regularized"}.get(case, "plain")
+             "WT_D4": make_point_group_2d(4, with_reflection=True)}.get(kind)
+    mode = {"WT_C4": "WT", "WT_D4": "WT", "regularized": "regularized"}.get(kind, "plain")
     init = Mlp(2, hidden=cfg.hidden, horizon=s.T, seed=cfg.seed,
                tie_group=group if mode == "WT" else None)
     resume = {}
@@ -513,6 +533,92 @@ def test_train_matches_reference_loop_bit_for_bit(case):
     assert res.opt_state[2] == count
 
 
+@pytest.mark.parametrize("mode", ["plain", "WT", "regularized"])
+def test_public_step_functions_reproduce_one_train_step(mode):
+    # dsm_loss, equivariance_regularizer, Adam.step and ema_update on a fresh
+    # net, drawing from the step's lanes, give the bits of train's step 0
+    s = vp_schedule()
+    g = make_point_group_2d(4)
+    data = small_mixture().sample(np.random.default_rng(37), 300)
+    cfg = TrainerConfig(steps=1, seed=8, hidden=(16, 16), batch_size=64,
+                        learning_rate=1e-2, ema_mu=0.9, reg_weight=0.5)
+    res = train(cfg, data, s, group=g, mode=mode)
+    net = Mlp(2, hidden=cfg.hidden, horizon=s.T, seed=cfg.seed,
+              tie_group=g if mode == "WT" else None)
+    ema = net.clone()
+    rng = _lane_rng(cfg.seed, 2, 0)
+    x0 = data[rng.integers(len(data), size=cfg.batch_size)]
+    loss, grads = dsm_loss(net, s, x0, rng)
+    grad = grads.flat()
+    if mode == "regularized":
+        rloss, rgrads = equivariance_regularizer(net, ema, g, x0, _lane_rng(cfg.seed, 3, 0), s)
+        grad = grad + cfg.reg_weight * rgrads.flat()
+        assert res.reg_losses[0] == rloss
+    opt = Adam(grad.size, lr=cfg.learning_rate)
+    net.set_flat_parameters(opt.step(net.flat_parameters(), grad))
+    ema = ema_update(ema, net, cfg.ema_mu)
+    assert res.losses[0] == loss
+    np.testing.assert_array_equal(res.net.flat_parameters(), net.flat_parameters())
+    np.testing.assert_array_equal(res.ema_net.flat_parameters(), ema.flat_parameters())
+    np.testing.assert_array_equal(res.opt_state[0], opt.m)
+    np.testing.assert_array_equal(res.opt_state[1], opt.v)
+
+
+@pytest.mark.parametrize("tie", [None, "C4"])
+def test_work_arrays_of_other_calls_leave_training_bits_alone(tie):
+    # the step's work arrays are per net and grow only: calls on batches of
+    # other sizes, and training a clone, do not move a bit of later training
+    s = vp_schedule()
+    g = make_point_group_2d(4)
+    data = small_mixture().sample(np.random.default_rng(38), 300)
+    cfg = TrainerConfig(steps=20, seed=9, hidden=(8, 8), batch_size=32,
+                        learning_rate=1e-2, ema_mu=0.9)
+    mode = "plain" if tie is None else "WT"
+    group = None if tie is None else g
+
+    def fresh():
+        return Mlp(2, hidden=cfg.hidden, horizon=s.T, seed=cfg.seed, tie_group=group)
+
+    want = train(cfg, data, s, group=group, mode=mode, init_net=fresh())
+    used = fresh()
+    x = np.random.default_rng(39).standard_normal((1000, 2))
+    used.forward(x, t=0.5)
+    used.forward(x[0], t=0.5)
+    dsm_loss(used, s, data[:7], np.random.default_rng(40))
+    train(cfg, data, s, group=group, mode=mode, init_net=used.clone())
+    for got in (train(cfg, data, s, group=group, mode=mode, init_net=used),
+                train(cfg, data, s, group=group, mode=mode, init_net=used)):
+        np.testing.assert_array_equal(got.net.flat_parameters(), want.net.flat_parameters())
+        np.testing.assert_array_equal(got.ema_net.flat_parameters(),
+                                      want.ema_net.flat_parameters())
+        np.testing.assert_array_equal(got.losses, want.losses)
+    # a one-step loss on the used net and on a fresh one
+    for rows in (32, 1, 1000):
+        batch = x[:rows]
+        a = dsm_loss(used, s, batch, np.random.default_rng(41))
+        b = dsm_loss(fresh(), s, batch, np.random.default_rng(41))
+        assert a[0] == b[0]
+        np.testing.assert_array_equal(a[1].flat(), b[1].flat())
+
+
+def test_clone_has_its_own_work_arrays():
+    # a tied net and its EMA clone each project into their own arrays, so the
+    # regularizer sees two different nets, as with an independent copy
+    g = make_point_group_2d(4)
+    s = vp_schedule()
+    net = Mlp(2, hidden=(8, 8), seed=11, tie_group=g)
+    ema = net.clone()
+    ema.set_flat_parameters(0.5 * ema.flat_parameters())
+    twin = Mlp(2, hidden=(8, 8), seed=11, tie_group=g)
+    twin.set_flat_parameters(ema.flat_parameters())
+    batch = small_mixture().sample(np.random.default_rng(43), 16)
+    loss, grads = equivariance_regularizer(net, ema, g, batch, np.random.default_rng(44), s)
+    want, want_grads = equivariance_regularizer(net, twin, g, batch,
+                                                np.random.default_rng(44), s)
+    assert loss == want > 0
+    np.testing.assert_array_equal(grads.flat(), want_grads.flat())
+
+
 def test_train_weight_tied_mode():
     g = make_point_group_2d(4)
     cfg = TrainerConfig(steps=50, seed=4, hidden=(8,), batch_size=16)
@@ -528,6 +634,9 @@ def test_lane_rng_streams_are_decoupled():
     c = _lane_rng(0, 2, 5).standard_normal(4)
     assert float(np.max(np.abs(a - b))) > 1e-6
     np.testing.assert_array_equal(a, c)
+    # the stream of default_rng on the lane's seed sequence
+    ss = np.random.SeedSequence(entropy=0, spawn_key=(2, 5))
+    np.testing.assert_array_equal(np.random.default_rng(ss).standard_normal(4), a)
 
 
 def test_apply_elements_matches_loop():
