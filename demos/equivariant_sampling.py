@@ -10,7 +10,8 @@ an orientation-respecting denoising pass.
 
 import numpy as np
 
-from spdm.groups import frame_average, make_point_group_2d
+from spdm.groups import (canonicalize, default_canonicalizer, frame_average,
+                         make_point_group_2d)
 from spdm.metrics import delta_x0_gap
 from spdm.oracle import (AnalyticScoreField, BridgeScoreField,
                          GaussianCoupling, GaussianMixture, symmetrize)
@@ -19,7 +20,7 @@ from spdm import sampling
 
 s = vp_schedule()
 G = make_point_group_2d(4)
-canon = sampling.default_canonicalizer(G)
+canon = default_canonicalizer(G)
 
 # ---- canonicalizer ------------------------------------------------------
 
@@ -27,7 +28,7 @@ print("=== canonicalizer: which orientation is a state in? ===")
 x = np.array([0.2, 1.3])
 for el in G.elements:
     moved = el.apply(x)
-    tag = sampling.canonicalize(canon, moved)
+    tag = canonicalize(canon, moved)
     print(f"state {np.round(moved, 2)} -> orientation {tag.name}")
 print("rotating the state rotates its tag the same way, which is what")
 print("lets a noise sequence follow the state's orientation.")

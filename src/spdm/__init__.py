@@ -11,8 +11,9 @@ from .errors import (ConfigError, DegenerateCoupling, DivergedLoss, IoError,
                      InvalidParams, NonFiniteState, NonPsd, NonSquareGrid,
                      ShapeMismatch, SingularAtTerminal, SpdmError,
                      TimeOutOfRange, UnsupportedSize)
-from .groups import (FrameAveragedField, GroupCheckReport, GroupElement,
-                     IsometryGroup, apply_elements, frame_average,
+from .groups import (Canonicalizer, FrameAveragedField, GroupCheckReport,
+                     GroupElement, IsometryGroup, apply_elements, canonical_ids,
+                     canonicalize, default_canonicalizer, frame_average,
                      make_c4_group, make_d4_group, make_flip_group, make_group,
                      make_point_group_2d, verify_group_axioms)
 from .io import (config_hash, load_config, read_spdt, validate_config,
@@ -33,12 +34,11 @@ from .process import (GaussianParams, Schedule, T_CLIP_FRACTION,
                       bridge_forward_drift, bridge_kernel,
                       grad_log_transition_h, transition, ve_schedule,
                       vp_schedule)
-from .sampling import (Canonicalizer, NoiseSequence, TimeGrid, Trajectory,
-                       bridge_grid, canonical_ids, canonicalize,
-                       ddbm_reverse_sample, default_canonicalizer,
-                       equivariant_noise_batch, equivariant_noise_sequence,
-                       nll_grid, pf_ode_solve, reverse_sde_sample,
-                       sampling_grid, sdedit_denoise, simulate_drift_only)
+from .sampling import (NoiseSequence, TimeGrid, Trajectory, bridge_grid,
+                       ddbm_reverse_sample, equivariant_noise_batch,
+                       equivariant_noise_sequence, nll_grid, pf_ode_solve,
+                       reverse_sde_sample, sampling_grid, sdedit_denoise,
+                       simulate_drift_only)
 from .verify import CheckResult, run_all
 
 __version__ = "0.1.0"

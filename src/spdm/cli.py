@@ -27,7 +27,8 @@ from . import verify as verify_mod
 from .errors import (ConfigError, DegenerateCoupling, DivergedLoss, IoError,
                      NonFiniteState, NonPsd, SingularAtTerminal, SpdmError,
                      TimeOutOfRange)
-from .groups import IsometryGroup, frame_average, make_group
+from .groups import (IsometryGroup, canonical_ids, default_canonicalizer,
+                     frame_average, make_group)
 from .nets import Mlp, TrainerConfig, train
 from .oracle import (AnalyticScoreField, BridgeScoreField, GaussianCoupling,
                      GaussianMixture, symmetrize)
@@ -266,7 +267,7 @@ def cmd_gen_data(cfg: dict, out_dir: Path, seed_override: int | None, chash: str
     }
     if group is not None:
         spec_doc["group"] = group.name
-        ids = sampling.canonical_ids(sampling.default_canonicalizer(group), samples)
+        ids = canonical_ids(default_canonicalizer(group), samples)
         counts = np.bincount(ids, minlength=len(group))
         spec_doc["orientation_counts"] = {el.name: int(counts[el.gid])
                                           for el in group.elements}
@@ -279,6 +280,9 @@ def cmd_train(cfg: dict, out_dir: Path, seed_override: int | None, chash: str,
               s: Schedule, group: IsometryGroup | None):
     tcfg_raw = dict(cfg.get("train", {}))
     mode = tcfg_raw.pop("mode", "plain")
+    if cfg.get("model", {}).get("kind") == "mlp+WT" and mode != "WT":
+        raise ConfigError(f"model.kind 'mlp+WT' needs train.mode 'WT', "
+                          f"got train.mode {mode!r}")
     init_path = tcfg_raw.pop("init_checkpoint", None)
     tcfg_raw["seed"] = _seed(seed_override, tcfg_raw)
     hidden = tcfg_raw.pop("hidden", None)
@@ -368,7 +372,7 @@ def _chain_map(integrate, group: IsometryGroup | None, use_en: bool, seed: int,
             seed=seed, n=n_steps, shape=starts.shape, rows=rows))
     if group is None:
         raise ConfigError("equivariant_noise needs a group section")
-    canon = sampling.default_canonicalizer(group)
+    canon = default_canonicalizer(group)
     return lambda starts, rows=None: integrate(starts, sampling.equivariant_noise_batch(
         starts, seed, group, canon, n_steps, rows))
 
@@ -534,7 +538,7 @@ def cmd_metrics(cfg: dict, out_dir: Path, seed_override: int | None, chash: str,
 
     series = [("data", data_flat[:, :2], "#999999")]
     if group is not None:
-        ids = sampling.canonical_ids(sampling.default_canonicalizer(group), samples)
+        ids = canonical_ids(default_canonicalizer(group), samples)
         order = np.argsort(ids, kind="stable")  # sample order within a group
         gids, first = np.unique(ids[order], return_index=True)
         for gid, pts in zip(gids.tolist(), np.split(samp_flat[order, :2], first[1:])):

@@ -8,6 +8,9 @@ Rotation convention: ``r1`` rotates a grid counter-clockwise when the grid is
 displayed with the origin at the lower-left corner (Cartesian display).  In
 array-index space this maps ``[[1, 2], [3, 4]]`` to ``[[3, 1], [4, 2]]``.
 The 2x2 point rotation ``r1`` is the matrix ``[[0, -1], [1, 0]]``.
+
+A canonicalizer gives each state its orientation under a built-in group,
+for a whole batch at once.
 """
 
 from __future__ import annotations
@@ -23,6 +26,20 @@ import numpy as np
 from .errors import InvalidParams, NonSquareGrid, ShapeMismatch
 
 _MATRIX_MATCH_ATOL = 1e-9
+
+
+def _grid_view(grid_shape: tuple[int, int], x: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """A grid array's lead shape and (rows, H W, depth) view, rows the size
+    of the lead: the one reading of grid states.  An array ends in (H, W),
+    depth 1, or in (H, W, C), depth C; a trailing (H, W) wins a tie."""
+    h, w = grid_shape
+    if x.shape[-2:] == (h, w):
+        lead, depth = x.shape[:-2], 1
+    elif x.ndim >= 3 and x.shape[-3:-1] == (h, w):
+        lead, depth = x.shape[:-3], x.shape[-1]
+    else:
+        raise ShapeMismatch(f"array of shape {x.shape} does not end in grid shape {(h, w)}")
+    return lead, x.reshape(-1, h * w, depth)
 
 
 @dataclass(frozen=True)
@@ -65,23 +82,11 @@ class GroupElement:
             # np.take returns a C-contiguous array; a fancy index would put
             # the cell axis outermost in memory, and downstream reductions
             # would then round a batch row and a lone state differently
-            h, w = self.grid_shape
-            if x.ndim >= 2 and x.shape[-2:] == (h, w):
-                lead = x.shape[:-2]
-                out = np.take(x.reshape(*lead, h * w), self.perm, axis=-1)
-                return out.reshape(*lead, h, w)
-            if x.ndim >= 3 and x.shape[-3:-1] == (h, w):
-                lead, c = x.shape[:-3], x.shape[-1]
-                out = np.take(x.reshape(*lead, h * w, c), self.perm, axis=-2)
-                return out.reshape(*lead, h, w, c)
-            raise ShapeMismatch(
-                f"array of shape {x.shape} does not end in grid shape {(h, w)}"
-            )
+            _, rows = _grid_view(self.grid_shape, x)
+            return np.take(rows, self.perm, axis=1).reshape(x.shape)
         d = self.matrix.shape[0]
         if x.ndim == 0 or x.shape[-1] != d:
-            raise ShapeMismatch(
-                f"array of shape {x.shape} does not end in dimension {d}"
-            )
+            raise ShapeMismatch(f"array of shape {x.shape} does not end in dimension {d}")
         return x @ self.matrix.T
 
 
@@ -143,7 +148,7 @@ class IsometryGroup:
                 return el
         raise KeyError(name)
 
-    @property
+    @cached_property
     def peak_region(self) -> np.ndarray | None:
         """Flags of the flat cells in the canonical region that holds a grid
         state's peak; None for point groups and hand-built groups."""
@@ -164,20 +169,25 @@ class IsometryGroup:
 def apply_elements(group: IsometryGroup, ids, x: np.ndarray) -> np.ndarray:
     """Apply a per-row group element: row i of x gets elements[ids[i]].
 
-    Rows run along the leading axis of x; each row has the shape one
-    element acts on, (d,) for points and (H, W) or (H, W, C) for grids.
-    Point groups take one stacked matrix product, grids one gather through
-    the stacked permutations.  Grid rows, and point rows under signed
+    Rows run along the leading axis of x, one id each; each row has the
+    shape one element acts on, (d,) for points and (H, W) or (H, W, C) for
+    grids.  Point groups take one stacked matrix product, grids one gather
+    through the stacked permutations.  Grid rows, and point rows under signed
     permutation matrices, equal ``elements[ids[i]].apply(x[i])`` exactly.
     """
     ids = np.asarray(ids)
     x = np.asarray(x, dtype=float)
     if group.grid_shape is None:
+        lead, d = x.shape[:-1], group.state_shape[0]
+        if x.ndim == 0 or x.shape[-1] != d:
+            raise ShapeMismatch(f"array of shape {x.shape} does not end in dimension {d}")
+    else:
+        lead, rows = _grid_view(group.grid_shape, x)
+    if ids.ndim != 1 or ids.shape != lead:
+        raise ShapeMismatch(f"ids of shape {ids.shape} for rows of shape {lead}")
+    if group.grid_shape is None:
         return np.einsum("nij,nj->ni", group.stacked[ids], x)
-    h, w = group.grid_shape
-    flat = x.reshape(x.shape[0], h * w, -1)
-    out = np.take_along_axis(flat, group.stacked[ids][:, :, None], axis=1)
-    return out.reshape(x.shape)
+    return np.take_along_axis(rows, group.stacked[ids][:, :, None], axis=1).reshape(x.shape)
 
 
 def equivariance_residuals(field, group: IsometryGroup, xs, *args) -> np.ndarray:
@@ -459,6 +469,91 @@ def verify_group_axioms(group: IsometryGroup, atol: float = 1e-12) -> GroupCheck
     )
 
 
+# ---- canonicalizers ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Canonicalizer:
+    """Assigns to each x the group element giving its orientation.
+
+    ``canonicalize(c, x)`` returns an element k whose inverse moves x into
+    the group's reference region: for grids the region holding the entry
+    of maximum value (``group.peak_region``: upper half, left half,
+    upper-left quadrant, or its above-diagonal wedge), for 2-D points the
+    angular sector ``[0, 2 pi / |G|)`` at the origin.
+    """
+
+    group: IsometryGroup
+
+    def __call__(self, x: np.ndarray) -> GroupElement:
+        return canonicalize(self, x)
+
+
+def default_canonicalizer(group: IsometryGroup) -> Canonicalizer:
+    """The canonicalizer of a built-in group: flip_v, flip_h, C4 or D4 on
+    grids, C4 or D4 on 2-D points; InvalidParams for any other group."""
+    if group.peak_region is None and (group.grid_shape or group.tag not in ("C4", "D4")):
+        raise InvalidParams(f"no default canonicalizer for group {group.name!r}")
+    return Canonicalizer(group)
+
+
+def _lex_first_max(column, width: int, alive: np.ndarray) -> np.ndarray:
+    """Per row, the first k with alive[r, k] whose key row is the
+    lexicographically largest among them; 0 where none is alive.
+    ``column(j)`` gives entry j of every key as an (n, |G|) array."""
+    for j in range(width):
+        if not np.any(np.count_nonzero(alive, axis=1) > 1):
+            break
+        col = np.where(alive, column(j), -np.inf)
+        alive &= col == np.max(col, axis=1, keepdims=True)
+    return np.argmax(alive, axis=1)
+
+
+def canonical_ids(c: Canonicalizer, xs: np.ndarray) -> np.ndarray:
+    """Orientation ids of a batch: entry r is ``canonicalize(c, xs[r]).gid``.
+
+    ``xs`` stacks states along its leading axis.  Points are moved by every
+    inverse element in one stacked product and tested with one
+    ``arctan2``.  On grids the peak cells of every row go once through the
+    stacked inverse permutations, which gives each moved copy's first peak
+    without moving the values.  Rows with several candidates take the
+    lexicographically largest moved state, read one entry at a time.
+    """
+    G = c.group
+    xs = np.asarray(xs, dtype=float)
+    want = G.state_shape
+    channels = 0 if G.grid_shape is None else 1  # grids may end in a channel axis
+    if xs.shape[1:1 + len(want)] != want or xs.ndim > 1 + len(want) + channels:
+        raise InvalidParams(f"canonicalizer of {G.name} needs a batch of states "
+                            f"of shape {want}, got {xs.shape}")
+    if len(xs) == 0:
+        return np.zeros(0, dtype=np.int64)
+    inv = G.stacked[G.inverse_table]
+    if G.grid_shape is None:
+        ys = np.einsum("kij,nj->nki", inv, xs)
+        angle = np.arctan2(ys[..., 1], ys[..., 0]) % (2.0 * np.pi)  # in [0, 2 pi)
+        return _lex_first_max(lambda j: ys[:, :, j], ys.shape[2],
+                              angle < 2.0 * np.pi / len(G))
+    flat = xs.reshape(len(xs), inv.shape[1], -1)
+    _, cells, depth = flat.shape
+    plane = np.max(flat, axis=-1)  # channels collapse by max: the global peak
+    first = np.argmax((plane == np.max(plane, axis=1, keepdims=True))[:, inv], axis=-1)
+    return _lex_first_max(lambda j: flat[:, inv[:, j // depth], j % depth],
+                          cells * depth, G.peak_region[first])
+
+
+def canonicalize(c: Canonicalizer, x: np.ndarray) -> GroupElement:
+    """Return the orientation k of x.
+
+    Among the elements k whose inverse moves x into the reference region,
+    the one with the lexicographically largest ``k^-1 x`` wins, so
+    ``canonicalize(c, g x) = g canonicalize(c, x)`` also when the peak
+    sits on a cell that a group element fixes.  Equal candidates resolve
+    to the smallest id; with none, the identity is returned.
+    """
+    return c.group.elements[int(canonical_ids(c, np.asarray(x)[None])[0])]
+
+
 class _WorkArrays:
     """Float work arrays kept between calls, one grow-only buffer per key.
 
@@ -561,23 +656,15 @@ class FrameAveragedField:
         return (np.matmul(out, self._inverse_moves).sum(axis=0) / g).reshape(x.shape)
 
     def _grid_average(self, x, args):
-        # a state is (H, W) or (H, W, C), read from the trailing axes as
-        # GroupElement.apply reads them; cells run along axis 1 of the
-        # (rows, H W, C) view of a batch, a lone state being one row
-        h, w = self.group.grid_shape
-        if x.shape[-2:] == (h, w):
-            lone = x.ndim == 2
-        elif x.ndim >= 3 and x.shape[-3:-1] == (h, w):
-            lone = x.ndim == 3
-        else:
-            raise ShapeMismatch(
-                f"array of shape {x.shape} does not end in grid shape {(h, w)}")
+        # cells run along axis 1 of the (rows, H W, depth) view of a batch,
+        # a lone state being one row
+        lone = _grid_view(self.group.grid_shape, x)[0] == ()
         g, perms = len(self.group), self.group.stacked
         states, rest = self._split(x, args, lone)
         moved, bufs = [], []
         for key, v in enumerate(states):
             v = np.asarray(v, dtype=float)
-            rows = v.reshape(1 if lone else len(v), h * w, -1)
+            rows = _grid_view(self.group.grid_shape, v)[1]
             buf = self._work.get(key, (g, *rows.shape))
             for k in range(g):
                 np.take(rows, perms[k], axis=1, out=buf[k], mode="wrap")

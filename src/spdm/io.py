@@ -52,7 +52,8 @@ _DTYPE_TAGS = {1: "<f8"}
 
 def _write_atomic(path, *parts: bytes) -> None:
     """Write ``parts`` to a temporary file beside ``path``, then rename it
-    onto ``path``; on any failure the temporary file is removed."""
+    onto ``path``; on any failure the temporary file is removed, and an
+    OSError becomes an IoError naming ``path``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
@@ -60,8 +61,10 @@ def _write_atomic(path, *parts: bytes) -> None:
             for part in parts:
                 fh.write(part)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise IoError(f"cannot write {path}: {exc}") from exc
         raise
 
 

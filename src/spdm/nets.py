@@ -374,6 +374,12 @@ def _dsm_terms(net: Mlp, params, feats, sigma, eps, out: np.ndarray) -> float:
     return loss
 
 
+def _move_flat(group: IsometryGroup, ids, rows: np.ndarray) -> np.ndarray:
+    """Flat states (a net's view of a grid), row i moved by elements[ids[i]]."""
+    shaped = rows.reshape(len(rows), *group.state_shape)
+    return apply_elements(group, ids, shaped).reshape(rows.shape)
+
+
 def _reg_terms(net: Mlp, params, ema: Mlp, ema_params, group, ids, feats,
                moved_feats, out: np.ndarray) -> float:
     """Equivariance penalty of one batch; its flat gradient goes to ``out``.
@@ -381,7 +387,7 @@ def _reg_terms(net: Mlp, params, ema: Mlp, ema_params, group, ids, feats,
     ``feats`` are the EMA net's inputs at x_t, ``moved_feats`` the trained
     net's inputs at k x_t (and k y), row i moved by element ``ids[i]``.
     """
-    target = apply_elements(group, ids, _layers(feats, *ema_params, ema._work)[-1])
+    target = _move_flat(group, ids, _layers(feats, *ema_params, ema._work)[-1])
     work = net._work
     inputs = _layers(moved_feats, *params, work)
     resid = np.subtract(inputs[-1], target, out=work.get("resid", target.shape))
@@ -426,12 +432,12 @@ def equivariance_regularizer(net: Mlp, ema_net: Mlp, group: IsometryGroup,
     t, eps = _draw_t_eps(schedule, x0, rng)
     _, x_t = _diffuse(schedule, x0, t, eps)
     ids = rng.integers(len(group), size=x0.shape[0])
-    yk = None if y is None else apply_elements(group, ids, np.atleast_2d(y))
+    yk = None if y is None else _move_flat(group, ids, np.atleast_2d(y))
     grad = np.empty(net._layout[-1][1])
     loss = _reg_terms(net, net._forward_parameters(net._work), ema_net,
                       ema_net._forward_parameters(ema_net._work), group, ids,
                       ema_net._features(x_t, y, t),
-                      net._features(apply_elements(group, ids, x_t), yk, t), grad)
+                      net._features(_move_flat(group, ids, x_t), yk, t), grad)
     return loss, MlpGrads(*net._unflatten(grad))
 
 
@@ -625,55 +631,57 @@ def train(config: TrainerConfig, data, schedule: Schedule,
     grad, reg_grad, ema_tmp = (work.get(key, theta.shape)
                                for key in ("grad", "reg_grad", "ema_tmp"))
 
-    for first in range(0, config.steps, per_block):
-        steps = range(first, min(first + per_block, config.steps))
-        # each step draws from its own lanes, in the order dsm_loss and
-        # equivariance_regularizer draw; the block then shares one
-        # schedule lookup, one x_t and one time embedding per lane
-        batches, noise, reg_noise = [], [], []
-        for step in steps:
-            rng = _lane_rng(config.seed, 2, start_step + step)
-            batches.append(draw(rng, rows))
-            noise.append(_draw_t_eps(schedule, batches[-1], rng))
+    # an overflow is refused by the finiteness checks below, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, config.steps, per_block):
+            steps = range(first, min(first + per_block, config.steps))
+            # each step draws from its own lanes, in the order dsm_loss and
+            # equivariance_regularizer draw; the block then shares one
+            # schedule lookup, one x_t and one time embedding per lane
+            batches, noise, reg_noise = [], [], []
+            for step in steps:
+                rng = _lane_rng(config.seed, 2, start_step + step)
+                batches.append(draw(rng, rows))
+                noise.append(_draw_t_eps(schedule, batches[-1], rng))
+                if use_reg:
+                    rng = _lane_rng(config.seed, 3, start_step + step)
+                    reg_noise.append((*_draw_t_eps(schedule, batches[-1], rng),
+                                      rng.integers(len(group), size=rows)))
+            x0 = np.concatenate(batches)
+            t, eps = (np.concatenate(c) for c in zip(*noise))
+            sigma, x_t = _diffuse(schedule, x0, t, eps)
+            feats = np.concatenate([x_t, time_embed(t, net.horizon)], axis=1)
             if use_reg:
-                rng = _lane_rng(config.seed, 3, start_step + step)
-                reg_noise.append((*_draw_t_eps(schedule, batches[-1], rng),
-                                  rng.integers(len(group), size=rows)))
-        x0 = np.concatenate(batches)
-        t, eps = (np.concatenate(c) for c in zip(*noise))
-        sigma, x_t = _diffuse(schedule, x0, t, eps)
-        feats = np.concatenate([x_t, time_embed(t, net.horizon)], axis=1)
-        if use_reg:
-            t, reg_eps, ids = (np.concatenate(c) for c in zip(*reg_noise))
-            _, x_t = _diffuse(schedule, x0, t, reg_eps)
-            emb = time_embed(t, net.horizon)
-            ema_feats = np.concatenate([x_t, emb], axis=1)
-            moved_feats = np.concatenate([apply_elements(group, ids, x_t), emb], axis=1)
+                t, reg_eps, ids = (np.concatenate(c) for c in zip(*reg_noise))
+                _, x_t = _diffuse(schedule, x0, t, reg_eps)
+                emb = time_embed(t, net.horizon)
+                ema_feats = np.concatenate([x_t, emb], axis=1)
+                moved_feats = np.concatenate([_move_flat(group, ids, x_t), emb], axis=1)
 
-        for j, step in enumerate(steps):
-            r = slice(j * rows, (j + 1) * rows)
-            params = net._unflatten(net._effective(theta, work))
-            loss = _dsm_terms(net, params, feats[r], sigma[r], eps[r], grad)
-            loss_total = loss
-            if use_reg:
-                ema_params = ema._unflatten(ema._effective(ema_theta, ema._work))
-                rloss = _reg_terms(net, params, ema, ema_params, group, ids[r],
-                                   ema_feats[r], moved_feats[r], reg_grad)
-                # grad + reg_weight * reg_grad
-                reg_grad *= config.reg_weight
-                grad += reg_grad
-                reg_losses[step] = rloss
-                loss_total = loss + config.reg_weight * rloss
-            if not math.isfinite(loss_total):
-                raise DivergedLoss(f"loss became {loss_total} at step {step}")
-            losses[step] = loss
-            theta = opt.step(theta, grad)
-            _ema_step(ema_theta, theta, config.ema_mu, ema_tmp)
-        # a finite loss can still give a gradient whose square overflows the
-        # second moment, or a step that overflows the parameters
-        if not all(np.isfinite(v).all() for v in (theta, ema_theta, opt.m, opt.v)):
-            raise DivergedLoss(f"parameters or Adam moments became non-finite "
-                               f"in steps {steps[0]}..{steps[-1]}")
+            for j, step in enumerate(steps):
+                r = slice(j * rows, (j + 1) * rows)
+                params = net._unflatten(net._effective(theta, work))
+                loss = _dsm_terms(net, params, feats[r], sigma[r], eps[r], grad)
+                loss_total = loss
+                if use_reg:
+                    ema_params = ema._unflatten(ema._effective(ema_theta, ema._work))
+                    rloss = _reg_terms(net, params, ema, ema_params, group, ids[r],
+                                       ema_feats[r], moved_feats[r], reg_grad)
+                    # grad + reg_weight * reg_grad
+                    reg_grad *= config.reg_weight
+                    grad += reg_grad
+                    reg_losses[step] = rloss
+                    loss_total = loss + config.reg_weight * rloss
+                if not math.isfinite(loss_total):
+                    raise DivergedLoss(f"loss became {loss_total} at step {step}")
+                losses[step] = loss
+                theta = opt.step(theta, grad)
+                _ema_step(ema_theta, theta, config.ema_mu, ema_tmp)
+            # a finite loss can still give a gradient whose square overflows the
+            # second moment, or a step that overflows the parameters
+            if not all(np.isfinite(v).all() for v in (theta, ema_theta, opt.m, opt.v)):
+                raise DivergedLoss(f"parameters or Adam moments became non-finite "
+                                   f"in steps {steps[0]}..{steps[-1]}")
 
     net.set_flat_parameters(theta)
     ema.set_flat_parameters(ema_theta)

@@ -162,6 +162,16 @@ def test_unwritable_out_exits_2(tmp_path, capsys, where):
     assert blocker.read_text("utf-8") == "keep"
 
 
+def test_blocked_output_file_exits_2_naming_it(tmp_path, capsys):
+    # a directory where data.spdt goes: the failed write is a typed exit
+    # that names the file, and its temporary file is gone
+    out = tmp_path / "run"
+    (out / "data.spdt").mkdir(parents=True)
+    assert run("gen-data", base_config(), out) == 2
+    assert "data.spdt" in capsys.readouterr().err
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
 def test_missing_dataset_exits_2(tmp_path):
     cfg = base_config()
     cfg["train"] = {"steps": 5, "hidden": [8], "seed": 0}
@@ -395,6 +405,21 @@ def test_mlp_wt_kind_refuses_an_untied_checkpoint(tmp_path, capsys):
     assert run("sample", cfg, out) == 2
     assert "mlp+WT" in capsys.readouterr().err
     assert not (out / "samples.spdt").exists()
+
+
+def test_mlp_wt_kind_refuses_to_train_untied(tmp_path, capsys):
+    # a tying the model cannot sample from is refused before training;
+    # oracle kinds sample from no checkpoint, so they train in any mode
+    out = tmp_path / "run"
+    cfg = train_config(mode="plain", steps=5, hidden=[8])
+    assert run("gen-data", cfg, out) == 0
+    cfg["model"] = {"kind": "mlp+WT"}
+    assert run("train", cfg, out) == 2
+    err = capsys.readouterr().err
+    assert "model.kind" in err and "train.mode" in err
+    assert not any((out / f).exists() for f in CHECKPOINT_FILES)
+    cfg["model"] = {"kind": "oracle+FA"}
+    assert run("train", cfg, out) == 0
 
 
 def _non_finite_outputs(out):

@@ -580,6 +580,33 @@ def test_warm_grid_average_allocates_only_its_output():
     assert peak <= 2 * out.nbytes
 
 
+def test_apply_elements_refuses_mismatched_shapes():
+    grid, points = make_group("C4", (8, 8)), make_group("C4")
+    ids = np.zeros(3, dtype=np.int64)
+    for g, x, i in ((grid, np.zeros((3, 4, 16)), ids),     # 64 cells, not 8 x 8
+                    (points, np.zeros((3, 3)), ids),       # 3-D points
+                    (grid, np.zeros((3, 8, 8)), ids[:2]),  # 2 ids, 3 rows
+                    (points, np.zeros((3, 2)), ids[:2])):
+        with pytest.raises(ShapeMismatch):
+            apply_elements(g, i, x)
+
+
+def test_grid_shape_refusal_reads_alike():
+    # the element, the per-row action and the frame average share one
+    # reading of grid states, so they refuse a wrong shape in the same words
+    g = make_group("D4", (8, 8))
+    x = np.zeros((3, 4, 16))
+    calls = (lambda: g.elements[1].apply(x),
+             lambda: apply_elements(g, np.zeros(3, dtype=np.int64), x),
+             lambda: frame_average(lambda v: v, g)(x))
+    messages = set()
+    for call in calls:
+        with pytest.raises(ShapeMismatch) as info:
+            call()
+        messages.add(str(info.value))
+    assert len(messages) == 1
+
+
 def test_apply_elements_matches_per_row_apply():
     rng = np.random.default_rng(4)
     for g, shape in ((make_d4_group((5, 5)), (5, 5)), (make_d4_group((4, 4)), (4, 4, 3)),

@@ -371,7 +371,7 @@ def test_grid_canonicalizer_property():
                 x = rng.standard_normal((n, n))
                 x[cell] = 10.0
                 k = canonicalize(c, x)
-                assert c.cells[np.argmax(c.group.inverse(k).apply(x))]
+                assert c.group.peak_region[np.argmax(c.group.inverse(k).apply(x))]
                 for el in c.group.elements:
                     got = canonicalize(c, el.apply(x))
                     assert got.gid == c.group.compose(el, k).gid, (tag, n, cell)
