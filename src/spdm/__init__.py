@@ -39,7 +39,6 @@ from .sampling import (NoiseSequence, TimeGrid, Trajectory, bridge_grid,
                        equivariant_noise_sequence, nll_grid, pf_ode_solve,
                        reverse_sde_sample, sampling_grid, sdedit_denoise,
                        simulate_drift_only)
-from .verify import CheckResult, run_all
 
 __version__ = "0.1.0"
 

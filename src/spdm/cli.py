@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from . import io, metrics, sampling
-from . import verify as verify_mod
 from .errors import (ConfigError, DegenerateCoupling, DivergedLoss, IoError,
                      NonFiniteState, NonPsd, SingularAtTerminal, SpdmError,
                      TimeOutOfRange)
@@ -47,21 +46,19 @@ _NUMERIC_ERRORS = (DivergedLoss, NonFiniteState, NonPsd, SingularAtTerminal,
 # ---- config -> objects ---------------------------------------------------
 
 
+# each schedule family's constructor and the keys it takes besides kind and T
+_SCHEDULES = {"vp": (vp_schedule, ("beta_min", "beta_max")),
+              "ve": (ve_schedule, ("sigma_min", "sigma_max"))}
+
+
 def build_schedule(cfg: dict) -> Schedule:
     spec = cfg.get("schedule", {"kind": "vp"})
-    kind = spec["kind"]
-    kwargs = {}
-    if "T" in spec:
-        kwargs["T"] = spec["T"]
-    if kind == "vp":
-        for key in ("beta_min", "beta_max"):
-            if key in spec:
-                kwargs[key] = spec[key]
-        return vp_schedule(**kwargs)
-    for key in ("sigma_min", "sigma_max"):
-        if key in spec:
-            kwargs[key] = spec[key]
-    return ve_schedule(**kwargs)
+    make, keys = _SCHEDULES[spec["kind"]]
+    foreign = [f"schedule.{k}" for k in spec if k not in ("kind", "T", *keys)]
+    if foreign:
+        raise ConfigError(f"{', '.join(foreign)} do not apply to schedule.kind "
+                          f"{spec['kind']!r}, which takes T, {', '.join(keys)}")
+    return make(**{k: v for k, v in spec.items() if k != "kind"})
 
 
 def build_group(cfg: dict) -> IsometryGroup | None:
@@ -88,11 +85,11 @@ def build_mixture(cfg: dict, group: IsometryGroup | None) -> GaussianMixture:
                               f"component 0's has {lengths[0]}")
     means = np.array([c["mean"] for c in comps], dtype=float)
     variances = np.array([c["variance"] for c in comps], dtype=float)
-    if group is not None and group.grid_shape is not None:
-        shape = group.grid_shape
-        d = shape[0] * shape[1]
-        if means.shape[1] != d:
-            raise ConfigError(f"grid group {group.name} needs means of length {d}")
+    if group is not None:
+        shape = group.state_shape
+        if means.shape[1] != np.prod(shape):
+            raise ConfigError(f"data.components means have length {means.shape[1]}; "
+                              f"group {group.name} acts on states of shape {shape}")
         means = means.reshape(len(comps), *shape)
     mix = GaussianMixture(weights=weights, means=means, variances=variances)
     if data.get("symmetrize", False):
@@ -145,9 +142,7 @@ def _seed(seed_override: int | None, section: dict) -> int:
 
 def _checkpoint_path(cfg: dict, out_dir: Path) -> Path:
     explicit = cfg.get("model", {}).get("checkpoint")
-    if explicit:
-        return Path(explicit)
-    return out_dir / "checkpoint.json"
+    return Path(explicit) if explicit else out_dir / "checkpoint.json"
 
 
 def load_checkpoint(path: Path) -> dict:
@@ -349,9 +344,7 @@ def _event_shape(cfg: dict, group: IsometryGroup | None,
 
 def _prior_draws(s: Schedule, n: int, event_shape: tuple[int, ...],
                  seed: int) -> np.ndarray:
-    sig = float(np.sqrt(s.sigma2(s.T)))
-    dim = int(np.prod(event_shape))
-    return (sig * _aux_rng(seed).standard_normal((n, dim))).reshape(n, *event_shape)
+    return float(np.sqrt(s.sigma2(s.T))) * _aux_rng(seed).standard_normal((n, *event_shape))
 
 
 def _chain_map(integrate, group: IsometryGroup | None, use_en: bool, seed: int,
@@ -490,6 +483,11 @@ def _tweedie_denoiser(score, s: Schedule):
     return model
 
 
+def _plane(flat: np.ndarray) -> np.ndarray:
+    """The first two coordinates of each flat state; a lone one at height 0."""
+    return np.pad(flat[:, :2], ((0, 0), (0, 2 - min(2, flat.shape[1]))))
+
+
 def cmd_metrics(cfg: dict, out_dir: Path, seed_override: int | None, chash: str,
                 s: Schedule, group: IsometryGroup | None):
     seed = _seed(seed_override, {})
@@ -536,16 +534,16 @@ def cmd_metrics(cfg: dict, out_dir: Path, seed_override: int | None, chash: str,
     io.write_csv(out_dir / "metrics.csv",
                  ["name", "value", "config_hash", "seed"], rows)
 
-    series = [("data", data_flat[:, :2], "#999999")]
+    series = [("data", _plane(data_flat), "#999999")]
     if group is not None:
         ids = canonical_ids(default_canonicalizer(group), samples)
         order = np.argsort(ids, kind="stable")  # sample order within a group
         gids, first = np.unique(ids[order], return_index=True)
-        for gid, pts in zip(gids.tolist(), np.split(samp_flat[order, :2], first[1:])):
+        for gid, pts in zip(gids.tolist(), np.split(_plane(samp_flat[order]), first[1:])):
             series.append((f"samples[{group.elements[gid].name}]", pts,
                            io.palette_color(gid)))
     else:
-        series.append(("samples", samp_flat[:, :2], io.palette_color(0)))
+        series.append(("samples", _plane(samp_flat), io.palette_color(0)))
     io.svg_scatter(out_dir / "scatter.svg", series,
                    title="data vs samples",
                    comment=f"config {chash} seed {seed}")
@@ -575,8 +573,9 @@ def _nll_table(cfg, s, group, out_dir: Path, data: np.ndarray, chash: str,
 
 
 def cmd_verify(cfg: dict, out_dir: Path) -> int:
+    from .verify import run_all  # here, so no data command compiles the suite
     chash = io.config_hash(cfg)
-    results = verify_mod.run_all()
+    results = run_all()
     all_passed = all(r.passed for r in results)
     io.write_json(out_dir / "verify.json", {
         "config_hash": chash,

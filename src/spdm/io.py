@@ -259,6 +259,8 @@ def load_config(path) -> dict:
         text = path.read_text("utf-8")
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     try:
         config = json.loads(text, parse_constant=_reject_constant,
                             parse_float=_finite_float)

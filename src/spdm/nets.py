@@ -105,8 +105,10 @@ class Mlp:
         is a signed permutation, ``mean_g R_out(g)^T W R_in(g)`` picks one
         signed entry of W per element and position: entry p of the tied
         flat vector is ``sum_k sign[k, p] theta[index[k, p]] / |G|`` over
-        the elements k in id order.  The products with +-1 are exact, so
-        the gather equals the matrix sums bit for bit.
+        the elements k in id order.  The index and sign are read off
+        ``R_out(g)^T P R_in(g)`` (``R_out(g)^T p`` for a bias), P holding
+        the 1-based flat positions of W.  The products with +-1 are exact,
+        so the gather equals the matrix sums bit for bit.
         """
         if group.grid_shape is not None:
             raise InvalidParams("weight tying needs a matrix point group")
@@ -121,33 +123,29 @@ class Mlp:
         for h in self.hidden:
             if h % d != 0:
                 raise InvalidParams(f"hidden width {h} not divisible by {d}")
-        # column c of M_g has its one nonzero, col_sign[g, c], in row col_row[g, c]
-        col_row = np.abs(mats).argmax(axis=1)
-        col_sign = np.take_along_axis(mats, col_row[:, None, :], axis=1)[:, 0, :]
-        n_el = len(mats)
 
-        def columns(width: int, trivial_tail: int):
-            """Row and sign of the nonzero in each column of R(g), per element g."""
-            blocks = (width - trivial_tail) // d
-            rows = (np.arange(blocks)[:, None] * d + col_row[:, None, :]).reshape(n_el, -1)
+        def rep(width: int, trivial_tail: int = 0) -> np.ndarray:
+            """Stacked R(g): copies of M_g on the diagonal, then the identity."""
+            r = np.zeros((len(mats), width, width))
+            for b in range(0, width - trivial_tail, d):
+                r[:, b:b + d, b:b + d] = mats
             tail = np.arange(width - trivial_tail, width)
-            return (np.concatenate([rows, np.broadcast_to(tail, (n_el, trivial_tail))], axis=1),
-                    np.concatenate([np.tile(col_sign, blocks), np.ones((n_el, trivial_tail))],
-                                   axis=1))
+            r[:, tail, tail] = 1.0
+            return r
 
-        reps = [columns(self.sizes[0], 3), *(columns(h, 0) for h in self.sizes[1:])]
+        reps = [rep(self.sizes[0], 3), *(rep(h) for h in self.sizes[1:])]
         n_layers = len(self.weights)
-        index, sign = [], []
-        for layer, (start, _, (_, n_in)) in enumerate(self._layout[:n_layers]):
-            (ri, si), (ro, so) = reps[layer], reps[layer + 1]
-            index.append((start + ro[:, :, None] * n_in + ri[:, None, :]).reshape(n_el, -1))
-            sign.append((so[:, :, None] * si[:, None, :]).reshape(n_el, -1))
-        for layer, (start, _, _) in enumerate(self._layout[n_layers:]):
-            ro, so = reps[layer + 1]
-            index.append(start + ro)
-            sign.append(so)
-        self._tie_index = np.concatenate(index, axis=1)
-        self._tie_sign = np.concatenate(sign, axis=1)
+        signed = []
+        for k, (start, stop, shape) in enumerate(self._layout):
+            layer = k % n_layers   # the weights come first, then the biases
+            positions = np.arange(start + 1.0, stop + 1.0).reshape(shape)
+            moved = reps[layer + 1].transpose(0, 2, 1) @ positions
+            if k < n_layers:
+                moved = moved @ reps[layer]
+            signed.append(moved.reshape(len(mats), -1))
+        signed = np.concatenate(signed, axis=1)
+        self._tie_index = np.abs(signed).astype(np.int64) - 1
+        self._tie_sign = np.sign(signed)
 
     def _project(self, flat: np.ndarray, out: np.ndarray, work) -> np.ndarray:
         """The tied vector ``sum_k sign[k] flat[index[k]] / |G|``, into ``out``.

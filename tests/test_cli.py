@@ -6,6 +6,8 @@ on-disk outputs.
 """
 
 import json
+import os
+import subprocess
 import sys
 import warnings
 
@@ -122,6 +124,37 @@ def test_ragged_component_means_exit_2(tmp_path, capsys):
         {"weight": 1.0, "mean": [0.0, 1.0, 2.0], "variance": 0.1})
     assert run("gen-data", cfg, tmp_path / "run") == 2
     assert "data.components[1].mean has length 3" in capsys.readouterr().err
+
+
+def test_point_group_means_of_another_length_exit_2(tmp_path, capsys):
+    # the means must have the shape the group acts on, for points as for grids
+    out = tmp_path / "run"
+    cfg = sample_config(steps=4, n_samples=4)
+    cfg["metrics"] = ["fid", "delta_x0"]
+    assert run("gen-data", cfg, out) == 0
+    assert run("sample", cfg, out) == 0
+    cfg["data"]["components"][0]["mean"] = [1.2, 0.0, 0.3]
+    for cmd in ("gen-data", "sample", "nll", "metrics"):
+        capsys.readouterr()
+        assert run(cmd, cfg, out) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "data.components" in err and "(2,)" in err
+
+
+@pytest.mark.parametrize("schedule,foreign", [
+    ({"kind": "ve", "beta_min": 0.2}, ["beta_min"]),
+    ({"kind": "ve", "beta_max": 15.0, "sigma_max": 5.0}, ["beta_max"]),
+    ({"kind": "vp", "sigma_min": 0.1, "sigma_max": 5.0}, ["sigma_min", "sigma_max"])])
+def test_schedule_keys_of_the_other_family_exit_2(tmp_path, capsys, schedule, foreign):
+    cfg = train_config()
+    cfg["schedule"] = schedule
+    for cmd in ("gen-data", "train", "sample", "bridge", "nll", "metrics"):
+        capsys.readouterr()
+        assert run(cmd, cfg, tmp_path / "run") == 2
+        err = capsys.readouterr().err
+        assert all(f"schedule.{key}" in err for key in foreign)
+    assert not (tmp_path / "run" / "data.spdt").exists()
 
 
 def test_broken_json_exits_2(tmp_path):
@@ -884,6 +917,60 @@ def test_metrics_outputs(tmp_path):
             (tmp_path / "b" / fname).read_bytes()
 
 
+@pytest.mark.parametrize("kind,symmetrize,low", [
+    ("oracle", True, True), ("oracle+FA", True, True), ("oracle", False, False)])
+def test_metrics_delta_x0_row(tmp_path, kind, symmetrize, low):
+    # the Tweedie denoiser of a C4-invariant score commutes with C4 to
+    # rounding; the score of an unsymmetrized mixture does not
+    out = tmp_path / "run"
+    cfg = base_config()
+    cfg["data"]["symmetrize"] = symmetrize
+    cfg["model"] = {"kind": kind}
+    cfg["sampler"] = {"lam": 0.0, "steps": 10, "n_samples": 16, "seed": 5}
+    cfg["metrics"] = ["delta_x0"]
+    for cmd in ("gen-data", "sample", "metrics"):
+        assert run(cmd, cfg, out) == 0
+    _, rows = read_rows(out / "metrics.csv")
+    assert [r[0] for r in rows] == ["delta_x0"]
+    gap = float(rows[0][1])
+    assert gap <= 1e-12 if low else gap > 0.1
+
+
+def test_metrics_without_group_plots_one_sample_series(tmp_path):
+    out = tmp_path / "run"
+    cfg = metrics_config()
+    del cfg["group"]
+    cfg["data"]["symmetrize"] = False
+    cfg["data"]["n_samples"] = 30
+    cfg["model"] = {"kind": "oracle"}
+    cfg["sampler"]["n_samples"] = 20
+    cfg["metrics"] = ["fid", "energy"]
+    for cmd in ("gen-data", "sample", "metrics"):
+        assert run(cmd, cfg, out) == 0
+    svg = (out / "scatter.svg").read_text("utf-8")
+    assert ">samples</text>" in svg and "samples[" not in svg
+    # 30 data points, 20 samples and two legend marks
+    assert svg.count("<circle") == 30 + 20 + 2
+
+
+def test_metrics_on_one_dimensional_points(tmp_path):
+    out = tmp_path / "run"
+    cfg = {"schedule": {"kind": "vp"},
+           "data": {"components": [{"weight": 1.0, "mean": [0.5], "variance": 0.2}],
+                    "n_samples": 20, "seed": 1},
+           "sampler": {"lam": 1.0, "steps": 5, "n_samples": 6, "seed": 2},
+           "metrics": ["fid", "energy"]}
+    for cmd in ("gen-data", "sample", "metrics"):
+        assert run(cmd, cfg, out) == 0
+    svg = (out / "scatter.svg").read_text("utf-8")
+    assert svg.count("<circle") == 20 + 6 + 2
+    assert "nan" not in svg
+    # every state sits at height 0, the middle of the plotted range
+    heights = {line.split('cy="')[1].split('"')[0] for line in svg.splitlines()
+               if line.startswith("<circle cx") and 'r="2.5"' in line}
+    assert heights == {"240.00"}
+
+
 def test_metrics_nll_table_invariance(tmp_path):
     out = tmp_path / "run"
     cfg = base_config()
@@ -1023,6 +1110,22 @@ def test_mlp_sample_and_nll_pipeline(tmp_path):
     assert all(np.isfinite(float(r[1])) for r in rows)
 
 
+def test_explicit_checkpoint_in_another_directory(tmp_path):
+    cfg = train_config(steps=10, hidden=[8])
+    cfg["model"] = {"kind": "mlp"}
+    cfg["sampler"] = {"lam": 1.0, "steps": 6, "n_samples": 4, "seed": 1}
+    trained = tmp_path / "trained"
+    assert run("gen-data", cfg, trained) == 0
+    assert run("train", cfg, trained) == 0
+    assert run("sample", cfg, trained) == 0
+    cfg["model"]["checkpoint"] = str(trained / "checkpoint.json")
+    elsewhere = tmp_path / "elsewhere"
+    assert run("sample", cfg, elsewhere) == 0
+    assert not (elsewhere / "checkpoint.json").exists()
+    assert (elsewhere / "samples.spdt").read_bytes() == \
+        (trained / "samples.spdt").read_bytes()
+
+
 # ---- verify --------------------------------------------------------------
 
 
@@ -1053,6 +1156,21 @@ def test_verify_command_reports_a_failed_check(tmp_path, capsys, monkeypatch):
     assert "FAIL spdt_roundtrip" in printed
     n = len(doc["checks"])
     assert f"CHECKS FAILED ({n - 1}/{n})" in printed
+
+
+def test_data_commands_do_not_import_the_verify_suite(tmp_path):
+    # only ``spdm verify`` needs the self-check suite
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(base_config()), "utf-8")
+    code = (f"import sys\nfrom spdm.cli import main\n"
+            f"code = main(['gen-data', '--config', {str(cfg_path)!r}, "
+            f"'--out', {str(tmp_path / 'run')!r}])\n"
+            f"print(code, 'spdm.verify' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=False, env=env)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 @needs_resource

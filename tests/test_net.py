@@ -360,9 +360,10 @@ def test_tied_projection_matches_einsum():
     # The cached signed gather must reproduce the representation average
     # mean_g R_out(g)^T W R_in(g) bit for bit.
     rng = np.random.default_rng(31)
-    for g, hidden in ((make_point_group_2d(4), (16, 16)),
-                      (make_point_group_2d(4, with_reflection=True), (32, 32))):
-        net = Mlp(2, hidden=hidden, seed=5, tie_group=g)
+    c4, d4 = make_point_group_2d(4), make_point_group_2d(4, with_reflection=True)
+    for g, hidden, y_dim in ((c4, (16, 16), 0), (d4, (32, 32), 0), (c4, (), 0),
+                             (d4, (), 2), (c4, (4, 8, 12), 2)):
+        net = Mlp(2, hidden=hidden, y_dim=y_dim, seed=5, tie_group=g)
         theta = rng.standard_normal(net.flat_parameters().size)
         ws, bs = net._unflatten(theta)
         tied_ws, tied_bs = net._unflatten(net._effective(theta))
