@@ -15,7 +15,6 @@ for a whole batch at once.
 
 from __future__ import annotations
 
-import inspect
 import math
 import re
 from dataclasses import dataclass, field
@@ -26,6 +25,12 @@ import numpy as np
 from .errors import InvalidParams, NonSquareGrid, ShapeMismatch
 
 _MATRIX_MATCH_ATOL = 1e-9
+
+
+def _check_points(d: int, x: np.ndarray) -> None:
+    """Refuse an array that does not end in the point dimension d."""
+    if x.ndim == 0 or x.shape[-1] != d:
+        raise ShapeMismatch(f"array of shape {x.shape} does not end in dimension {d}")
 
 
 def _grid_view(grid_shape: tuple[int, int], x: np.ndarray) -> tuple[tuple, np.ndarray]:
@@ -84,9 +89,7 @@ class GroupElement:
             # would then round a batch row and a lone state differently
             _, rows = _grid_view(self.grid_shape, x)
             return np.take(rows, self.perm, axis=1).reshape(x.shape)
-        d = self.matrix.shape[0]
-        if x.ndim == 0 or x.shape[-1] != d:
-            raise ShapeMismatch(f"array of shape {x.shape} does not end in dimension {d}")
+        _check_points(self.matrix.shape[0], x)
         return x @ self.matrix.T
 
 
@@ -178,9 +181,8 @@ def apply_elements(group: IsometryGroup, ids, x: np.ndarray) -> np.ndarray:
     ids = np.asarray(ids)
     x = np.asarray(x, dtype=float)
     if group.grid_shape is None:
-        lead, d = x.shape[:-1], group.state_shape[0]
-        if x.ndim == 0 or x.shape[-1] != d:
-            raise ShapeMismatch(f"array of shape {x.shape} does not end in dimension {d}")
+        _check_points(group.state_shape[0], x)
+        lead = x.shape[:-1]
     else:
         lead, rows = _grid_view(group.grid_shape, x)
     if ids.ndim != 1 or ids.shape != lead:
@@ -584,14 +586,6 @@ class _WorkArrays:
         return view
 
 
-def _takes_out(fn) -> bool:
-    """Whether calling ``fn`` accepts an ``out=`` array keyword."""
-    try:
-        return "out" in inspect.signature(fn).parameters
-    except (TypeError, ValueError):
-        return False
-
-
 class FrameAveragedField:
     """Group average of a vector field: s~(x) = mean_k k^-1 s(k x).
 
@@ -608,11 +602,11 @@ class FrameAveragedField:
     summed in ascending element-id order, so results are deterministic
     across runs.
 
-    On grids the moved copies, and the base output when the base takes
-    ``out=``, live in work arrays kept between calls, and the terms are
-    added one by one into the fresh result: the same sequential sum,
-    bit for bit, as adding up the stacked terms along their first axis.
-    A field object is therefore not safe to call from two threads at once.
+    On grids the moved copies live in work arrays kept between calls, and
+    the terms are added one by one into the fresh result: the same
+    sequential sum, bit for bit, as adding up the stacked terms along
+    their first axis.  A field object is therefore not safe to call from
+    two threads at once.
     """
 
     def __init__(self, base, group: IsometryGroup, conditional: bool = False):
@@ -621,7 +615,6 @@ class FrameAveragedField:
         self.conditional = conditional
         if group.grid_shape is not None:
             self._work = _WorkArrays()
-            self._base_takes_out = _takes_out(base)
             self._inverse_perms = group.stacked[group.inverse_table]
         else:
             # transposed views, so element k's product is ``x @ A_k.T``
@@ -640,6 +633,9 @@ class FrameAveragedField:
         if self.group.grid_shape is not None:
             return self._grid_average(x, args)
         g, d = len(self.group), len(self._moves[0])
+        _check_points(d, x)
+        if self.conditional:
+            _check_points(d, np.asarray(args[0]))
         lone = x.ndim == 1
         states, rest = self._split(x, args, lone)
 
@@ -670,12 +666,7 @@ class FrameAveragedField:
                 np.take(rows, perms[k], axis=1, out=buf[k], mode="wrap")
             bufs.append(buf)
             moved.append(buf.reshape((g, *v.shape) if lone else (g * len(v), *v.shape[1:])))
-        moved += rest
-        if self._base_takes_out:
-            out = self._work.get("out", moved[0].shape)
-            self.base(*moved, out=out)
-        else:
-            out = np.asarray(self.base(*moved))
+        out = np.asarray(self.base(*moved, *rest))
         # x's moved copies are dead now: the first one is the term buffer
         scratch = bufs[0][0]
         terms = out.reshape(g, *scratch.shape)
@@ -688,8 +679,14 @@ class FrameAveragedField:
         return total.reshape(x.shape)
 
 
-def frame_average(score, group: IsometryGroup,
-                  conditional: bool = False) -> FrameAveragedField:
+def frame_average(score, group: IsometryGroup, conditional: bool = False):
     """Wrap a score field so its output is exactly group-equivariant; with
-    ``conditional=True`` its first argument after x moves with x."""
+    ``conditional=True`` its first argument after x moves with x.
+
+    An unconditional field that provides its own ``frame_average(group)``
+    (the mixture oracle, in closed form) is averaged by it; every other
+    field, and every conditional average, by ``FrameAveragedField``.
+    """
+    if not conditional and hasattr(score, "frame_average"):
+        return score.frame_average(group)
     return FrameAveragedField(score, group, conditional)

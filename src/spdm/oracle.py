@@ -6,24 +6,40 @@ becomes weight w_i, mean alpha_t m_i and variance alpha_t^2 v_i + sigma_t^2.
 Scores and log-densities therefore have exact expressions, evaluated here
 with max-shifted log-sum-exp for stability.
 
-Both are two matrix products over the flat (n, d) rows x and (K, d) means
-M, and build no (n, K, d) array.  The squared distances are
+Both are two matrix products over the flat (n, d) rows x and the (K, d)
+means M, and build no (n, K, d) array.  The squared distances are
 ``|x|^2 - 2 a x.m_i + a^2 |m_i|^2``, with the cross terms ``x @ M^T``
 taken once on the unscaled means and scaled by each row's alpha_t; row
 times add only (rows, K) coefficient arrays, computed once per run of
-equal times.  With the
-responsibilities gamma, the score is ``a (gamma/v) @ M - x sum_i
-gamma_i/v_i``.  Two rules make a batch row round as the same lone state:
-a lone row runs as two equal rows, since numpy would hand a one-row
-product to gemv, which sums in a different order from gemm; and both
-operands of each product are C-contiguous, since a transposed view makes
-gemm's bits depend on the number of rows.  With them a row keeps its
-bits at any batch size for 2-D points and for the grid mixtures
-checked (K = 8 on C4 5x5 and 6x6, K = 16 on D4 8x8, flip_v 4x6),
-which is what frame averages and the NLL's grouped divergence calls rely
-on.  It is not so for every (d, K): with K = 16 on 6x6 and 7x7 grids
-every batch size tried, and on 5x5 some, round a row differently from a
-2048-row call in the last bits, as the gemm takes another kernel path.
+equal times.  With the responsibilities gamma, the score is
+``a (gamma/v) @ M - x sum_i gamma_i/v_i``.
+
+The frame average over a finite isometry group G is the same two
+products on more columns.  For an isometry k, k^-1 s_M(k x) = s_{k^-1 M}(x),
+where k^-1 M moves every mean by k^-1, so the average mean_k k^-1 s(k x)
+is the mean of the |G| oracles of the moved mixtures, all taken at x
+itself: one product against the |G| K moved means, a softmax within each
+element's block of K columns, and one product back with the moved means,
+which also sums over the blocks.  The plain oracle is the one-block case.
+
+Two rules make a batch row round as the same lone state: a lone row
+runs as two equal rows, since numpy would hand a one-row product to
+gemv, which sums in a different order from gemm; and both operands of
+each product are C-contiguous, since a transposed view makes gemm's bits
+depend on the number of rows.  A frame average adds a third: its product
+back sums |G| K columns, and with 16 or more of them gemm rounds the rows
+of an output whose width is not a multiple of 8 by batch size (2-D
+points, C4 5x5), so its moved means carry zero columns up to a multiple
+of 8.  With these rules a row keeps its bits at any batch size for 2-D
+points with K <= 12 and for the grid mixtures checked (K = 8 on C4 5x5
+and 6x6, K = 16 on D4 8x8, flip_v 4x6), and for the frame averages
+checked (C4 5x5, D4 8x8 and flip_v 4x6 grids, and 2-D points with K up
+to 24 over C4 and D4), which is what the NLL's grouped divergence calls
+rely on.  It is not so for every (d, K): with K = 24 on 2-D points,
+batches of 4 or more rows, and with K = 16 on 6x6 and 7x7 grids every
+batch size tried, and on 5x5 some, round a row differently from the same
+state in another batch in the last bits, as the gemm takes another
+kernel path.
 
 Symmetrizing a mixture over a finite isometry group produces an invariant
 density, whose score is then exactly equivariant; this is the analytic
@@ -34,14 +50,42 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateCoupling, InvalidParams, TimeOutOfRange
-from .groups import IsometryGroup, _WorkArrays
+from .errors import DegenerateCoupling, InvalidParams, ShapeMismatch, TimeOutOfRange
+from .groups import FrameAveragedField, IsometryGroup, _WorkArrays, apply_elements
 from .process import GaussianParams, Schedule, bridge_coefficients
 
 _WEIGHT_ATOL = 1e-12
+
+
+class _Components(NamedTuple):
+    """The columns the score's products read: ``blocks`` blocks of the K
+    components, each block with its own means.  The plain mixture is one
+    block; its orbit under a group has block k moved by element k's
+    inverse, and zero columns that pad its product back (module
+    docstring)."""
+
+    means: np.ndarray        # (blocks K, d or its padded width), C-contiguous
+    means_t: np.ndarray      # (d, blocks K), C-contiguous
+    sq: np.ndarray           # (blocks K,) squared norms of the means
+    log_weights: np.ndarray  # (blocks K,), each block's log w_i
+    variances: np.ndarray    # (blocks K,), each block's v_i
+    blocks: int
+
+
+def _build_components(flat: np.ndarray, log_weights: np.ndarray,
+                      variances: np.ndarray, blocks: int) -> _Components:
+    # C-contiguous operands, as the module docstring requires
+    flat = np.ascontiguousarray(flat)
+    back = flat
+    if blocks > 1:
+        back = np.zeros((len(flat), -(-flat.shape[1] // 8) * 8))
+        back[:, :flat.shape[1]] = flat
+    return _Components(back, np.ascontiguousarray(flat.T), (flat * flat).sum(axis=1),
+                       np.tile(log_weights, blocks), np.tile(variances, blocks), blocks)
 
 
 @dataclass(frozen=True)
@@ -92,16 +136,36 @@ class GaussianMixture:
         return np.log(self.weights)
 
     @cached_property
-    def _flat_means(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # C-contiguous (K, d) and (d, K) operands, as the module docstring
-        # requires, and the squared norms of the means
-        flat = np.ascontiguousarray(self.means.reshape(len(self.weights), -1))
-        return flat, np.ascontiguousarray(flat.T), (flat * flat).sum(axis=1)
+    def _components(self) -> _Components:
+        return _build_components(self.means.reshape(len(self.weights), -1),
+                                 self._log_weights, self.variances, 1)
+
+    @cached_property
+    def _orbits(self) -> dict:
+        # id(group) -> (group, its orbit's components); holding the group
+        # keeps its id from being reused while the entry lives
+        return {}
+
+    def _orbit(self, group: IsometryGroup) -> _Components:
+        """The components of the |G| moved mixtures k^-1 M, built once per
+        group; ShapeMismatch unless the group acts on the event shape."""
+        hit = self._orbits.get(id(group))
+        if hit is None:
+            if self.event_shape != group.state_shape:
+                raise ShapeMismatch(f"mixture events of shape {self.event_shape} are "
+                                    f"not the states {group.state_shape} of {group.name}")
+            g, k = len(group), len(self.weights)
+            moved = apply_elements(group, np.repeat(group.inverse_table, k),
+                                   np.concatenate([self.means] * g))
+            hit = self._orbits[id(group)] = (group, _build_components(
+                moved.reshape(g * k, -1), self._log_weights, self.variances, g))
+        return hit[1]
 
     @cached_property
     def _work(self) -> _WorkArrays:
-        # diffused_score's (rows, K) log-terms, and its (rows, d) product,
-        # which shares its array with a transposed copy of the log-terms
+        # diffused_score's (rows, columns) log-terms, and its (rows, d)
+        # product, which shares its array with a transposed copy of the
+        # log-terms
         return _WorkArrays()
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -142,16 +206,17 @@ def _flat(x: np.ndarray, event_shape: tuple[int, ...]) -> tuple[np.ndarray, bool
     return x.reshape(x.shape[0], -1), False
 
 
-def _log_terms(m: GaussianMixture, s: Schedule, x, t, work=None):
+def _log_terms(m: GaussianMixture, s: Schedule, x, t, comps: _Components, work=None):
     """The log-terms of the diffused mixture at the rows of x.
 
     Returns ``(x2d, lr, a, v, n, single)``: the rows as a C-contiguous
-    (rows, d) array, ``lr[r, i] = log w_i N(x_r; a_r m_i, v_ri I)``, the
-    row scales a and variances v (a (1, 1) / (1, K) pair for a shared t,
-    (n, 1) / (n, K) for row times), the number n of input rows and
-    whether x was a lone state.  A lone state runs as two equal rows; the
-    callers keep the first n rows.  With ``work`` (``_WorkArrays``), lr is
-    one of its arrays.
+    (rows, d) array, ``lr[r, j] = log w_j N(x_r; a_r m_j, v_rj I)`` for
+    every column j of ``comps``, the row scales a and variances v (a
+    (1, 1) / (1, columns) pair for a shared t, (rows, 1) / (rows, columns)
+    for row times), the number n of input rows and whether x was a lone
+    state.  A lone state runs as two equal rows; the callers keep the
+    first n rows.  With ``work`` (``_WorkArrays``), lr is one of its
+    arrays.
     """
     x2d, single = _flat(x, m.event_shape)
     n = len(x2d)
@@ -167,22 +232,21 @@ def _log_terms(m: GaussianMixture, s: Schedule, x, t, work=None):
         first = np.flatnonzero(np.concatenate(([True], t[1:, 0] != t[:-1, 0])))
         runs = np.diff(first, append=n)
         t = t[first]
-    _, flat_t, sq = m._flat_means
     a, s2 = s.alpha_sigma2(t)  # one checked schedule lookup
-    v = a * a * m.variances + s2
-    shift = 0.5 * a * sq
-    norm = m._log_weights - 0.5 * m.dim * np.log(2.0 * np.pi * v)
+    v = a * a * comps.variances + s2
+    shift = 0.5 * a * comps.sq
+    norm = comps.log_weights - 0.5 * m.dim * np.log(2.0 * np.pi * v)
     if runs is not None and len(runs) < n:
         a, v, shift, norm = (np.repeat(c, runs, axis=0) for c in (a, v, shift, norm))
     if n == 1:
         x2d = np.concatenate([x2d, x2d])
     x2d = np.ascontiguousarray(x2d)
-    # |x - a m_i|^2 = |x|^2 - 2 a x.m_i + a^2 |m_i|^2, built in place in
-    # the (rows, K) product (fresh temporaries of that size cost page
+    # |x - a m_j|^2 = |x|^2 - 2 a x.m_j + a^2 |m_j|^2, built in place in
+    # the (rows, columns) product (fresh temporaries of that size cost page
     # faults); rounding is at the scale of |x|^2, which test_oracle
     # bounds far from the means
-    lr = np.matmul(x2d, flat_t, out=None if work is None
-                   else work.get("lr", (len(x2d), len(m.weights))))
+    lr = np.matmul(x2d, comps.means_t, out=None if work is None
+                   else work.get("lr", (len(x2d), len(comps.sq))))
     lr -= shift
     lr *= a
     lr -= 0.5 * np.einsum("ij,ij->i", x2d, x2d)[:, None]
@@ -192,71 +256,102 @@ def _log_terms(m: GaussianMixture, s: Schedule, x, t, work=None):
 
 
 def diffused_score(m: GaussianMixture, s: Schedule, x: np.ndarray, t,
-                   out: np.ndarray | None = None) -> np.ndarray:
+                   out: np.ndarray | None = None,
+                   group: IsometryGroup | None = None) -> np.ndarray:
     """Exact score of the time-t diffused mixture at x.
 
     Accepts a single point or a batch (leading axis), and t as one time
     or as an (n,) array with one time per batch row.  Valid for any t in
     [0, T]: component variances are strictly positive, so the t=0 limit
-    is the data-mixture score.  With ``out``, a C-contiguous float64
-    array of the result's shape, the score is written there and ``out``
-    returned, with the same bits.  The (rows, K) and (rows, d) work
+    is the data-mixture score.  With ``group``, the score's frame average
+    mean_k k^-1 s(k x, t) over the group, in closed form: the mean of the
+    scores of the moved mixtures k^-1 M at x (module docstring).  With
+    ``out``, a C-contiguous float64 array of the result's shape, the score
+    is written there and ``out`` returned, with the same bits.  The work
     arrays are kept on the mixture between calls, so one mixture is not
     scored from two threads at once.
     """
+    comps = m._components if group is None else m._orbit(group)
     work = m._work
-    x2d, lr, a, v, n, single = _log_terms(m, s, x, t, work)
+    x2d, lr, a, v, n, single = _log_terms(m, s, x, t, comps, work)
     shape = m.event_shape if single else (n, *m.event_shape)
     if out is not None and (not isinstance(out, np.ndarray) or out.shape != shape
                             or out.dtype != np.float64
                             or not out.flags.c_contiguous):
         raise InvalidParams(f"out must be a C-contiguous float64 array of shape "
                             f"{shape}")
-    # the row maxima, taken down the columns of a transposed copy: a max
-    # along the short rows of lr costs ~80 ns per row, and max is exact.
-    # The copy is dead before the (rows, d) product is written, so the
-    # two share one work array
+    # each block's row maxima, taken down the columns of a transposed
+    # copy: a max along the short rows of lr costs ~80 ns per row, and
+    # max is exact.  The copy is dead before the (rows, d) product is
+    # written, so the two share one work array
+    rows, blocks = len(lr), comps.blocks
     lr_t = work.get("rows", lr.shape[::-1])
     np.copyto(lr_t, lr.T)
-    lr -= lr_t.max(axis=0)[:, None]
+    blocked = lr.reshape(rows, blocks, -1)
+    blocked -= lr_t.reshape(blocks, -1, rows).max(axis=1).T[:, :, None]
     pull = np.exp(lr, out=lr)
-    pull /= pull.sum(axis=1, keepdims=True)
+    blocked /= blocked.sum(axis=2, keepdims=True)  # gamma, per block of pull
     pull /= v
-    # sum_i (gamma_i / v_i) (a m_i - x) as a second product with the means
-    score = np.matmul(pull, m._flat_means[0],
-                      out=None if out is None or single else out.reshape(n, -1))
-    score *= a
-    score -= np.multiply(x2d, pull.sum(axis=1, keepdims=True),
+    # the mean over the blocks of sum_j (gamma_j / v_j) (a m_j - x), as a
+    # second product with the means, whose padding columns are dropped;
+    # it is written into out only when out has its shape
+    d = x2d.shape[1]
+    direct = out is not None and rows == n and comps.means.shape[1] == d
+    score = np.matmul(pull, comps.means, out=out.reshape(n, -1) if direct else None)
+    score = score[:, :d]
+    score *= a / blocks
+    score -= np.multiply(x2d, pull.sum(axis=1, keepdims=True) / blocks,
                          out=work.get("rows", x2d.shape))
     score = score[:n].reshape(-1, *m.event_shape)
     if out is None:
         return score[0] if single else score
-    if single:
-        out[...] = score[0]
+    if not direct:
+        out[...] = score.reshape(shape)
     return out
 
 
 def log_density(m: GaussianMixture, s: Schedule, x: np.ndarray, t) -> np.ndarray:
     """Exact log-density of the time-t diffused mixture at x (t in [0, T]);
     t is one time or an (n,) array of row times, as in diffused_score."""
-    _, lr, _, _, n, single = _log_terms(m, s, x, t)
+    _, lr, _, _, n, single = _log_terms(m, s, x, t, m._components)
     shift = lr.max(axis=1, keepdims=True)
     out = (np.log(np.exp(lr - shift).sum(axis=1)) + shift[:, 0])[:n]
     return float(out[0]) if single else out
 
 
 class AnalyticScoreField:
-    """Callable (x, t) -> score bound to a fixed mixture and schedule."""
+    """Callable (x, t) -> score bound to a fixed mixture and schedule.
 
-    def __init__(self, mixture: GaussianMixture, schedule: Schedule):
+    With a group, the field is the score's frame average over that group
+    in closed form (``diffused_score``), and the mixture's event shape
+    must be the group's state shape.  An averaged field has no log_density:
+    the mean of the moved mixtures' scores is the gradient of the mean of
+    their log-densities, which is not a normalized log-density.
+    """
+
+    def __init__(self, mixture: GaussianMixture, schedule: Schedule,
+                 group: IsometryGroup | None = None):
         self.mixture = mixture
         self.schedule = schedule
+        self.group = group
+        if group is not None:
+            mixture._orbit(group)  # checks the shapes and builds the moved means
 
     def __call__(self, x: np.ndarray, t, out: np.ndarray | None = None) -> np.ndarray:
-        return diffused_score(self.mixture, self.schedule, x, t, out=out)
+        return diffused_score(self.mixture, self.schedule, x, t, out=out, group=self.group)
 
     def log_density(self, x: np.ndarray, t):
+        if self.group is not None:
+            raise InvalidParams(f"the oracle averaged over {self.group.name} has "
+                                "no log_density")
         return log_density(self.mixture, self.schedule, x, t)
+
+    def frame_average(self, group: IsometryGroup):
+        """The field's average over ``group``: in closed form for the plain
+        oracle, through ``FrameAveragedField`` for an averaged one."""
+        if self.group is not None:
+            return FrameAveragedField(self, group)
+        return AnalyticScoreField(self.mixture, self.schedule, group)
 
 
 @dataclass(frozen=True)

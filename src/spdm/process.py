@@ -67,7 +67,7 @@ class Schedule:
 
     def _check_time(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        bad = (t < 0.0) | (t > self.T)
+        bad = ~((t >= 0.0) & (t <= self.T))  # NaN fails both comparisons
         if bad.any():
             raise TimeOutOfRange(f"t={t[bad].flat[0]} outside [0, {self.T}]")
         return t
@@ -87,8 +87,9 @@ class Schedule:
             - 0.5 * t * self.beta_min
 
     def dlog_alpha_dt(self, t):
+        t = self._check_time(t)
         if self.kind == "ve":
-            return np.zeros_like(np.asarray(t, dtype=float))
+            return np.zeros_like(t)
         return -0.5 * self.beta(t)
 
     def alpha(self, t):
@@ -135,9 +136,10 @@ class Schedule:
 
     def drift(self, x, t):
         """Forward SDE drift u(x, t)."""
+        rate = self.dlog_alpha_dt(t)  # checks t under either family
         if self.kind == "ve":
             return np.zeros_like(np.asarray(x, dtype=float))
-        return self.dlog_alpha_dt(t) * np.asarray(x, dtype=float)
+        return rate * np.asarray(x, dtype=float)
 
 
 def vp_schedule(beta_min: float = 0.1, beta_max: float = 20.0, T: float = 1.0) -> Schedule:

@@ -374,6 +374,40 @@ def test_frame_averaged_oracle_batch_rows_match_lone_states():
                         np.testing.assert_array_equal(batch[i], lone[j])
 
 
+@pytest.mark.parametrize("tag", ["C4", "D4"])
+def test_averaged_point_oracle_batch_rows_match_lone_states(tag):
+    # the closed-form average's product back sums |G| K columns onto a
+    # 2-wide output, whose rows gemm rounds by batch size unless the
+    # moved means are padded to 8 columns
+    rng = np.random.default_rng(7)
+    g = make_group(tag)
+    for sym in (False, True):
+        mix = GaussianMixture(np.array([0.2, 0.3, 0.5]), rng.standard_normal((3, 2)),
+                              np.array([0.6, 0.9, 1.2]))
+        if sym:
+            mix = symmetrize(mix, g)
+        fa = frame_average(AnalyticScoreField(mix, vp_schedule()), g)
+        x = 1.5 * rng.standard_normal((256, 2))
+        for t in (0.0, 0.3, 1.0):
+            lone = np.stack([fa(row, t) for row in x[:17]])
+            for size in (1, 2, 3, 4, 17, 256):
+                batch = fa(x[:size], t)
+                np.testing.assert_array_equal(batch[:17], lone[:size])
+
+
+def test_point_average_refuses_states_of_another_dimension():
+    # a (4, 3) batch would otherwise read as six 2-D points, and a lone
+    # 3-vector end in a numpy error
+    g = make_group("C4")
+    fa = frame_average(lambda x: -x, g)
+    for x in (np.zeros((4, 3)), np.zeros(3), np.zeros(())):
+        with pytest.raises(ShapeMismatch, match="dimension 2"):
+            fa(x)
+    cond = frame_average(lambda x, y: x - y, g, conditional=True)
+    with pytest.raises(ShapeMismatch, match="dimension 2"):
+        cond(np.zeros((4, 2)), np.zeros((4, 3)))
+
+
 def counting(base, calls):
     def counted(*args):
         calls.append(tuple(np.shape(a) for a in args))
@@ -446,7 +480,8 @@ def test_stacked_point_average_matches_per_element_reference(tag):
                                      np.array([[2.4, 0.6], [0.6, 1.8]]),
                                      np.array([0.4, 0.5])), g)
     base = AnalyticScoreField(mix, s)
-    fa = frame_average(base, g)
+    # a plain callable, so the oracle does not average itself in closed form
+    fa = frame_average(lambda x, t: base(x, t), g)
     bridge = BridgeScoreField(GaussianCoupling(matrix=0.8, noise_var=0.05), s)
     cond = frame_average(bridge, g, conditional=True)
     for shape in ((2,), (1, 2), (7, 2), (300, 2)):
@@ -501,8 +536,8 @@ def test_compose_tables_match_a_search_over_the_elements():
 
 
 def test_buffered_grid_average_matches_stacked_sum_bit_for_bit():
-    # the moved copies and base outputs live in kept work arrays and the
-    # terms are added one by one; the bits are those of the stacked sum
+    # the moved copies live in kept work arrays and the terms are added
+    # one by one; the bits are those of the stacked sum
     rng = np.random.default_rng(16)
     s = vp_schedule()
     for tag, size in ((t, n) for t in ("C4", "D4") for n in (4, 5, 8)):
@@ -512,10 +547,10 @@ def test_buffered_grid_average_matches_stacked_sum_bit_for_bit():
                                          variances=np.array([0.3, 0.5])), g)
         oracle = AnalyticScoreField(mix, s)
         w = rng.standard_normal((size, size, 3))
-        # (base, conditional, takes per-row times); the oracle takes out=,
-        # the others return fresh arrays
+        # (base, conditional, takes per-row times); the oracle is passed as
+        # a plain callable, so it does not average itself in closed form
         fields = [
-            (oracle, False, True),
+            (lambda x, t: oracle(x, t), False, True),
             (lambda x, t: np.tanh(x) * w[..., 0] + np.reshape(t, (*np.shape(t), 1, 1)),
              False, True),
             (lambda x, y, t, out=None: oracle(x - 0.3 * y, t, out=out), True, True),

@@ -9,9 +9,12 @@ from spdm import (
     AnalyticScoreField,
     BridgeScoreField,
     DegenerateCoupling,
+    FrameAveragedField,
     GaussianCoupling,
     GaussianMixture,
     InvalidParams,
+    Mlp,
+    ShapeMismatch,
     TimeOutOfRange,
     bridge_conditional_params,
     bridge_kernel,
@@ -26,6 +29,7 @@ from spdm import (
     ve_schedule,
     vp_schedule,
 )
+from spdm.groups import equivariance_residuals
 
 
 def two_component_mixture():
@@ -220,7 +224,8 @@ def test_score_out_keeps_the_bits():
     s = vp_schedule()
     field = AnalyticScoreField(m, s)
     cases = ((rng.standard_normal((8, 8)), 0.3), (rng.standard_normal((33, 8, 8)), 0.3),
-             (rng.standard_normal((5, 8, 8)), rng.uniform(0.0, s.T, 5)))
+             (rng.standard_normal((5, 8, 8)), rng.uniform(0.0, s.T, 5)),
+             (rng.standard_normal((1, 8, 8)), 0.3))
     for x, t in cases:
         want = diffused_score(m, s, x, t)
         for score in (lambda o: diffused_score(m, s, x, t, out=o),
@@ -304,6 +309,81 @@ def test_score_field_wrapper_and_time_range():
         diffused_score(m, s, x, 1.5)
     with pytest.raises(TimeOutOfRange):
         log_density(m, s, x, -0.1)
+
+
+def raw_mixture(shape, rng):
+    """An unsymmetrized mixture, whose score a frame average changes."""
+    return GaussianMixture(np.array([0.2, 0.3, 0.5]), 1.5 * rng.standard_normal((3, *shape)),
+                           np.array([0.2, 0.4, 0.6]))
+
+
+AVERAGED = [("C3", None), ("C4", None), ("D4", None),
+            ("D4", (8, 8)), ("C4", (5, 5)), ("flip_v", (4, 6))]
+
+
+@pytest.mark.parametrize("tag, shape", AVERAGED)
+def test_closed_form_average_matches_the_moved_copies(tag, shape):
+    # k^-1 s_M(k x) = s_{k^-1 M}(x): the oracle averages itself at x on
+    # the |G| K moved means, to what FrameAveragedField finds by moving x;
+    # passing the oracle as a plain callable forces the moved copies
+    rng = np.random.default_rng(40)
+    g = make_group(tag, shape)
+    s = vp_schedule()
+    base = AnalyticScoreField(raw_mixture(g.state_shape, rng), s)
+    closed = frame_average(base, g)
+    moved = frame_average(lambda x, t: base(x, t), g)
+    assert isinstance(closed, AnalyticScoreField) and isinstance(moved, FrameAveragedField)
+    for lead in ((), (1,), (7,), (64,)):
+        x = 2.0 * rng.standard_normal((*lead, *g.state_shape))
+        times = [0.0, 0.3, s.T] + ([rng.uniform(0.0, s.T, lead[0])] if lead else [])
+        for t in times:
+            want, got = moved(x, t), closed(x, t)
+            assert got.shape == want.shape == x.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            out = np.empty_like(x)
+            assert closed(x, t, out=out) is out
+            np.testing.assert_array_equal(out, got)
+        if lead:
+            gaps = [np.abs(equivariance_residuals(closed, g, x, t)).max()
+                    for t in (0.0, 0.3, s.T)]
+            assert max(gaps) <= 1e-12
+
+
+def test_one_element_average_is_the_plain_oracle_bit_for_bit():
+    rng = np.random.default_rng(41)
+    m, s = raw_mixture((2,), rng), vp_schedule()
+    closed = frame_average(AnalyticScoreField(m, s), make_group("C1"))
+    x = rng.standard_normal((9, 2))
+    for xs, t in ((x[0], 0.3), (x, 0.0), (x, 0.3), (x, s.T), (x, rng.uniform(0.0, s.T, 9))):
+        np.testing.assert_array_equal(closed(xs, t), diffused_score(m, s, xs, t))
+    out = np.empty_like(x)
+    assert closed(x, 0.3, out=out) is out
+    np.testing.assert_array_equal(out, diffused_score(m, s, x, 0.3))
+
+
+def test_averaged_oracle_keeps_the_fields_it_cannot_average_and_no_density():
+    rng = np.random.default_rng(42)
+    s = vp_schedule()
+    c4, grid = make_group("C4"), make_group("D4", (4, 4))
+    base = AnalyticScoreField(raw_mixture((2,), rng), s)
+    closed = frame_average(base, c4)
+    x = rng.standard_normal((3, 2))
+    # the average of the moved mixtures' scores has no log-density
+    assert base.log_density(x, 0.3).shape == (3,)
+    with pytest.raises(InvalidParams):
+        closed.log_density(x, 0.3)
+    # the mixture's events must be the group's states, checked at once
+    for m, g in ((raw_mixture((3,), rng), c4), (raw_mixture((2,), rng), grid),
+                 (raw_mixture((4, 5), rng), grid)):
+        with pytest.raises(ShapeMismatch):
+            frame_average(AnalyticScoreField(m, s), g)
+    # nets, bridge scores, conditional averages and an averaged oracle
+    # averaged again move copies of their states
+    bridge = BridgeScoreField(GaussianCoupling(matrix=0.8, noise_var=0.05), s)
+    for field, conditional in ((Mlp(2, hidden=(8,), seed=0), False), (bridge, True),
+                               (lambda x, t: base(x, t, out=None), False),
+                               (closed, False)):
+        assert isinstance(frame_average(field, c4, conditional), FrameAveragedField)
 
 
 def test_grid_mixture_score():

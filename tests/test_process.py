@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from spdm import (
+    GaussianMixture,
     GaussianParams,
     InvalidParams,
     SingularAtTerminal,
     TimeOutOfRange,
     bridge_forward_drift,
     bridge_kernel,
+    diffused_score,
     grad_log_transition_h,
+    log_density,
     make_point_group_2d,
     transition,
     ve_schedule,
@@ -136,6 +139,23 @@ def test_time_range_enforced():
         s.alpha(-0.1)
     with pytest.raises(TimeOutOfRange):
         transition(s, np.zeros(2), 2.0)
+
+
+@pytest.mark.parametrize("s", [vp_schedule(), ve_schedule()], ids=["vp", "ve"])
+def test_nan_times_are_refused(s):
+    # NaN fails every comparison, so a range test written as "t < 0 or
+    # t > T" would let it through
+    methods = (s.beta, s.log_alpha, s.dlog_alpha_dt, s.alpha, s.sigma2, s.alpha_sigma2,
+               s.sigma, s.dsigma2_dt, s.g2, s.g, s.eta, lambda t: s.drift(np.ones(2), t))
+    m = GaussianMixture(np.array([0.5, 0.5]), np.array([[1.0, 0.0], [0.0, 1.0]]),
+                        np.array([0.3, 0.5]))
+    x = np.zeros((2, 2))
+    oracle = (lambda t: diffused_score(m, s, x, t), lambda t: log_density(m, s, x, t),
+              lambda t: diffused_score(m, s, x, t, group=make_point_group_2d(4)))
+    for t in (np.nan, np.array([0.3, np.nan])):
+        for f in methods + oracle:
+            with pytest.raises(TimeOutOfRange):
+                f(t)
 
 
 def test_transition_at_zero_is_exact():
