@@ -26,7 +26,7 @@ from . import io, metrics, sampling
 from .errors import (ConfigError, DegenerateCoupling, DivergedLoss, IoError,
                      NonFiniteState, NonPsd, SingularAtTerminal, SpdmError,
                      TimeOutOfRange)
-from .groups import (IsometryGroup, canonical_ids, default_canonicalizer,
+from .groups import (IsometryGroup, _move_blocks, canonical_ids, default_canonicalizer,
                      frame_average, make_group)
 from .nets import Mlp, TrainerConfig, train
 from .oracle import (AnalyticScoreField, BridgeScoreField, GaussianCoupling,
@@ -561,8 +561,9 @@ def _nll_table(cfg, s, group, out_dir: Path, data: np.ndarray, chash: str,
     n_points, steps, div_mode, score = _nll_field(cfg, s, group, out_dir,
                                                   data.shape[1:])
     n_points = min(n_points, data.shape[0])
-    moved = np.concatenate([el.apply(data[:n_points]) for el in group.elements])
-    rep = metrics.pf_ode_nll(score, s, moved, sampling.nll_grid(s, steps),
+    moved = _move_blocks(group, data[None, :n_points], np.arange(len(group)))
+    rep = metrics.pf_ode_nll(score, s, moved.reshape(-1, *data.shape[1:]),
+                             sampling.nll_grid(s, steps),
                              div_mode=div_mode, seed=seed)
     nll = (-rep.log_likelihood / data[0].size).reshape(len(group), n_points)
     rows = [[el.name, float(np.mean(nll[el.gid])), chash, seed]

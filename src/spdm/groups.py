@@ -169,6 +169,15 @@ class IsometryGroup:
         return np.stack([el.perm for el in self.elements])
 
 
+def _lead(group: IsometryGroup, x: np.ndarray) -> tuple:
+    """The batch axes of x, those before the state the group acts on;
+    ShapeMismatch unless x ends in such a state."""
+    if group.grid_shape is None:
+        _check_points(group.state_shape[0], x)
+        return x.shape[:-1]
+    return _grid_view(group.grid_shape, x)[0]
+
+
 def apply_elements(group: IsometryGroup, ids, x: np.ndarray) -> np.ndarray:
     """Apply a per-row group element: row i of x gets elements[ids[i]].
 
@@ -180,16 +189,33 @@ def apply_elements(group: IsometryGroup, ids, x: np.ndarray) -> np.ndarray:
     """
     ids = np.asarray(ids)
     x = np.asarray(x, dtype=float)
-    if group.grid_shape is None:
-        _check_points(group.state_shape[0], x)
-        lead = x.shape[:-1]
-    else:
-        lead, rows = _grid_view(group.grid_shape, x)
+    lead = _lead(group, x)
     if ids.ndim != 1 or ids.shape != lead:
         raise ShapeMismatch(f"ids of shape {ids.shape} for rows of shape {lead}")
     if group.grid_shape is None:
         return np.einsum("nij,nj->ni", group.stacked[ids], x)
+    rows = _grid_view(group.grid_shape, x)[1]
     return np.take_along_axis(rows, group.stacked[ids][:, :, None], axis=1).reshape(x.shape)
+
+
+def _move_blocks(group: IsometryGroup, blocks: np.ndarray, ids) -> np.ndarray:
+    """Block j of a (B, m, *state) stack moved by ``elements[ids[j]]``, or a
+    single block (B = 1) moved by every id: a (len(ids), m, *state) array.
+
+    The one move behind every group orbit.  Points take one stacked
+    product, whose slice for element k is the gemm ``x @ A_k.T`` of
+    ``GroupElement.apply``; grids take one gather per element, each into
+    its C-contiguous slice of the result.
+    """
+    if group.grid_shape is None:
+        _check_points(group.state_shape[0], blocks)
+        return np.matmul(blocks, group.stacked[ids].transpose(0, 2, 1))
+    (b, m), rows = _grid_view(group.grid_shape, blocks)
+    rows = rows.reshape(b, m, *rows.shape[1:])
+    out = np.empty((len(ids), *rows.shape[1:]))
+    for j, k in enumerate(ids):
+        np.take(rows[0 if b == 1 else j], group.stacked[k], axis=1, out=out[j], mode="wrap")
+    return out.reshape(len(ids), *blocks.shape[1:])
 
 
 def equivariance_residuals(field, group: IsometryGroup, xs, *args) -> np.ndarray:
@@ -202,12 +228,11 @@ def equivariance_residuals(field, group: IsometryGroup, xs, *args) -> np.ndarray
     once on xs.
     """
     xs = np.asarray(xs, dtype=float)
-    g, n = len(group), xs.shape[0]
-    ids = np.repeat(np.arange(g), n)
-    moved = np.asarray(field(apply_elements(group, ids, np.concatenate([xs] * g)),
+    g, n, every = len(group), xs.shape[0], np.arange(len(group))
+    moved = np.asarray(field(_move_blocks(group, xs[None], every).reshape(g * n, *xs.shape[1:]),
                              *_tile_rows(args, n, g)))
-    base = apply_elements(group, ids, np.concatenate([field(xs, *args)] * g))
-    return (moved - base).reshape(g, n, *moved.shape[1:])
+    base = _move_blocks(group, np.asarray(field(xs, *args))[None], every)
+    return moved.reshape(g, n, *moved.shape[1:]) - base
 
 
 def _tile_rows(args, n: int | None, g: int) -> list:
@@ -530,12 +555,12 @@ def canonical_ids(c: Canonicalizer, xs: np.ndarray) -> np.ndarray:
                             f"of shape {want}, got {xs.shape}")
     if len(xs) == 0:
         return np.zeros(0, dtype=np.int64)
-    inv = G.stacked[G.inverse_table]
     if G.grid_shape is None:
-        ys = np.einsum("kij,nj->nki", inv, xs)
+        ys = _move_blocks(G, xs[None], G.inverse_table).transpose(1, 0, 2)
         angle = np.arctan2(ys[..., 1], ys[..., 0]) % (2.0 * np.pi)  # in [0, 2 pi)
         return _lex_first_max(lambda j: ys[:, :, j], ys.shape[2],
                               angle < 2.0 * np.pi / len(G))
+    inv = G.stacked[G.inverse_table]
     flat = xs.reshape(len(xs), inv.shape[1], -1)
     _, cells, depth = flat.shape
     plane = np.max(flat, axis=-1)  # channels collapse by max: the global peak
@@ -598,85 +623,38 @@ class FrameAveragedField:
     lone state, |G| n rows for a batch of n.  A conditional field's y is
     moved and stacked the same way.  The other arguments follow
     ``_tile_rows``: arrays of batch length (times, say) are tiled |G|
-    times, everything else is shared.  The terms are
-    summed in ascending element-id order, so results are deterministic
-    across runs.
-
-    On grids the moved copies live in work arrays kept between calls, and
-    the terms are added one by one into the fresh result: the same
-    sequential sum, bit for bit, as adding up the stacked terms along
-    their first axis.  A field object is therefore not safe to call from
-    two threads at once.
+    times, everything else is shared.  Points and grids, lone states and
+    batches take the same path: ``_move_blocks`` moves the copies out and
+    the terms back, and the terms are summed along the element axis in
+    ascending id order, so results are deterministic across runs.
     """
 
     def __init__(self, base, group: IsometryGroup, conditional: bool = False):
         self.base = base
         self.group = group
         self.conditional = conditional
-        if group.grid_shape is not None:
-            self._work = _WorkArrays()
-            self._inverse_perms = group.stacked[group.inverse_table]
-        else:
-            # transposed views, so element k's product is ``x @ A_k.T``
-            # as in GroupElement.apply, one gemm per element
-            self._moves = group.stacked.transpose(0, 2, 1)
-            self._inverse_moves = group.stacked[group.inverse_table].transpose(0, 2, 1)
-
-    def _split(self, x, args, lone: bool) -> tuple[tuple, list]:
-        """The states the elements move (x, and y if conditional) and the
-        other arguments for the |G| stacked copies."""
-        states, args = ((x, args[0]), args[1:]) if self.conditional else ((x,), args)
-        return states, _tile_rows(args, None if lone else len(x), len(self.group))
 
     def __call__(self, x, *args):
+        group, g = self.group, len(self.group)
         x = np.asarray(x, dtype=float)
-        if self.group.grid_shape is not None:
-            return self._grid_average(x, args)
-        g, d = len(self.group), len(self._moves[0])
-        _check_points(d, x)
-        if self.conditional:
-            _check_points(d, np.asarray(args[0]))
-        lone = x.ndim == 1
-        states, rest = self._split(x, args, lone)
-
-        def stacked_copies(v):
-            # every element's moved copy of v in one stacked product
+        states, rest = ((x, args[0]), args[1:]) if self.conditional else ((x,), args)
+        lone = _lead(group, x) == ()
+        every, moved = np.arange(g), []
+        for v in states:
             v = np.asarray(v, dtype=float)
-            copies = np.matmul(v.reshape(1, -1, d), self._moves)
-            return copies.reshape((g, *v.shape) if lone else (g * len(v), *v.shape[1:]))
-
-        moved = [stacked_copies(v) for v in states] + rest
-        out = np.asarray(self.base(*moved)).reshape(g, -1, d)
+            copies = _move_blocks(group, _one_block(group, v), every)
+            moved.append(copies.reshape((g, *v.shape) if lone else (g * len(v), *v.shape[1:])))
+        out = np.asarray(self.base(*moved, *_tile_rows(rest, None if lone else len(x), g)))
         del moved  # the stacked copies are dead; free them before the terms
-        # the terms k^-1 s(k x), summed along the element axis in id order
-        return (np.matmul(out, self._inverse_moves).sum(axis=0) / g).reshape(x.shape)
+        terms = _move_blocks(group, out.reshape(g, *_one_block(group, x).shape[1:]),
+                             group.inverse_table)
+        return (terms.sum(axis=0) / g).reshape(x.shape)
 
-    def _grid_average(self, x, args):
-        # cells run along axis 1 of the (rows, H W, depth) view of a batch,
-        # a lone state being one row
-        lone = _grid_view(self.group.grid_shape, x)[0] == ()
-        g, perms = len(self.group), self.group.stacked
-        states, rest = self._split(x, args, lone)
-        moved, bufs = [], []
-        for key, v in enumerate(states):
-            v = np.asarray(v, dtype=float)
-            rows = _grid_view(self.group.grid_shape, v)[1]
-            buf = self._work.get(key, (g, *rows.shape))
-            for k in range(g):
-                np.take(rows, perms[k], axis=1, out=buf[k], mode="wrap")
-            bufs.append(buf)
-            moved.append(buf.reshape((g, *v.shape) if lone else (g * len(v), *v.shape[1:])))
-        out = np.asarray(self.base(*moved, *rest))
-        # x's moved copies are dead now: the first one is the term buffer
-        scratch = bufs[0][0]
-        terms = out.reshape(g, *scratch.shape)
-        total = np.empty(scratch.shape)
-        np.take(terms[0], self._inverse_perms[0], axis=1, out=total, mode="wrap")
-        for k in range(1, g):
-            np.take(terms[k], self._inverse_perms[k], axis=1, out=scratch, mode="wrap")
-            total += scratch
-        total /= g
-        return total.reshape(x.shape)
+
+def _one_block(group: IsometryGroup, v: np.ndarray) -> np.ndarray:
+    """v as a (1, rows, *state) block, its batch axes read as one."""
+    lead = _lead(group, v)
+    return v.reshape(1, math.prod(lead), *v.shape[len(lead):])
 
 
 def frame_average(score, group: IsometryGroup, conditional: bool = False):

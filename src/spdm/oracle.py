@@ -22,24 +22,19 @@ itself: one product against the |G| K moved means, a softmax within each
 element's block of K columns, and one product back with the moved means,
 which also sums over the blocks.  The plain oracle is the one-block case.
 
-Two rules make a batch row round as the same lone state: a lone row
-runs as two equal rows, since numpy would hand a one-row product to
-gemv, which sums in a different order from gemm; and both operands of
-each product are C-contiguous, since a transposed view makes gemm's bits
-depend on the number of rows.  A frame average adds a third: its product
-back sums |G| K columns, and with 16 or more of them gemm rounds the rows
-of an output whose width is not a multiple of 8 by batch size (2-D
-points, C4 5x5), so its moved means carry zero columns up to a multiple
-of 8.  With these rules a row keeps its bits at any batch size for 2-D
-points with K <= 12 and for the grid mixtures checked (K = 8 on C4 5x5
-and 6x6, K = 16 on D4 8x8, flip_v 4x6), and for the frame averages
-checked (C4 5x5, D4 8x8 and flip_v 4x6 grids, and 2-D points with K up
-to 24 over C4 and D4), which is what the NLL's grouped divergence calls
-rely on.  It is not so for every (d, K): with K = 24 on 2-D points,
-batches of 4 or more rows, and with K = 16 on 6x6 and 7x7 grids every
-batch size tried, and on 5x5 some, round a row differently from the same
-state in another batch in the last bits, as the gemm takes another
-kernel path.
+Three rules make a batch row round as the same lone state.  A lone row
+runs as two equal rows, since numpy would hand a one-row product to gemv,
+which sums in a different order from gemm.  Both operands of each product
+are C-contiguous, since a transposed view makes gemm's bits depend on the
+number of rows.  And the means of the product back carry zero columns up
+to a multiple of 8, since with 16 or more columns to sum gemm rounds the
+rows of an output of another width by batch size.  With these rules a
+row kept its bits at every batch size checked, 1 to 2048 rows, for 2-D
+points with K up to 96, for the grids checked (3x3 to 8x8, K up to 64) and
+for frame averages of up to 256 columns |G| K, which is what the NLL's
+grouped divergence calls rely on.  Frame averages of 512 columns or more
+(D4 8x8 at K = 64, D4 points at K = 96) round rows of some batches of 64
+rows or more differently.
 
 Symmetrizing a mixture over a finite isometry group produces an invariant
 density, whose score is then exactly equivariant; this is the analytic
@@ -55,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateCoupling, InvalidParams, ShapeMismatch, TimeOutOfRange
-from .groups import FrameAveragedField, IsometryGroup, _WorkArrays, apply_elements
+from .groups import FrameAveragedField, IsometryGroup, _move_blocks, _WorkArrays
 from .process import GaussianParams, Schedule, bridge_coefficients
 
 _WEIGHT_ATOL = 1e-12
@@ -65,10 +60,10 @@ class _Components(NamedTuple):
     """The columns the score's products read: ``blocks`` blocks of the K
     components, each block with its own means.  The plain mixture is one
     block; its orbit under a group has block k moved by element k's
-    inverse, and zero columns that pad its product back (module
-    docstring)."""
+    inverse.  The means of the product back carry zero columns up to a
+    multiple of 8 (module docstring)."""
 
-    means: np.ndarray        # (blocks K, d or its padded width), C-contiguous
+    means: np.ndarray        # (blocks K, d padded to a multiple of 8), C-contiguous
     means_t: np.ndarray      # (d, blocks K), C-contiguous
     sq: np.ndarray           # (blocks K,) squared norms of the means
     log_weights: np.ndarray  # (blocks K,), each block's log w_i
@@ -80,10 +75,8 @@ def _build_components(flat: np.ndarray, log_weights: np.ndarray,
                       variances: np.ndarray, blocks: int) -> _Components:
     # C-contiguous operands, as the module docstring requires
     flat = np.ascontiguousarray(flat)
-    back = flat
-    if blocks > 1:
-        back = np.zeros((len(flat), -(-flat.shape[1] // 8) * 8))
-        back[:, :flat.shape[1]] = flat
+    back = np.zeros((len(flat), -(-flat.shape[1] // 8) * 8))
+    back[:, :flat.shape[1]] = flat
     return _Components(back, np.ascontiguousarray(flat.T), (flat * flat).sum(axis=1),
                        np.tile(log_weights, blocks), np.tile(variances, blocks), blocks)
 
@@ -154,11 +147,10 @@ class GaussianMixture:
             if self.event_shape != group.state_shape:
                 raise ShapeMismatch(f"mixture events of shape {self.event_shape} are "
                                     f"not the states {group.state_shape} of {group.name}")
-            g, k = len(group), len(self.weights)
-            moved = apply_elements(group, np.repeat(group.inverse_table, k),
-                                   np.concatenate([self.means] * g))
+            moved = _move_blocks(group, self.means[None], group.inverse_table)
             hit = self._orbits[id(group)] = (group, _build_components(
-                moved.reshape(g * k, -1), self._log_weights, self.variances, g))
+                moved.reshape(len(group) * len(self.weights), -1), self._log_weights,
+                self.variances, len(group)))
         return hit[1]
 
     @cached_property
@@ -183,15 +175,12 @@ def symmetrize(mixture: GaussianMixture, group: IsometryGroup) -> GaussianMixtur
     (w / |G|, k m, v); isotropic components are closed under isometries, so
     the result is an exactly G-invariant density.
     """
-    ws, ms, vs = [], [], []
-    for k in group.elements:
-        ws.append(mixture.weights / len(group))
-        ms.append(np.stack([k.apply(m) for m in mixture.means]))
-        vs.append(mixture.variances)
+    g = len(group)
+    moved = _move_blocks(group, mixture.means[None], np.arange(g))
     return GaussianMixture(
-        weights=np.concatenate(ws),
-        means=np.concatenate(ms),
-        variances=np.concatenate(vs),
+        weights=np.tile(mixture.weights / g, g),
+        means=moved.reshape(-1, *mixture.event_shape),
+        variances=np.tile(mixture.variances, g),
     )
 
 
@@ -256,7 +245,6 @@ def _log_terms(m: GaussianMixture, s: Schedule, x, t, comps: _Components, work=N
 
 
 def diffused_score(m: GaussianMixture, s: Schedule, x: np.ndarray, t,
-                   out: np.ndarray | None = None,
                    group: IsometryGroup | None = None) -> np.ndarray:
     """Exact score of the time-t diffused mixture at x.
 
@@ -265,21 +253,13 @@ def diffused_score(m: GaussianMixture, s: Schedule, x: np.ndarray, t,
     [0, T]: component variances are strictly positive, so the t=0 limit
     is the data-mixture score.  With ``group``, the score's frame average
     mean_k k^-1 s(k x, t) over the group, in closed form: the mean of the
-    scores of the moved mixtures k^-1 M at x (module docstring).  With
-    ``out``, a C-contiguous float64 array of the result's shape, the score
-    is written there and ``out`` returned, with the same bits.  The work
+    scores of the moved mixtures k^-1 M at x (module docstring).  The work
     arrays are kept on the mixture between calls, so one mixture is not
     scored from two threads at once.
     """
     comps = m._components if group is None else m._orbit(group)
     work = m._work
     x2d, lr, a, v, n, single = _log_terms(m, s, x, t, comps, work)
-    shape = m.event_shape if single else (n, *m.event_shape)
-    if out is not None and (not isinstance(out, np.ndarray) or out.shape != shape
-                            or out.dtype != np.float64
-                            or not out.flags.c_contiguous):
-        raise InvalidParams(f"out must be a C-contiguous float64 array of shape "
-                            f"{shape}")
     # each block's row maxima, taken down the columns of a transposed
     # copy: a max along the short rows of lr costs ~80 ns per row, and
     # max is exact.  The copy is dead before the (rows, d) product is
@@ -293,21 +273,14 @@ def diffused_score(m: GaussianMixture, s: Schedule, x: np.ndarray, t,
     blocked /= blocked.sum(axis=2, keepdims=True)  # gamma, per block of pull
     pull /= v
     # the mean over the blocks of sum_j (gamma_j / v_j) (a m_j - x), as a
-    # second product with the means, whose padding columns are dropped;
-    # it is written into out only when out has its shape
+    # second product with the means, whose padding columns are dropped
     d = x2d.shape[1]
-    direct = out is not None and rows == n and comps.means.shape[1] == d
-    score = np.matmul(pull, comps.means, out=out.reshape(n, -1) if direct else None)
-    score = score[:, :d]
+    score = np.matmul(pull, comps.means)[:, :d]
     score *= a / blocks
     score -= np.multiply(x2d, pull.sum(axis=1, keepdims=True) / blocks,
                          out=work.get("rows", x2d.shape))
     score = score[:n].reshape(-1, *m.event_shape)
-    if out is None:
-        return score[0] if single else score
-    if not direct:
-        out[...] = score.reshape(shape)
-    return out
+    return score[0] if single else score
 
 
 def log_density(m: GaussianMixture, s: Schedule, x: np.ndarray, t) -> np.ndarray:
@@ -337,8 +310,8 @@ class AnalyticScoreField:
         if group is not None:
             mixture._orbit(group)  # checks the shapes and builds the moved means
 
-    def __call__(self, x: np.ndarray, t, out: np.ndarray | None = None) -> np.ndarray:
-        return diffused_score(self.mixture, self.schedule, x, t, out=out, group=self.group)
+    def __call__(self, x: np.ndarray, t) -> np.ndarray:
+        return diffused_score(self.mixture, self.schedule, x, t, group=self.group)
 
     def log_density(self, x: np.ndarray, t):
         if self.group is not None:

@@ -535,9 +535,10 @@ def test_compose_tables_match_a_search_over_the_elements():
             groups_module._build_group("open", "", list(els))
 
 
-def test_buffered_grid_average_matches_stacked_sum_bit_for_bit():
-    # the moved copies live in kept work arrays and the terms are added
-    # one by one; the bits are those of the stacked sum
+def test_grid_average_matches_stacked_sum_bit_for_bit():
+    # the moved copies and the moved-back terms are gathers, and the terms
+    # are summed along the element axis; the bits are those of the
+    # per-element stacked sum
     rng = np.random.default_rng(16)
     s = vp_schedule()
     for tag, size in ((t, n) for t in ("C4", "D4") for n in (4, 5, 8)):
@@ -553,7 +554,7 @@ def test_buffered_grid_average_matches_stacked_sum_bit_for_bit():
             (lambda x, t: oracle(x, t), False, True),
             (lambda x, t: np.tanh(x) * w[..., 0] + np.reshape(t, (*np.shape(t), 1, 1)),
              False, True),
-            (lambda x, y, t, out=None: oracle(x - 0.3 * y, t, out=out), True, True),
+            (lambda x, y, t: oracle(x - 0.3 * y, t), True, True),
             (BridgeScoreField(GaussianCoupling(matrix=0.8, noise_var=0.05), s),
              True, False),
         ]
@@ -640,6 +641,27 @@ def test_grid_shape_refusal_reads_alike():
             call()
         messages.add(str(info.value))
     assert len(messages) == 1
+
+
+@pytest.mark.parametrize("tag, state", [
+    ("C3", (2,)), ("C5", (2,)), ("D6", (2,)), ("C4", (2,)), ("D4", (2,)),
+    ("C4", (5, 5)), ("D4", (8, 8)), ("flip_v", (4, 6)),
+    ("C4", (5, 5, 3)), ("D4", (8, 8, 2)), ("flip_v", (4, 6, 3))])
+def test_move_blocks_matches_per_element_apply(tag, state):
+    # a single block moved by every id, and block j moved by ids[j], equal
+    # GroupElement.apply bit for bit, also at the general angles of C3,
+    # C5 and D6 and with a channel axis
+    rng = np.random.default_rng(24)
+    g = make_group(tag, state[:2] if len(state) > 1 else None)
+    ids = rng.permutation(len(g))
+    for m in (1, 2, 7):
+        for b in (1, len(g)):
+            blocks = rng.standard_normal((b, m, *state))
+            out = groups_module._move_blocks(g, blocks, ids)
+            assert out.shape == (len(g), m, *state)
+            for j, k in enumerate(ids):
+                np.testing.assert_array_equal(
+                    out[j], g.elements[k].apply(blocks[0 if b == 1 else j]))
 
 
 def test_apply_elements_matches_per_row_apply():

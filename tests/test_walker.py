@@ -62,6 +62,8 @@ CORPUS = {
                       metrics=GROUP_METRICS, en=True),
     "mlp_wt": _config([[1.2, 0.3]], {"name": "D4"}, "mlp+WT", mode="WT",
                       metrics=GROUP_METRICS, en=True),
+    "mlp_fa_grid": _config(_grid_means(3, 3), {"name": "D4", "shape": [3, 3]}, "mlp+FA",
+                           mode="regularized", metrics=GROUP_METRICS, en=True),
 }
 
 
