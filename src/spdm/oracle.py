@@ -18,9 +18,12 @@ The frame average over a finite isometry group G is the same two
 products on more columns.  For an isometry k, k^-1 s_M(k x) = s_{k^-1 M}(x),
 where k^-1 M moves every mean by k^-1, so the average mean_k k^-1 s(k x)
 is the mean of the |G| oracles of the moved mixtures, all taken at x
-itself: one product against the |G| K moved means, a softmax within each
-element's block of K columns, and one product back with the moved means,
-which also sums over the blocks.  The plain oracle is the one-block case.
+itself: one product against the moved means, a softmax within each block
+of K columns, and one product back with the moved means, which also sums
+over the blocks.  Elements in one coset of M's stabiliser move M to the
+same mixture, so only the distinct moved mixtures are kept, one block
+each: a symmetrized mixture keeps one block, M itself, and its average is
+the plain oracle, bit for bit.  The plain oracle is the one-block case.
 
 Three rules make a batch row round as the same lone state.  A lone row
 runs as two equal rows, since numpy would hand a one-row product to gemv,
@@ -31,10 +34,10 @@ to a multiple of 8, since with 16 or more columns to sum gemm rounds the
 rows of an output of another width by batch size.  With these rules a
 row kept its bits at every batch size checked, 1 to 2048 rows, for 2-D
 points with K up to 96, for the grids checked (3x3 to 8x8, K up to 64) and
-for frame averages of up to 256 columns |G| K, which is what the NLL's
-grouped divergence calls rely on.  Frame averages of 512 columns or more
-(D4 8x8 at K = 64, D4 points at K = 96) round rows of some batches of 64
-rows or more differently.
+for frame averages of symmetrized mixtures (one block), which is what the
+NLL's grouped divergence calls rely on.  Averages of unsymmetrized
+mixtures of 512 columns or more (|G| K, as D4 8x8 at K = 64 or D4 points
+at K = 96) round rows of some batches of 64 rows or more differently.
 
 Symmetrizing a mixture over a finite isometry group produces an invariant
 density, whose score is then exactly equivariant; this is the analytic
@@ -59,9 +62,10 @@ _WEIGHT_ATOL = 1e-12
 class _Components(NamedTuple):
     """The columns the score's products read: ``blocks`` blocks of the K
     components, each block with its own means.  The plain mixture is one
-    block; its orbit under a group has block k moved by element k's
-    inverse.  The means of the product back carry zero columns up to a
-    multiple of 8 (module docstring)."""
+    block; its orbit under a group has one block k^-1 M per distinct moved
+    mixture, from 1 (a symmetrized mixture) to |G|.  The means of the
+    product back carry zero columns up to a multiple of 8 (module
+    docstring)."""
 
     means: np.ndarray        # (blocks K, d padded to a multiple of 8), C-contiguous
     means_t: np.ndarray      # (d, blocks K), C-contiguous
@@ -140,17 +144,32 @@ class GaussianMixture:
         return {}
 
     def _orbit(self, group: IsometryGroup) -> _Components:
-        """The components of the |G| moved mixtures k^-1 M, built once per
-        group; ShapeMismatch unless the group acts on the event shape."""
+        """The components of the distinct moved mixtures k^-1 M, built once
+        per group; ShapeMismatch unless the group acts on the event shape.
+
+        k^-1 M is one mixture for all k in a coset of M's stabiliser, so
+        each distinct one occurs |Stab| times and the mean over them is the
+        mean over all |G|.  They are found by value (``_distinct_blocks``),
+        with no tolerance: a mixture symmetrized over a grid group or a
+        signed-permutation point group keeps block 0, M in its own order.
+        At general angles the moved means round, so no copy matches (C3,
+        C5) or only some do (a C2-symmetric mixture under C6); then the
+        counts differ and every block stays.
+        """
         hit = self._orbits.get(id(group))
         if hit is None:
             if self.event_shape != group.state_shape:
                 raise ShapeMismatch(f"mixture events of shape {self.event_shape} are "
                                     f"not the states {group.state_shape} of {group.name}")
-            moved = _move_blocks(group, self.means[None], group.inverse_table)
+            g, size = len(group), len(self.weights)
+            moved = _move_blocks(group, self.means[None], group.inverse_table).reshape(
+                g, size, -1)
+            stats = np.stack([self.weights, self.variances], axis=1)
+            kept = _distinct_blocks(np.concatenate(
+                [np.broadcast_to(stats, (g, size, 2)), moved], axis=2))
             hit = self._orbits[id(group)] = (group, _build_components(
-                moved.reshape(len(group) * len(self.weights), -1), self._log_weights,
-                self.variances, len(group)))
+                moved[kept].reshape(len(kept) * size, -1), self._log_weights,
+                self.variances, len(kept)))
         return hit[1]
 
     @cached_property
@@ -166,6 +185,27 @@ class GaussianMixture:
         eps = rng.standard_normal((n, *self.event_shape))
         return self.means[ks] + np.sqrt(self.variances[ks]).reshape(
             (n,) + (1,) * len(self.event_shape)) * eps
+
+
+def _distinct_blocks(rows: np.ndarray) -> list[int]:
+    """The first block of each distinct mixture in a (B, K, c) stack of
+    component rows, if every distinct one occurs equally often; otherwise
+    every block.
+
+    Rows are sorted within each block and compared by value, so -0.0
+    matches 0.0 and components in another order still match.  Blocks with
+    equal counts have the same mean over the kept blocks as over all.
+    """
+    ordered = [block[np.lexsort(block.T[::-1])] for block in rows]
+    kept, labels = [], []
+    for j, block in enumerate(ordered):
+        label = next((i for i, k in enumerate(kept) if np.array_equal(block, ordered[k])),
+                     len(kept))
+        if label == len(kept):
+            kept.append(j)
+        labels.append(label)
+    counts = np.bincount(labels)
+    return kept if np.all(counts == counts[0]) else list(range(len(rows)))
 
 
 def symmetrize(mixture: GaussianMixture, group: IsometryGroup) -> GaussianMixture:
@@ -296,8 +336,13 @@ class AnalyticScoreField:
     """Callable (x, t) -> score bound to a fixed mixture and schedule.
 
     With a group, the field is the score's frame average over that group
-    in closed form (``diffused_score``), and the mixture's event shape
-    must be the group's state shape.  An averaged field has no log_density:
+    in closed form (``diffused_score``) over the distinct moved mixtures,
+    and the mixture's event shape must be the group's state shape.  On a
+    mixture symmetrized over the group that is one block, so the field
+    returns the plain oracle's bits at the plain oracle's cost (256 rows
+    of a symmetrized D4 8x8 mixture of 32 components: 963 us per call
+    over all |G| blocks, 201 us over the one, on a 2-core x86-64 host with
+    one BLAS thread).  An averaged field has no log_density:
     the mean of the moved mixtures' scores is the gradient of the mean of
     their log-densities, which is not a normalized log-density.
     """

@@ -918,10 +918,12 @@ def test_metrics_outputs(tmp_path):
 
 
 @pytest.mark.parametrize("kind,symmetrize,low", [
-    ("oracle", True, True), ("oracle+FA", True, True), ("oracle", False, False)])
+    ("oracle", True, True), ("oracle+FA", True, True), ("oracle", False, False),
+    ("oracle+FA", False, True)])
 def test_metrics_delta_x0_row(tmp_path, kind, symmetrize, low):
     # the Tweedie denoiser of a C4-invariant score commutes with C4 to
-    # rounding; the score of an unsymmetrized mixture does not
+    # rounding, as does that of an unsymmetrized mixture's averaged score
+    # (all |G| blocks); the plain score of an unsymmetrized mixture does not
     out = tmp_path / "run"
     cfg = base_config()
     cfg["data"]["symmetrize"] = symmetrize

@@ -330,6 +330,97 @@ def test_closed_form_average_matches_the_moved_copies(tag, shape):
             assert max(gaps) <= 1e-12
 
 
+def sub_symmetric_mixture(tag, sub, shape, rng, components=2):
+    """A mixture symmetrized over the group ``sub`` names, on the states of
+    the group ``tag`` names; with sub == tag, fully symmetrized."""
+    g = make_group(tag, shape)
+    return symmetric_grid_mixture(sub, g.grid_shape, rng, components), g
+
+
+SYMMETRIZED = [("C4", None), ("D4", None), ("C4", (5, 5)), ("D4", (8, 8)), ("flip_v", (4, 6))]
+# (tag, subgroup symmetrized over, grid shape, distinct moved mixtures)
+ORBITS = [(tag, tag, shape, 1) for tag, shape in SYMMETRIZED] + [
+    ("D4", "C4", None, 2), ("D4", "C4", (8, 8), 2)]
+
+
+@pytest.mark.parametrize("tag, sub, shape, blocks", ORBITS)
+def test_orbit_keeps_one_block_per_distinct_moved_mixture(tag, sub, shape, blocks):
+    # k^-1 M is the same mixture for every k in one coset of M's
+    # stabiliser; a raw mixture has |G| distinct moved copies
+    rng = np.random.default_rng(43)
+    m, g = sub_symmetric_mixture(tag, sub, shape, rng)
+    assert m._orbit(g).blocks == blocks
+    assert raw_mixture(g.state_shape, rng)._orbit(g).blocks == len(g)
+
+
+def test_orbit_keeps_every_block_when_rounded_copies_match_unevenly():
+    # at general angles only some moved copies round alike: a C2-symmetric
+    # mixture under C6 matches block 0 with block 3 alone, so one block per
+    # distinct mixture would weight the orbit unevenly, and all 6 stay
+    rng = np.random.default_rng(44)
+    m, g = sub_symmetric_mixture("C6", "C2", None, rng)
+    assert m._orbit(g).blocks == len(g)
+    for tag in ("C3", "C5"):
+        m, g = sub_symmetric_mixture(tag, tag, None, rng)
+        assert m._orbit(g).blocks == len(g)
+
+
+@pytest.mark.parametrize("tag, shape", SYMMETRIZED)
+def test_symmetrized_average_is_the_plain_oracle_bit_for_bit(tag, shape):
+    # the average of an equivariant score is the score itself: one block,
+    # M in its own order, so the plain oracle's bits
+    rng = np.random.default_rng(45)
+    m, g = sub_symmetric_mixture(tag, tag, shape, rng)
+    s = vp_schedule()
+    closed = frame_average(AnalyticScoreField(m, s), g)
+    x = rng.standard_normal((9, *g.state_shape))
+    for xs, t in ((x[0], 0.3), (x[0], s.T), (x, 0.0), (x, 0.3), (x, s.T),
+                  (x, rng.uniform(0.0, s.T, 9))):
+        np.testing.assert_array_equal(closed(xs, t), diffused_score(m, s, xs, t))
+
+
+@pytest.mark.parametrize("tag, sub, shape", [("D4", "C4", None), ("D4", "C4", (8, 8)),
+                                             ("C3", "C3", None), ("C5", "C5", None),
+                                             ("C6", "C2", None)])
+def test_partly_kept_orbits_match_the_moved_copies(tag, sub, shape):
+    # two distinct blocks of a C4-symmetric mixture under D4, and every
+    # block of the mixtures whose moved means round, average to what
+    # FrameAveragedField finds by moving x
+    rng = np.random.default_rng(46)
+    m, g = sub_symmetric_mixture(tag, sub, shape, rng)
+    s = vp_schedule()
+    base = AnalyticScoreField(m, s)
+    closed = frame_average(base, g)
+    moved = frame_average(lambda x, t: base(x, t), g)
+    for lead in ((), (7,), (64,)):
+        x = 2.0 * rng.standard_normal((*lead, *g.state_shape))
+        times = [0.0, 0.3, s.T] + ([rng.uniform(0.0, s.T, lead[0])] if lead else [])
+        for t in times:
+            want, got = moved(x, t), closed(x, t)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        if lead:
+            gaps = [np.abs(equivariance_residuals(closed, g, x, t)).max()
+                    for t in (0.0, 0.3, s.T)]
+            assert max(gaps) <= 1e-12
+
+
+@pytest.mark.parametrize("shape, components", [((8, 8), 8), (None, 12)])
+def test_symmetrized_average_batch_rows_match_lone_states(shape, components):
+    # K = 64 on a D4 8x8 grid and K = 96 on D4 points: averaged over all
+    # |G| blocks (512 and 768 columns) some batch rows rounded unlike the
+    # same lone state; one block keeps every row's bits
+    rng = np.random.default_rng(47)
+    m = symmetric_grid_mixture("D4", shape, rng, components)
+    g = make_group("D4", shape)
+    s = vp_schedule()
+    x = rng.standard_normal((2048, *m.event_shape))
+    for t in (0.0, 0.3):
+        lone = np.stack([diffused_score(m, s, row, t, group=g) for row in x])
+        for size in (64, 256, 2048):
+            np.testing.assert_array_equal(diffused_score(m, s, x[:size], t, group=g),
+                                          lone[:size])
+
+
 def test_one_element_average_is_the_plain_oracle_bit_for_bit():
     rng = np.random.default_rng(41)
     m, s = raw_mixture((2,), rng), vp_schedule()

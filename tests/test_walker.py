@@ -41,6 +41,12 @@ def _grid_means(h, w):
     return [np.linspace(-1.0, 1.0, h * w).tolist()]
 
 
+def _unsymmetrized(cfg):
+    """The config with raw data, whose averaged oracle keeps all |G| blocks."""
+    cfg["data"]["symmetrize"] = False
+    return cfg
+
+
 GROUP_METRICS = ("fid", "inv_fid", "energy", "delta_x0", "nll_table")
 
 CORPUS = {
@@ -62,6 +68,10 @@ CORPUS = {
                       metrics=GROUP_METRICS, en=True),
     "mlp_wt": _config([[1.2, 0.3]], {"name": "D4"}, "mlp+WT", mode="WT",
                       metrics=GROUP_METRICS, en=True),
+    "c4_points_raw_fa": _unsymmetrized(_config([[1.2, 0.3]], {"name": "C4"}, "oracle+FA",
+                                              metrics=GROUP_METRICS)),
+    "d4_grid_raw_fa": _unsymmetrized(_config(_grid_means(3, 3), {"name": "D4", "shape": [3, 3]},
+                                             "oracle+FA", metrics=GROUP_METRICS, en=True)),
     "mlp_fa_grid": _config(_grid_means(3, 3), {"name": "D4", "shape": [3, 3]}, "mlp+FA",
                            mode="regularized", metrics=GROUP_METRICS, en=True),
 }
