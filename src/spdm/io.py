@@ -1,4 +1,5 @@
-"""File formats and deterministic writers used by the command layer.
+"""File formats, the config checker and deterministic writers used by the
+command layer.
 
 SPDT tensor format (little-endian throughout):
 
@@ -21,6 +22,9 @@ keys, CSV with a fixed header and repr-exact floats, and SVG by direct
 string assembly with fixed formatting.  Timestamps never enter these
 files; they are confined to the run log sidecar.
 
+Configs are checked against the packaged JSON Schema by a stdlib walker
+that words a rejection as ``jsonschema.validate`` would.
+
 Every writer is atomic: it fills a temporary file next to the target and
 renames it onto the target, so an interrupted write leaves the previous
 file, or none, in place.
@@ -40,6 +44,7 @@ import struct
 import uuid
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,20 +124,6 @@ def _load_schema() -> dict:
     return json.loads(text)
 
 
-@functools.cache
-def _validator():
-    """The schema's jsonschema validator, built once per process.
-
-    Only a rejected config reaches it, to word the error.  The packaged
-    schema is a constant file, so it is checked against its meta-schema
-    in the test suite, not on every start.
-    """
-    from jsonschema.validators import validator_for
-
-    schema = _load_schema()
-    return validator_for(schema)(schema)
-
-
 _TYPES = {
     "object": lambda x: isinstance(x, dict),
     "array": lambda x: isinstance(x, list),
@@ -145,54 +136,114 @@ _TYPES = {
 }
 
 
-# the comparison by which jsonschema finds a number outside each bound
-_BOUND_FAILS = {"minimum": operator.lt, "exclusiveMinimum": operator.le,
-                "exclusiveMaximum": operator.ge}
+# each bound's failing comparison and wording, as jsonschema has them
+_BOUNDS = {"minimum": (operator.lt, "less than the minimum of"),
+           "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+           "maximum": (operator.gt, "greater than the maximum of"),
+           "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of")}
 
 
 def _enum_match(value, member) -> bool:
-    # JSON Schema equality: 1 == 1.0, but a bool equals only a bool.
-    # Containers are left to jsonschema, which compares them item by item.
+    # JSON Schema equality: 1 == 1.0, but a bool equals only a bool.  No
+    # enum of the packaged schema has a container member, so a list or
+    # dict matches none.
     return (not isinstance(value, (list, dict))
             and isinstance(value, bool) == isinstance(member, bool)
             and value == member)
 
 
-def _conforms(schema, x) -> bool:
-    """Whether ``x`` satisfies ``schema`` under JSON Schema 2020-12.
+class _Failure(NamedTuple):
+    path: tuple      # location of the failing value, from where the walk began
+    message: str
+    keyword: str     # the schema keyword that failed; "" for a false schema
+    off_type: bool   # the value fails its schema's "type", or there is none
+    context: tuple = ()  # a oneOf's branch failures, paths relative to it
 
-    Covers the keywords of the packaged schema: ``type``, ``enum``,
-    ``minimum``, ``exclusiveMinimum``, ``exclusiveMaximum``,
-    ``properties``, ``additionalProperties``, ``required``, ``items``,
-    ``minItems``, ``maxItems`` and ``oneOf``.  Each keyword applies to
-    the kinds of value jsonschema applies it to, with the same
-    comparison, so a value accepted here is accepted by jsonschema.
+
+def _errors(schema, x, path=()):
+    """Every failure of ``x`` under ``schema`` (JSON Schema 2020-12), in
+    the order, wording and scope of jsonschema's ``iter_errors``, for the
+    keywords of the packaged schema: ``type``, ``enum``, the four numeric
+    bounds, ``properties``, ``additionalProperties``, ``required``,
+    ``items``, ``minItems``, ``maxItems`` and ``oneOf``.
     """
-    if isinstance(schema, bool):
-        return schema
+    if schema is True:
+        return
+    if schema is False:
+        yield _Failure(path, f"False schema does not allow {x!r}", "", True)
+        return
     kinds = schema.get("type")
-    if isinstance(kinds, str):
-        kinds = [kinds]
-    if kinds is not None and not any(_TYPES[k](x) for k in kinds):
-        return False
-    if "enum" in schema and not any(_enum_match(x, m) for m in schema["enum"]):
-        return False
-    if "oneOf" in schema and sum(_conforms(s, x) for s in schema["oneOf"]) != 1:
-        return False
-    if _TYPES["number"](x):
-        return not any(k in schema and fails(x, schema[k])
-                       for k, fails in _BOUND_FAILS.items())
-    if isinstance(x, list):
-        return (len(x) >= schema.get("minItems", 0)
-                and len(x) <= schema.get("maxItems", len(x))
-                and all(_conforms(schema.get("items", True), v) for v in x))
-    if isinstance(x, dict):
-        props = schema.get("properties", {})
-        extra = schema.get("additionalProperties", True)
-        return (all(k in x for k in schema.get("required", ()))
-                and all(_conforms(props[k] if k in props else extra, v)
-                        for k, v in x.items()))
-    return True
+    kinds = [kinds] if isinstance(kinds, str) else kinds
+    off_type = kinds is None or not any(_TYPES[k](x) for k in kinds)
+    for key, value in schema.items():
+        message, context = None, ()
+        if key == "type" and off_type:
+            message = f"{x!r} is not of type {', '.join(map(repr, kinds))}"
+        elif key == "enum" and not any(_enum_match(x, m) for m in value):
+            message = f"{x!r} is not one of {value!r}"
+        elif key in _BOUNDS and _TYPES["number"](x) and _BOUNDS[key][0](x, value):
+            message = f"{x!r} is {_BOUNDS[key][1]} {value!r}"
+        elif key == "minItems" and isinstance(x, list) and len(x) < value:
+            message = f"{x!r} {'should be non-empty' if value == 1 else 'is too short'}"
+        elif key == "maxItems" and isinstance(x, list) and len(x) > value:
+            message = f"{x!r} {'is expected to be empty' if value == 0 else 'is too long'}"
+        elif key == "items" and isinstance(x, list):
+            for i, v in enumerate(x):
+                yield from _errors(value, v, (*path, i))
+        elif key == "properties" and isinstance(x, dict):
+            for k, sub in value.items():
+                if k in x:
+                    yield from _errors(sub, x[k], (*path, k))
+        elif key == "required" and isinstance(x, dict):
+            yield from (_Failure(path, f"{k!r} is a required property", key, off_type)
+                        for k in value if k not in x)
+        elif key == "additionalProperties" and isinstance(x, dict):
+            extras = [k for k in x if k not in schema.get("properties", {})]
+            for k in extras if value is not False else ():
+                yield from _errors(value, x[k], (*path, k))
+            if value is False and extras:
+                names = ", ".join(map(repr, sorted(extras, key=str)))
+                verb = "was" if len(extras) == 1 else "were"
+                message = f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif key == "oneOf":
+            branches = [tuple(_errors(sub, x)) for sub in value]
+            matches = [sub for sub, errs in zip(value, branches) if not errs]
+            if not matches:
+                message = f"{x!r} is not valid under any of the given schemas"
+                context = sum(branches, ())
+            elif len(matches) > 1:
+                message = f"{x!r} is valid under each of " + \
+                    ", ".join(map(repr, matches[1:] + matches[:1]))
+        if message is not None:
+            yield _Failure(path, message, key, off_type, context)
+
+
+def _relevance(error: _Failure):
+    # jsonschema.exceptions.relevance: shallower first, then the earlier
+    # path, then any keyword over oneOf, then a value off its schema's type
+    return (-len(error.path), error.path, error.keyword != "oneOf", error.off_type)
+
+
+def _best_error(schema, x):
+    """(path, message) of the failure ``jsonschema.exceptions.best_match``
+    picks, or None: the first most relevant one, and in place of a oneOf
+    failure the least relevant of its branch failures, unless two tie."""
+    best = max(_errors(schema, x), key=_relevance, default=None)
+    if best is None:
+        return None
+    path = best.path
+    while best.context:
+        least = sorted(best.context, key=_relevance)[:2]
+        if len(least) == 2 and _relevance(least[0]) == _relevance(least[1]):
+            break
+        best = least[0]
+        path += best.path
+    return path, best.message
+
+
+def _conforms(schema, x) -> bool:
+    """Whether ``x`` satisfies ``schema`` under JSON Schema 2020-12."""
+    return next(_errors(schema, x), None) is None
 
 
 def _non_finite(x, path=()):
@@ -213,27 +264,19 @@ def validate_config(config: dict) -> dict:
 
     Unknown keys anywhere in the document are rejected.  Returns the
     config unchanged on success.  The error reported is the one
-    ``jsonschema.validate`` would raise: the best match among all errors.
-
-    A stdlib check decides first; jsonschema is imported only when that
-    check rejects, to find and word the error.  Should jsonschema find
-    none, the config is accepted, so jsonschema has the last word.
-    Before either, a non-finite number anywhere (inf or NaN, which the
-    schema's bounds let through) is refused.
+    ``jsonschema.validate`` would raise, worded as it words it: the best
+    match among all errors.  A non-finite number anywhere (inf or NaN,
+    which the schema's bounds let through) is refused first.
     """
     bad = _non_finite(config)
     if bad is not None:
         loc = "/".join(str(p) for p in bad[0]) or "<root>"
         raise ConfigError(f"config invalid at {loc}: non-finite number {bad[1]} "
                           "is not allowed")
-    if _conforms(_load_schema(), config):
-        return config
-    from jsonschema.exceptions import best_match
-
-    error = best_match(_validator().iter_errors(config))
+    error = _best_error(_load_schema(), config)
     if error is not None:
-        loc = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {loc}: {error.message}") from error
+        loc = "/".join(str(p) for p in error[0]) or "<root>"
+        raise ConfigError(f"config invalid at {loc}: {error[1]}")
     return config
 
 

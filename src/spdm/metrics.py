@@ -369,8 +369,9 @@ def energy_distance_test(a: np.ndarray, b: np.ndarray, permutations: int = 99,
     z[:n, 0] = 1.0
     for k in range(1, permutations + 1):
         z[rng.permutation(n + m)[:n], k] = 1.0
-    # block rows of the distance matrix, |x|^2 + |y|^2 - 2 x.y clipped at 0,
-    # built in two arrays that every block reuses
+    # block rows of the distance matrix, |x|^2 + |y|^2 - 2 x.y clipped at 0
+    # and exactly 0 from a point to itself, built in two arrays that every
+    # block reuses
     sq = np.sum(pooled**2, axis=1)
     block = min(_ENERGY_BLOCK_ROWS, n + m)
     dist, sums = np.empty((block, n + m)), np.empty((block, n + m))
@@ -382,6 +383,7 @@ def energy_distance_test(a: np.ndarray, b: np.ndarray, permutations: int = 99,
         np.subtract(np.add(sq[lo:hi, None], sq[None, :], out=sums[:hi - lo]), d_b,
                     out=d_b)
         np.maximum(d_b, 0.0, out=d_b)
+        np.fill_diagonal(d_b[:, lo:hi], 0.0)
         np.sqrt(d_b, out=d_b)
         row_tot[lo:hi] = d_b.sum(axis=1)
         np.matmul(d_b, z, out=dz[lo:hi])

@@ -111,6 +111,30 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert run("gen-data", cfg, tmp_path / "run") == 2
 
 
+SIZE_KEYS = [("gen-data", "group/shape/0"), ("gen-data", "data/n_samples"),
+             ("sample", "sampler/steps"), ("sample", "sampler/n_samples"),
+             ("train", "train/steps"), ("train", "train/batch_size"),
+             ("train", "train/hidden/0"), ("nll", "nll/points"), ("nll", "nll/steps")]
+
+
+@pytest.mark.parametrize("cmd, key", SIZE_KEYS)
+def test_size_beyond_its_bound_exits_2(tmp_path, capsys, cmd, key):
+    # every size is bounded by the schema; 10**30 used to reach numpy and
+    # end in a ValueError or OverflowError traceback
+    cfg = base_config()
+    cfg["group"]["shape"] = [4, 4]
+    cfg["data"]["components"][0]["mean"] = [0.0] * 16
+    cfg.update(sampler={}, train={"hidden": [4]}, nll={})
+    *section, last = key.split("/")
+    node = cfg
+    for name in section:
+        node = node[name]
+    node[int(last) if last.isdigit() else last] = 10**30
+    assert run(cmd, cfg, tmp_path / "run") == 2
+    assert capsys.readouterr().err == (f"error: config invalid at {key}: "
+                                       f"{10**30} is greater than the maximum of 2147483647\n")
+
+
 def test_empty_components_exits_2(tmp_path):
     cfg = base_config()
     cfg["data"]["components"] = []

@@ -2,6 +2,7 @@
 
 import builtins
 import copy
+import itertools
 import json
 import math
 import os
@@ -28,6 +29,8 @@ from spdm.io import (
     write_json,
     write_spdt,
 )
+
+from schema_reference import reference_error
 
 
 def test_spdt_round_trip_bit_exact(tmp_path):
@@ -151,13 +154,14 @@ def test_config_errors_match_jsonschema_validate():
     # stay the one jsonschema.validate picks, the best match of all errors
     import jsonschema
 
-    bad = [minimal_config() for _ in range(5)]
+    bad = [minimal_config() for _ in range(6)]
     bad[0]["typo_section"] = {}
     bad[1]["schedule"]["betamax"] = 20.0
     bad[2]["schedule"]["kind"] = "cosine"
     bad[3]["data"]["components"][0]["variance"] = 0.0
     bad[4]["schedule"]["kind"] = "cosine"
     bad[4]["data"]["components"][0]["weight"] = "heavy"
+    bad[5].update(zeta=1, alpha=2)
     for cfg in bad:
         with pytest.raises(jsonschema.ValidationError) as ref:
             jsonschema.validate(cfg, _load_schema())
@@ -200,7 +204,7 @@ def test_load_config_rejects_non_finite_numbers(tmp_path, literal, field):
 
 # ---- the stdlib checker against jsonschema -------------------------------
 
-CHECKED_KEYWORDS = {"type", "enum", "minimum", "exclusiveMinimum",
+CHECKED_KEYWORDS = {"type", "enum", "minimum", "exclusiveMinimum", "maximum",
                     "exclusiveMaximum", "properties", "additionalProperties",
                     "required", "items", "minItems", "maxItems", "oneOf"}
 ANNOTATIONS = {"$schema", "title"}
@@ -255,6 +259,10 @@ def variants(schema, value):
     if "exclusiveMinimum" in schema:
         low = schema["exclusiveMinimum"]
         out += [(math.nextafter(low, math.inf), True), (low, False)]
+    if "maximum" in schema:
+        high = schema["maximum"]
+        out += [(high, True), (float(high), True),
+                (high + 1 if kind == "integer" else math.nextafter(high, math.inf), False)]
     if "exclusiveMaximum" in schema:
         high = schema["exclusiveMaximum"]
         out += [(math.nextafter(high, -math.inf), True), (high, False)]
@@ -262,7 +270,8 @@ def variants(schema, value):
         out += [(True, False), (False, False), (str(value), False),
                 (math.inf, None), (-math.inf, None), (math.nan, None)]
     if kind == "integer":
-        out += [(float(value), True), (value + 0.5, False), (10**30, True)]
+        out += [(float(value), True), (value + 0.5, False),
+                (10**30, "maximum" not in schema)]
     if kind == "boolean":
         out += [(not value, True), (1, False), (0, False), (None, False)]
     if kind == "string":
@@ -304,12 +313,19 @@ def jsonschema_accepts(config) -> bool:
     return Draft202012Validator(_load_schema()).is_valid(config)
 
 
+def assert_rejected_as_jsonschema_words_it(config):
+    with pytest.raises(ConfigError) as got:
+        validate_config(config)
+    assert str(got.value) == reference_error(config), config
+
+
 def test_checker_agrees_with_jsonschema_on_schema_mutations():
     schema = _load_schema()
     base = example(schema)
     assert jsonschema_accepts(base)
     corpus = variants(schema, base)
     verdicts = {True: 0, False: 0}
+    rejected = {}  # top-level key changed -> finite configs jsonschema rejects
     for config, valid in corpus:
         config = copy.deepcopy(config)
         accepted = jsonschema_accepts(config)
@@ -317,12 +333,31 @@ def test_checker_agrees_with_jsonschema_on_schema_mutations():
         assert valid is None or accepted == valid, config
         assert spdm_io._conforms(schema, config) == accepted, config
         verdicts[accepted] += 1
-        if accepted and spdm_io._non_finite(config) is None:
+        finite = spdm_io._non_finite(config) is None
+        if accepted and finite:
             assert validate_config(config) is config
-        else:  # rejected, or an inf/NaN the schema lets through
-            with pytest.raises(ConfigError):
+        elif finite:
+            assert_rejected_as_jsonschema_words_it(config)
+            if isinstance(config, dict):
+                # by repr, which tells True from 1 and 1.0 from 1
+                changed = [k for k in sorted(config.keys() | base.keys())
+                           if repr(config.get(k, ())) != repr(base.get(k, ()))]
+                rejected.setdefault(changed[0], []).append(config)
+        else:  # an inf or NaN the schema lets through
+            with pytest.raises(ConfigError, match="non-finite number"):
                 validate_config(config)
     assert verdicts[True] >= 100 and verdicts[False] >= 100, verdicts
+    # two errors in different sections: best_match picks one of them
+    pairs = 0
+    for first, second in itertools.combinations(sorted(rejected), 2):
+        a, b = rejected[first], rejected[second]
+        for i in range(max(len(a), len(b))):
+            config = {k: v for k, v in a[i % len(a)].items() if k != second}
+            if second in b[i % len(b)]:
+                config[second] = b[i % len(b)][second]
+            assert_rejected_as_jsonschema_words_it(config)
+            pairs += 1
+    assert len(rejected) >= 8 and pairs >= 500, (sorted(rejected), pairs)
 
 
 @pytest.mark.parametrize("schema, values", [
@@ -347,6 +382,33 @@ def test_checker_follows_2020_12_rules(schema, values):
         assert spdm_io._conforms(schema, value) == reference.is_valid(value), value
 
 
+@pytest.mark.parametrize("schema, values", [
+    # off type breaks a tie of branch errors: 'c' fails the typed branch's enum
+    ({"oneOf": [{"type": "string", "enum": ["a"]}, {"enum": ["b"]}]}, ["c", 1, "a"]),
+    # later matches are listed first
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}, {"minimum": 0}]}, [1, 1.5, -1, "x"]),
+    # extras sorted, required in its listed order, oneOf inside oneOf
+    ({"type": "object", "additionalProperties": False, "required": ["b", "a"],
+      "properties": {"a": {"oneOf": [{"type": "array", "items": {"oneOf": [
+          {"type": "integer", "maximum": 3}, {"type": "string"}]}}, {"type": "null"}]}}},
+     [{"z": 1, "b": 0, "y": 2}, {"b": 0}, {"a": [1, "x", 9], "b": 0},
+      {"a": [1, True], "b": 0}, {"a": 5, "b": 0, "c": 1}]),
+    ({"type": "array", "minItems": 1, "maxItems": 0}, [[], [1]]),
+    ({"type": "array", "minItems": 2, "maxItems": 1}, [[], [1, 2]]),
+    ({"type": ["integer", "null"], "exclusiveMaximum": 2}, [2, 2.5, "2"]),
+])
+def test_checker_words_errors_as_jsonschema(schema, values):
+    # the choices best_match makes that the packaged schema does not reach
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+
+    reference = Draft202012Validator(schema)
+    for value in values:
+        error = best_match(reference.iter_errors(value))
+        want = None if error is None else (tuple(error.absolute_path), error.message)
+        assert spdm_io._best_error(schema, value) == want, value
+
+
 def test_checker_agrees_with_jsonschema_on_bench_workloads(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import workloads
@@ -361,7 +423,19 @@ def test_checker_agrees_with_jsonschema_on_bench_workloads(tmp_path, monkeypatch
                 assert load_config(tmp_path / name) == cfg
 
 
-def test_valid_config_never_imports_jsonschema(tmp_path):
+def run_fresh(script, *args):
+    """The last stdout line, as JSON, of ``script`` run with ``args`` in a
+    new interpreter that imports spdm from this checkout's ``src/``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script), *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def good_and_bad_configs(tmp_path):
     good = {"schedule": {"kind": "vp"}, "group": {"name": "C4"},
             "data": {"components": [{"weight": 1, "mean": [1.0, 0.0], "variance": 0.1}],
                      "symmetrize": True, "n_samples": 8, "seed": 0}}
@@ -370,39 +444,56 @@ def test_valid_config_never_imports_jsonschema(tmp_path):
     bad["data"]["components"][0]["weight"] = "heavy"
     for name, cfg in (("good", good), ("bad", bad)):
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg), "utf-8")
-    script = textwrap.dedent("""
+    return tmp_path / "good.json", tmp_path / "bad.json", reference_error(bad)
+
+
+def test_valid_config_never_imports_jsonschema(tmp_path):
+    # nor does a rejected one: the checker words its own errors
+    good, bad, expected = good_and_bad_configs(tmp_path)
+    got = run_fresh("""
         import json, sys
         import spdm
         from spdm import cli
 
+        def jsonschema_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "jsonschema")
+
         good, out, bad = sys.argv[1:]
         spdm.load_config(good)
         code = cli.main(["gen-data", "--config", good, "--out", out])
-        imported = sorted(m for m in sys.modules if m.split(".")[0] == "jsonschema")
+        after_good = jsonschema_modules()
         try:
             spdm.load_config(bad)
             error = None
         except spdm.ConfigError as exc:
             error = str(exc)
-        print(json.dumps({"code": code, "imported": imported, "error": error}))
-    """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "good.json"),
-         str(tmp_path / "out"), str(tmp_path / "bad.json")],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout.strip().splitlines()[-1])
+        print(json.dumps({"code": code, "after_good": after_good,
+                          "after_bad": jsonschema_modules(), "error": error}))
+    """, good, tmp_path / "out", bad)
     assert got["code"] == 0 and (tmp_path / "out" / "data.spdt").exists()
-    assert got["imported"] == []
-    import jsonschema
+    assert got["after_good"] == [] and got["after_bad"] == []
+    assert got["error"] == expected
 
-    with pytest.raises(jsonschema.ValidationError) as ref:
-        jsonschema.validate(bad, _load_schema())
-    loc = "/".join(str(p) for p in ref.value.absolute_path) or "<root>"
-    assert got["error"] == f"config invalid at {loc}: {ref.value.message}"
+
+def test_rejected_config_exits_2_without_jsonschema(tmp_path, capsys):
+    # with jsonschema unimportable, every command still runs and a
+    # rejected config still exits 2 with jsonschema's words for its error
+    good, bad, expected = good_and_bad_configs(tmp_path)
+    got = run_fresh("""
+        import contextlib, io, json, sys
+        sys.modules["jsonschema"] = None
+        from spdm import cli
+
+        good, bad, out = sys.argv[1:]
+        codes, err = [], io.StringIO()
+        with contextlib.redirect_stderr(err):
+            for config in (good, bad):
+                codes.append(cli.main(["gen-data", "--config", config, "--out", out]))
+        print(json.dumps({"codes": codes, "stderr": err.getvalue()}))
+    """, good, bad, tmp_path / "out")
+    assert got["codes"] == [0, 2]
+    assert got["stderr"] == f"error: {expected}\n"
+    assert expected.startswith("config invalid at schedule/kind: 'cosine' is not one of")
 
 
 def test_config_hash_canonical():

@@ -487,18 +487,20 @@ def test_delta_x0_gap_matches_per_row_reference():
 
 
 def test_energy_statistic_matches_brute_force():
+    # a point is at distance exactly 0 from itself; the square root of the
+    # rounding residue of |x|^2 + |x|^2 - 2 x.x moved the statistic by
+    # 3e-11 (2-D) to 4e-10 (64-D) relative
     rng = np.random.default_rng(12)
-    a = rng.standard_normal((40, 3))
-    b = rng.standard_normal((35, 3)) + 0.3
-    stat, _ = energy_distance_test(a, b, permutations=5, seed=0)
+    for n, m, d in ((40, 35, 3), (512, 512, 2), (256, 256, 64)):
+        a = rng.standard_normal((n, d))
+        b = rng.standard_normal((m, d)) + 0.3
+        stat, _ = energy_distance_test(a, b, permutations=5, seed=0)
 
-    def mean_dist(u, v):
-        return float(np.mean(np.linalg.norm(u[:, None, :] - v[None, :, :], axis=2)))
+        def mean_dist(u, v):
+            return float(np.mean(np.linalg.norm(u[:, None, :] - v[None, :, :], axis=2)))
 
-    want = 2.0 * mean_dist(a, b) - mean_dist(a, a) - mean_dist(b, b)
-    # The blockwise distance matrix rounds differently from linalg.norm,
-    # so agreement is to distance precision rather than bit-exact.
-    np.testing.assert_allclose(stat, want, rtol=1e-6)
+        want = 2.0 * mean_dist(a, b) - mean_dist(a, a) - mean_dist(b, b)
+        np.testing.assert_allclose(stat, want, rtol=1e-12, atol=0.0)
 
 
 def test_energy_test_calibration():
@@ -529,6 +531,7 @@ def dense_energy_reference(a, b, permutations, seed):
     x = np.concatenate([a, b])
     sq = np.sum(x**2, axis=1)
     g = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.fill_diagonal(g, 0.0)
     dist = np.sqrt(np.maximum(g, 0.0))
     row_tot = dist.sum(axis=1)
     rng = np.random.default_rng(seed)
