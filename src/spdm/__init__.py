@@ -11,10 +11,10 @@ from .errors import (ConfigError, DegenerateCoupling, DivergedLoss, IoError,
                      InvalidParams, NonFiniteState, NonPsd, NonSquareGrid,
                      ShapeMismatch, SingularAtTerminal, SpdmError,
                      TimeOutOfRange, UnsupportedSize)
-from .groups import (Canonicalizer, FrameAveragedField, GroupCheckReport,
-                     GroupElement, IsometryGroup, apply_elements, canonical_ids,
-                     canonicalize, default_canonicalizer, frame_average,
-                     make_c4_group, make_d4_group, make_flip_group, make_group,
+from .groups import (FrameAveragedField, GroupCheckReport, GroupElement,
+                     IsometryGroup, apply_elements, canonical_ids, canonicalize,
+                     default_canonicalizer, frame_average, make_c4_group,
+                     make_d4_group, make_flip_group, make_group,
                      make_point_group_2d, verify_group_axioms)
 from .io import (config_hash, load_config, read_spdt, validate_config,
                  write_spdt)

@@ -26,8 +26,7 @@ from . import io, metrics, sampling
 from .errors import (ConfigError, DegenerateCoupling, DivergedLoss, IoError,
                      NonFiniteState, NonPsd, SingularAtTerminal, SpdmError,
                      TimeOutOfRange)
-from .groups import (IsometryGroup, _move_blocks, canonical_ids, default_canonicalizer,
-                     frame_average, make_group)
+from .groups import IsometryGroup, _move_blocks, canonical_ids, frame_average, make_group
 from .nets import Mlp, TrainerConfig, train
 from .oracle import (AnalyticScoreField, BridgeScoreField, GaussianCoupling,
                      GaussianMixture, symmetrize)
@@ -262,7 +261,7 @@ def cmd_gen_data(cfg: dict, out_dir: Path, seed_override: int | None, chash: str
     }
     if group is not None:
         spec_doc["group"] = group.name
-        ids = canonical_ids(default_canonicalizer(group), samples)
+        ids = canonical_ids(group, samples)
         counts = np.bincount(ids, minlength=len(group))
         spec_doc["orientation_counts"] = {el.name: int(counts[el.gid])
                                           for el in group.elements}
@@ -365,9 +364,8 @@ def _chain_map(integrate, group: IsometryGroup | None, use_en: bool, seed: int,
             seed=seed, n=n_steps, shape=starts.shape, rows=rows))
     if group is None:
         raise ConfigError("equivariant_noise needs a group section")
-    canon = default_canonicalizer(group)
     return lambda starts, rows=None: integrate(starts, sampling.equivariant_noise_batch(
-        starts, seed, group, canon, n_steps, rows))
+        starts, seed, group, n_steps, rows))
 
 
 def _run_with_probe(run, x_T: np.ndarray, group: IsometryGroup | None,
@@ -536,7 +534,7 @@ def cmd_metrics(cfg: dict, out_dir: Path, seed_override: int | None, chash: str,
 
     series = [("data", _plane(data_flat), "#999999")]
     if group is not None:
-        ids = canonical_ids(default_canonicalizer(group), samples)
+        ids = canonical_ids(group, samples)
         order = np.argsort(ids, kind="stable")  # sample order within a group
         gids, first = np.unique(ids[order], return_index=True)
         for gid, pts in zip(gids.tolist(), np.split(_plane(samp_flat[order]), first[1:])):

@@ -9,8 +9,8 @@ displayed with the origin at the lower-left corner (Cartesian display).  In
 array-index space this maps ``[[1, 2], [3, 4]]`` to ``[[3, 1], [4, 2]]``.
 The 2x2 point rotation ``r1`` is the matrix ``[[0, -1], [1, 0]]``.
 
-A canonicalizer gives each state its orientation under a built-in group,
-for a whole batch at once.
+A group with an orientation rule (``canonical_ids``, ``canonicalize``)
+gives each state its orientation, for a whole batch at once.
 """
 
 from __future__ import annotations
@@ -496,32 +496,16 @@ def verify_group_axioms(group: IsometryGroup, atol: float = 1e-12) -> GroupCheck
     )
 
 
-# ---- canonicalizers ------------------------------------------------------
+# ---- canonicalization ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Canonicalizer:
-    """Assigns to each x the group element giving its orientation.
-
-    ``canonicalize(c, x)`` returns an element k whose inverse moves x into
-    the group's reference region: for grids the region holding the entry
-    of maximum value (``group.peak_region``: upper half, left half,
-    upper-left quadrant, or its above-diagonal wedge), for 2-D points the
-    angular sector ``[0, 2 pi / |G|)`` at the origin.
-    """
-
-    group: IsometryGroup
-
-    def __call__(self, x: np.ndarray) -> GroupElement:
-        return canonicalize(self, x)
-
-
-def default_canonicalizer(group: IsometryGroup) -> Canonicalizer:
-    """The canonicalizer of a built-in group: flip_v, flip_h, C4 or D4 on
-    grids, C4 or D4 on 2-D points; InvalidParams for any other group."""
+def default_canonicalizer(group: IsometryGroup) -> IsometryGroup:
+    """The group itself once it has an orientation rule: flip_v, flip_h, C4
+    or D4 on grids, C4 or D4 on 2-D points; InvalidParams for any other
+    group."""
     if group.peak_region is None and (group.grid_shape or group.tag not in ("C4", "D4")):
         raise InvalidParams(f"no default canonicalizer for group {group.name!r}")
-    return Canonicalizer(group)
+    return group
 
 
 def _lex_first_max(column, width: int, alive: np.ndarray) -> np.ndarray:
@@ -536,8 +520,8 @@ def _lex_first_max(column, width: int, alive: np.ndarray) -> np.ndarray:
     return np.argmax(alive, axis=1)
 
 
-def canonical_ids(c: Canonicalizer, xs: np.ndarray) -> np.ndarray:
-    """Orientation ids of a batch: entry r is ``canonicalize(c, xs[r]).gid``.
+def canonical_ids(group: IsometryGroup, xs: np.ndarray) -> np.ndarray:
+    """Orientation ids of a batch: entry r is ``canonicalize(group, xs[r]).gid``.
 
     ``xs`` stacks states along its leading axis.  Points are moved by every
     inverse element in one stacked product and tested with one
@@ -546,7 +530,7 @@ def canonical_ids(c: Canonicalizer, xs: np.ndarray) -> np.ndarray:
     without moving the values.  Rows with several candidates take the
     lexicographically largest moved state, read one entry at a time.
     """
-    G = c.group
+    G = default_canonicalizer(group)  # refuses a group without a rule
     xs = np.asarray(xs, dtype=float)
     want = G.state_shape
     channels = 0 if G.grid_shape is None else 1  # grids may end in a channel axis
@@ -569,16 +553,20 @@ def canonical_ids(c: Canonicalizer, xs: np.ndarray) -> np.ndarray:
                           cells * depth, G.peak_region[first])
 
 
-def canonicalize(c: Canonicalizer, x: np.ndarray) -> GroupElement:
-    """Return the orientation k of x.
+def canonicalize(group: IsometryGroup, x: np.ndarray) -> GroupElement:
+    """Return the orientation k of x: an element whose inverse moves x into
+    the group's reference region.  For grids that is the region holding
+    the entry of maximum value (``group.peak_region``: upper half, left
+    half, upper-left quadrant, or its above-diagonal wedge), for 2-D
+    points the angular sector ``[0, 2 pi / |G|)`` at the origin.
 
     Among the elements k whose inverse moves x into the reference region,
     the one with the lexicographically largest ``k^-1 x`` wins, so
-    ``canonicalize(c, g x) = g canonicalize(c, x)`` also when the peak
-    sits on a cell that a group element fixes.  Equal candidates resolve
-    to the smallest id; with none, the identity is returned.
+    ``canonicalize(group, g x) = g canonicalize(group, x)`` also when the
+    peak sits on a cell that a group element fixes.  Equal candidates
+    resolve to the smallest id; with none, the identity is returned.
     """
-    return c.group.elements[int(canonical_ids(c, np.asarray(x)[None])[0])]
+    return group.elements[int(canonical_ids(group, np.asarray(x)[None])[0])]
 
 
 class _WorkArrays:

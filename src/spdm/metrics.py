@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, NonPsd, ShapeMismatch
-from .groups import IsometryGroup, apply_elements
+from .groups import IsometryGroup, _move_blocks, apply_elements
 from .process import Schedule
 from .sampling import TimeGrid, _flow_drift, _integrate
 
@@ -250,27 +250,14 @@ def dataset_stats(dataset: np.ndarray, spec: FeatureSpec) -> FeatureStats:
 
 def group_averaged_stats(dataset: np.ndarray, group: IsometryGroup,
                          spec: FeatureSpec) -> FeatureStats:
-    """Reference statistics averaged over all orientations of the dataset.
-
-    Per orientation k the mean and raw second moment of the features of
-    k D are computed; these are averaged with equal weight 1/|G| and the
-    covariance re-derived about the averaged mean.  With the 1/N
-    covariance convention this equals the plain statistics of the
-    explicitly augmented dataset.
-    """
+    """Reference statistics averaged over all orientations of the dataset:
+    the plain statistics of the augmented dataset, every orientation k D
+    stacked with equal weight (1/N covariance convention)."""
     dataset = np.asarray(dataset, dtype=float)
     if dataset.shape[0] == 0:
         raise InvalidParams("dataset must be nonempty")
-    mus, raws = [], []
-    for k in group.elements:
-        f = spec.project(k.apply(dataset))
-        mus.append(f.mean(axis=0))
-        raws.append(f.T @ f / f.shape[0])
-    mu = np.mean(np.stack(mus), axis=0)
-    raw = np.mean(np.stack(raws), axis=0)
-    cov = raw - np.outer(mu, mu)
-    return FeatureStats(mean=mu, cov=0.5 * (cov + cov.T),
-                        count=dataset.shape[0] * len(group))
+    orbit = _move_blocks(group, dataset[None], np.arange(len(group)))
+    return dataset_stats(orbit.reshape(-1, *dataset.shape[1:]), spec)
 
 
 def inv_fid(dataset: np.ndarray, group: IsometryGroup, spec: FeatureSpec) -> float:
@@ -282,8 +269,9 @@ def inv_fid(dataset: np.ndarray, group: IsometryGroup, spec: FeatureSpec) -> flo
     """
     if len(group) < 2:
         raise InvalidParams("inv_fid needs a group with at least 2 elements")
-    stats = [dataset_stats(k.apply(np.asarray(dataset, dtype=float)), spec)
-             for k in group.elements]
+    orbit = _move_blocks(group, np.asarray(dataset, dtype=float)[None],
+                         np.arange(len(group)))
+    stats = [dataset_stats(moved, spec) for moved in orbit]
     worst = 0.0
     for i in range(len(stats) - 1):
         ra = _psd_sqrt(stats[i].cov)  # one square root per orientation

@@ -283,7 +283,7 @@ class Mlp:
         return np.concatenate([p.ravel() for p in (*self.weights, *self.biases)])
 
     def set_flat_parameters(self, v: np.ndarray) -> None:
-        v = np.asarray(v, dtype=float)
+        v = np.array(v, dtype=float)  # a copy: the caller keeps its vector
         if v.shape != (self._layout[-1][1],):
             raise ShapeMismatch(f"parameter vector has {v.size} entries, "
                                 f"expected {self._layout[-1][1]}")

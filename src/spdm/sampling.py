@@ -18,10 +18,10 @@ step index): step i of a batch of n chains draws one (n, *event) block,
 whose row r does not depend on n; a batch may also name the stream row
 each of its rows replays.  Equivariant noise (EN) keeps that one
 stream and turns row r of every block by its own group element
-kappa_r = c(x_r) o c(eps_{0,r})^-1, where c is a canonicalizer, x_r the
-chain's reference state and eps_{0,r} its row of block 0; moving x_r by a
-group element g moves the whole noise row by g bit-exactly.  The
-canonicalizers live in ``groups``.
+kappa_r = c(x_r) o c(eps_{0,r})^-1, where c(x) is the orientation of x under
+the group (``groups.canonical_ids``), x_r the chain's reference state and
+eps_{0,r} its row of block 0; moving x_r by a group element g moves the
+whole noise row by g bit-exactly.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import numpy as np
 from .errors import InvalidParams, NonFiniteState, TimeOutOfRange
 # canonicalize is unused here; the benchmark's probes still look it up as
 # spdm.sampling.canonicalize
-from .groups import (Canonicalizer, IsometryGroup, apply_elements, canonical_ids,
-                     canonicalize, default_canonicalizer)
+from .groups import (IsometryGroup, apply_elements, canonical_ids, canonicalize,
+                     default_canonicalizer)
 from .process import Schedule, _h_denominator, _refuse_terminal
 
 
@@ -334,39 +334,42 @@ def ddbm_reverse_sample(cond_score, s: Schedule, x_T, tau: float,
                                 **_counters(x_T, grid.n_steps)})
 
 
-def equivariant_noise_batch(xs: np.ndarray, seed: int, G: IsometryGroup,
-                            c: Canonicalizer, n: int,
+def equivariant_noise_batch(xs: np.ndarray, seed: int, G: IsometryGroup, n: int,
                             rows: np.ndarray | None = None) -> NoiseSequence:
     """One noise stream for a batch of chains, row r oriented by xs[r].
 
     The blocks come from (seed, index) with the shape of ``xs``, row r
     being stream row ``rows[r]`` when ``rows`` is given (see
     ``NoiseSequence``); row r is turned by
-    ``kappa_r = c(xs[r]) o c(eps_{0,r})^{-1}``, where eps_{0,r} is row r of
-    block 0.  Replacing xs[r] by g xs[r] turns row r of every block by g
-    more, bit-exactly for grid actions and signed permutations.
+    ``kappa_r = c(xs[r]) o c(eps_{0,r})^{-1}``, where c(x) is the
+    orientation of x under G (``canonical_ids``; G needs an orientation
+    rule) and eps_{0,r} is row r of block 0.  Replacing xs[r] by g xs[r]
+    turns row r of every block by g more, bit-exactly for grid actions
+    and signed permutations.
     """
-    if c.group is not G and c.group.name != G.name:
-        raise InvalidParams("canonicalizer group must match G")
     xs = np.asarray(xs, dtype=float)
     base = NoiseSequence(seed=seed, n=n, shape=xs.shape, rows=rows)
-    kappa = G.compose_table[canonical_ids(c, xs),
-                            G.inverse_table[canonical_ids(c, base.base(0))]]
+    kappa = G.compose_table[canonical_ids(G, xs),
+                            G.inverse_table[canonical_ids(G, base.base(0))]]
     return replace(base, group=G, ids=kappa)
 
 
 def equivariant_noise_sequence(x_ref: np.ndarray, seed: int, G: IsometryGroup,
-                               c: Canonicalizer, n: int) -> NoiseSequence:
+                               c: IsometryGroup, n: int) -> NoiseSequence:
     """Noise sequence whose orientation follows the one reference state.
 
     The one-chain view of ``equivariant_noise_batch``: every block equals
     row 0 of the batched sequence for ``x_ref[None]``, so the orientation
     is the unique k with phi(x_ref) = k phi(eps_0), i.e.
     k = c(x_ref) o c(eps_0)^{-1}.  Replacing x_ref by r x_ref yields the
-    sequence {r k eps_i} bit-exactly for grid actions.
+    sequence {r k eps_i} bit-exactly for grid actions.  ``c`` names the
+    group that orients, ``default_canonicalizer(G)``; any other group is
+    refused.
     """
+    if c is not G and c.name != G.name:
+        raise InvalidParams("canonicalizer group must match G")
     x_ref = np.asarray(x_ref, dtype=float)
-    seq = equivariant_noise_batch(x_ref[None], seed, G, c, n)
+    seq = equivariant_noise_batch(x_ref[None], seed, G, n)
     return replace(seq, shape=x_ref.shape, ids=seq.ids[0])
 
 

@@ -141,6 +141,39 @@ def test_empty_components_exits_2(tmp_path):
     assert run("gen-data", cfg, tmp_path / "run") == 2
 
 
+def _without_group(cfg, **model):
+    del cfg["group"]
+    cfg["data"]["symmetrize"] = False
+    cfg["model"] = model
+    cfg["sampler"] = {"steps": 5, "n_samples": 2}
+    return cfg
+
+
+# (command, config edit, message): each cross-key refusal a schema cannot state
+CROSS_KEY_REFUSALS = [
+    ("gen-data", lambda cfg: cfg.pop("data"),
+     "this command needs a data section in the config"),
+    ("gen-data", lambda cfg: cfg["data"]["components"][0].update(weight=0.0),
+     "component weights must sum to a positive value"),
+    ("gen-data", lambda cfg: cfg.pop("group"), "data.symmetrize needs a group section"),
+    ("sample", lambda cfg: _without_group(cfg, kind="oracle+FA"),
+     "model kind 'oracle+FA' needs a group section"),
+    ("bridge", lambda cfg: _without_group(
+        cfg, kind="oracle+FA", coupling={"matrix": 0.5, "noise_var": 0.04}),
+     "FA bridge score needs a group section"),
+    ("sample", lambda cfg: _without_group(cfg, kind="oracle")["sampler"].update(
+        equivariant_noise=True), "equivariant_noise needs a group section"),
+]
+
+
+@pytest.mark.parametrize("cmd, edit, message", CROSS_KEY_REFUSALS)
+def test_cross_key_refusal_exits_2_with_its_message(tmp_path, capsys, cmd, edit, message):
+    cfg = base_config()
+    edit(cfg)
+    assert run(cmd, cfg, tmp_path / "run") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_ragged_component_means_exit_2(tmp_path, capsys):
     cfg = base_config()
     cfg["data"]["symmetrize"] = False
@@ -681,11 +714,9 @@ def _two_call_reference(cmd, cfg, out):
             return sampling.ddbm_reverse_sample(cond, s, x, sp["tau"], grid,
                                                 noise=noise).terminal
     if sp["equivariant_noise"]:
-        canon = sampling.default_canonicalizer(group)
-
         def chain(x):
             return integrate(x, sampling.equivariant_noise_batch(
-                x, seed, group, canon, grid.n_steps))
+                x, seed, group, grid.n_steps))
     else:
         def chain(x):
             return integrate(x, seed)

@@ -246,6 +246,8 @@ def test_make_group_rejects_unknown_tags():
             make_group(tag, shape)
     with pytest.raises(NonSquareGrid):
         make_group("D4", (4, 5))
+    with pytest.raises(InvalidParams, match="two positive ints"):
+        make_group("C4", (0, 4))
 
 
 def test_schema_group_names_match_registry():
@@ -255,10 +257,10 @@ def test_schema_group_names_match_registry():
     assert names == ["flip_v", "flip_h", "C4", "D4"]
     for name in names:
         g = make_group(name, (4, 4))
-        assert g.tag == name and default_canonicalizer(g).group is g
+        assert g.tag == name and default_canonicalizer(g) is g
     for name in ("C4", "D4"):
         g = make_group(name)
-        assert g.grid_shape is None and default_canonicalizer(g).group is g
+        assert g.grid_shape is None and default_canonicalizer(g) is g
 
 
 def test_flip_group_rejects_bad_axis():

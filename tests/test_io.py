@@ -81,6 +81,15 @@ def test_spdt_read_errors(tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(IoError):
         read_spdt(p)
+    raw = bytearray(p.read_bytes())
+    raw[4], raw[8] = 1, 9  # unknown dtype tag
+    p.write_bytes(bytes(raw))
+    with pytest.raises(IoError, match="unknown dtype tag 9"):
+        read_spdt(p)
+    write_spdt(p, np.zeros((2, 3)))
+    p.write_bytes(p.read_bytes()[:24])  # rank 2 needs a 32-byte header
+    with pytest.raises(IoError, match="truncated SPDT header"):
+        read_spdt(p)
     write_spdt(p, np.zeros(4))
     p.write_bytes(p.read_bytes()[:-8])  # truncated payload
     with pytest.raises(IoError):

@@ -12,6 +12,7 @@ from spdm import (
     NonPsd,
     ShapeMismatch,
     SpdmError,
+    TimeGrid,
     dataset_stats,
     delta_x0_gap,
     divergence,
@@ -101,6 +102,8 @@ def test_nll_dequant_offset_and_validation():
         pf_ode_nll(field, s, x0, grid.reversed())
     with pytest.raises(InvalidParams):
         pf_ode_nll(field, s, np.zeros((0, 2)), grid)
+    with pytest.raises(InvalidParams, match="at least one step"):
+        pf_ode_nll(field, s, x0, TimeGrid(np.array([s.t_clip])))
 
 
 def test_nll_invariant_under_rotations():

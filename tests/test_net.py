@@ -324,6 +324,43 @@ def test_weight_tying_validation():
         Mlp(2, hidden=(8,), tie_group=make_point_group_2d(3))
     with pytest.raises(InvalidParams):
         Mlp(2, hidden=(8,), tie_group=make_c4_group((2, 2)))
+    with pytest.raises(InvalidParams, match="must carry the group action"):
+        Mlp(3, hidden=(6,), tie_group=make_point_group_2d(4))
+
+
+def test_net_refusals_are_typed():
+    with pytest.raises(InvalidParams, match="x_dim >= 1"):
+        Mlp(0)
+    net = Mlp(2, hidden=(4,), y_dim=2)
+    x, y = np.zeros((3, 2)), np.zeros((3, 3))
+    with pytest.raises(ShapeMismatch, match=r"y has shape \(3, 3\)"):
+        net.forward(x, y, 0.5)
+    with pytest.raises(ShapeMismatch, match=r"y has shape \(3, 3\)"):
+        net(x, y, 0.5)
+    with pytest.raises(ShapeMismatch, match="parameter vector has"):
+        net.set_flat_parameters(np.zeros(net.flat_parameters().size + 1))
+    plain = Mlp(2, hidden=(4,))
+    with pytest.raises(InvalidParams, match="batch must be nonempty"):
+        equivariance_regularizer(plain, plain, make_point_group_2d(4), np.zeros((0, 2)),
+                                 np.random.default_rng(0), vp_schedule())
+    for key, value in (("ema_mu", 1.0), ("learning_rate", 0.0), ("batch_size", 0),
+                       ("steps", -1), ("reg_weight", -0.1)):
+        with pytest.raises(InvalidParams, match=key):
+            TrainerConfig(**{key: value})
+    with pytest.raises(ShapeMismatch, match="image must be"):
+        conv2d(np.ones((3, 3)), np.zeros((4, 4, 2, 2)))
+
+
+def test_set_flat_parameters_keeps_its_own_copy():
+    net = Mlp(2, hidden=(4,))
+    x = np.random.default_rng(1).standard_normal((3, 2))
+    v = net.flat_parameters() + 0.25
+    want = v.copy()
+    net.set_flat_parameters(v)
+    before = net(x, 0.5)
+    v[:] = 7.0  # the caller reuses its vector
+    np.testing.assert_array_equal(net(x, 0.5), before)
+    np.testing.assert_array_equal(net.flat_parameters(), want)
 
 
 def test_free_parameter_count_matches_projector_rank():

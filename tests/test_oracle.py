@@ -47,6 +47,8 @@ def test_mixture_validation():
         GaussianMixture(np.array([1.0]), np.zeros((1, 2)), np.array([-1.0]))
     with pytest.raises(InvalidParams):
         GaussianMixture(np.array([0.5, 0.5]), np.zeros((3, 2)), np.ones(2))
+    with pytest.raises(InvalidParams, match="non-empty"):
+        GaussianMixture(np.zeros(0), np.zeros((0, 2)), np.zeros(0))
 
 
 def test_mixture_sampling_moments():

@@ -100,6 +100,8 @@ def test_schedule_validation():
         ve_schedule(sigma_min=2.0, sigma_max=1.0)
     with pytest.raises(InvalidParams):
         ve_schedule(sigma_min=0.0)
+    with pytest.raises(InvalidParams, match="T must be > 0"):
+        ve_schedule(T=0.0)
 
 
 def test_vp_schedule_refuses_an_underflowing_alpha_T():

@@ -371,10 +371,10 @@ def test_grid_canonicalizer_property():
                 x = rng.standard_normal((n, n))
                 x[cell] = 10.0
                 k = canonicalize(c, x)
-                assert c.group.peak_region[np.argmax(c.group.inverse(k).apply(x))]
-                for el in c.group.elements:
+                assert c.peak_region[np.argmax(c.inverse(k).apply(x))]
+                for el in c.elements:
                     got = canonicalize(c, el.apply(x))
-                    assert got.gid == c.group.compose(el, k).gid, (tag, n, cell)
+                    assert got.gid == c.compose(el, k).gid, (tag, n, cell)
 
 
 def test_point_canonicalizer_property():
@@ -383,23 +383,34 @@ def test_point_canonicalizer_property():
     for _ in range(20):
         x = rng.standard_normal(2)
         k = canonicalize(c, x)
-        y = c.group.inverse(k).apply(x)
+        y = c.inverse(k).apply(x)
         ang = float(np.arctan2(y[1], y[0])) % (2.0 * np.pi)
         assert ang < np.pi / 2.0
-        for el in c.group.elements:
-            assert canonicalize(c, el.apply(x)).gid == c.group.compose(el, k).gid
+        for el in c.elements:
+            assert canonicalize(c, el.apply(x)).gid == c.compose(el, k).gid
 
 
 def test_canonicalizer_validation():
-    with pytest.raises(InvalidParams):
-        default_canonicalizer(make_group("C8"))
+    # a group without an orientation rule gets one refusal from every entry
     g = make_c4_group((4, 4))
-    with pytest.raises(InvalidParams):
-        default_canonicalizer(IsometryGroup(g.name, g.elements, g.compose_table,
-                                            g.inverse_table))
+    bare = IsometryGroup(g.name, g.elements, g.compose_table, g.inverse_table)
+    for group, x in ((make_group("C8"), np.ones(2)), (bare, np.ones((4, 4)))):
+        for refuse in (lambda: default_canonicalizer(group),
+                       lambda: canonical_ids(group, x[None]),
+                       lambda: canonicalize(group, x),
+                       lambda: equivariant_noise_batch(x[None], 1, group, 2)):
+            with pytest.raises(InvalidParams) as err:
+                refuse()
+            assert str(err.value) == f"no default canonicalizer for group {group.name!r}"
     c = default_canonicalizer(g)
     with pytest.raises(InvalidParams):
         canonicalize(c, np.zeros(4))
+
+
+def test_canonical_ids_of_an_empty_batch():
+    for g, shape in ((make_group("C4"), (0, 2)), (make_d4_group((4, 4)), (0, 4, 4))):
+        ids = canonical_ids(g, np.zeros(shape))
+        assert ids.shape == (0,) and ids.dtype == np.int64
 
 
 def test_default_canonicalizer_inference():
@@ -407,7 +418,7 @@ def test_default_canonicalizer_inference():
               make_c4_group((4, 4)), make_d4_group((4, 4)),
               make_point_group_2d(4), make_point_group_2d(4, with_reflection=True)):
         c = default_canonicalizer(g)
-        assert c.group is g
+        assert c is g
     with pytest.raises(InvalidParams):
         default_canonicalizer(make_point_group_2d(8))
 
@@ -441,7 +452,7 @@ def test_equivariant_noise_point_group():
 def loop_canonicalize(c, x):
     """Reference canonicalizer: a Python loop over the elements, with the
     reference regions written out per tag."""
-    g = c.group
+    g = c
     best, best_key = 0, None
     for k in g.elements:
         y = g.inverse(k).apply(x)
@@ -494,7 +505,7 @@ def test_one_chain_en_is_row_zero_of_batch():
                  (make_d4_group((4, 4)), np.random.default_rng(6).standard_normal((4, 4)))):
         c = default_canonicalizer(g)
         one = equivariant_noise_sequence(x, 21, g, c, 4)
-        batch = equivariant_noise_batch(x[None], 21, g, c, 4)
+        batch = equivariant_noise_batch(x[None], 21, g, 4)
         for i in range(4):
             np.testing.assert_array_equal(one.get(i), batch.get(i)[0])
 
@@ -503,14 +514,13 @@ def test_en_batch_rows_follow_their_starts():
     # Row r of the batched stream does not depend on the batch size, and
     # moving start r by k moves its noise row by k.
     g = make_d4_group((5, 5))
-    c = default_canonicalizer(g)
     rng = np.random.default_rng(8)
     xs = rng.standard_normal((6, 5, 5))
     ks = rng.integers(len(g), size=6)
-    seq = equivariant_noise_batch(xs, 3, g, c, 3)
-    head = equivariant_noise_batch(xs[:2], 3, g, c, 3)
+    seq = equivariant_noise_batch(xs, 3, g, 3)
+    head = equivariant_noise_batch(xs[:2], 3, g, 3)
     moved = equivariant_noise_batch(
-        np.stack([g.elements[k].apply(x) for k, x in zip(ks, xs)]), 3, g, c, 3)
+        np.stack([g.elements[k].apply(x) for k, x in zip(ks, xs)]), 3, g, 3)
     for i in range(3):
         eps = seq.get(i)
         np.testing.assert_array_equal(head.get(i), eps[:2])
@@ -525,15 +535,14 @@ def test_en_batch_replayed_rows_match_their_own_calls():
     rng = np.random.default_rng(4)
     for g, xs in ((make_point_group_2d(4), rng.standard_normal((6, 2))),
                   (make_d4_group((5, 5)), rng.standard_normal((6, 5, 5)))):
-        c = default_canonicalizer(g)
         n, p = len(xs), 3
         moved = np.stack([g.elements[1 + i].apply(x) for i, x in enumerate(xs[:p])])
         rows = np.concatenate([np.arange(n), np.arange(p)])
-        seq = equivariant_noise_batch(np.concatenate([xs, moved]), 11, g, c, 3, rows)
-        plain = equivariant_noise_batch(xs, 11, g, c, 3)
-        apart = equivariant_noise_batch(moved, 11, g, c, 3)
+        seq = equivariant_noise_batch(np.concatenate([xs, moved]), 11, g, 3, rows)
+        plain = equivariant_noise_batch(xs, 11, g, 3)
+        apart = equivariant_noise_batch(moved, 11, g, 3)
         for i in range(p):
-            alone = equivariant_noise_batch(moved[i][None], 11, g, c, 3,
+            alone = equivariant_noise_batch(moved[i][None], 11, g, 3,
                                             np.array([i]))
             for step in range(3):
                 eps = seq.get(step)
@@ -572,6 +581,12 @@ def test_denoising_validation_and_near_data_limit():
     with pytest.raises(InvalidParams):
         sdedit_denoise(field, s, np.zeros(2), 0.4,
                        TimeGrid(np.linspace(0.3, s.t_clip, 11)))
+    with pytest.raises(InvalidParams, match="descending"):
+        sdedit_denoise(field, s, np.zeros(2), 0.4,
+                       TimeGrid(np.linspace(s.t_clip, 0.4, 11)))
+    with pytest.raises(InvalidParams, match="use_en needs a group"):
+        sdedit_denoise(field, s, np.zeros(2), 0.4,
+                       TimeGrid(np.linspace(0.4, s.t_clip, 11)), use_en=True)
     x = np.array([1.0, -0.5])
     out = sdedit_denoise(field, s, x, s.t_clip, TimeGrid(np.array([s.t_clip])), seed=6)
     np.testing.assert_allclose(out, x, atol=0.05)
