@@ -23,7 +23,7 @@ from .metrics import (FeatureSpec, FeatureStats, FpResidual, NllReport,
                       energy_distance_test, fokker_planck_residual,
                       frechet_distance, group_averaged_stats, inv_fid,
                       pf_ode_nll)
-from .nets import (Adam, Mlp, MlpGrads, TiedKernel, TrainResult, TrainerConfig,
+from .nets import (Adam, Mlp, TiedKernel, TrainResult, TrainerConfig,
                    conv2d, dsm_loss, ema_update, equivariance_gap,
                    equivariance_regularizer, make_tied_kernel, train)
 from .oracle import (AnalyticScoreField, BridgeScoreField, GaussianCoupling,

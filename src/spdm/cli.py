@@ -27,7 +27,7 @@ from .errors import (ConfigError, DegenerateCoupling, DivergedLoss, IoError,
                      NonFiniteState, NonPsd, SingularAtTerminal, SpdmError,
                      TimeOutOfRange)
 from .groups import IsometryGroup, _move_blocks, canonical_ids, frame_average, make_group
-from .nets import Mlp, TrainerConfig, train
+from .nets import Mlp, TrainerConfig, TrainResult, train
 from .oracle import (AnalyticScoreField, BridgeScoreField, GaussianCoupling,
                      GaussianMixture, symmetrize)
 from .process import Schedule, ve_schedule, vp_schedule
@@ -144,8 +144,9 @@ def _checkpoint_path(cfg: dict, out_dir: Path) -> Path:
     return Path(explicit) if explicit else out_dir / "checkpoint.json"
 
 
-def load_checkpoint(path: Path) -> dict:
-    """Load a checkpoint manifest plus its tensor files; returns nets and state.
+def load_checkpoint(path: Path) -> TrainResult:
+    """Load a checkpoint manifest plus its tensor files: the nets and the
+    optimizer state and step count that ``train(resume=...)`` continues.
 
     An unreadable manifest raises IoError; a missing or malformed entry,
     an unknown ``tie_tag`` included, raises ConfigError.
@@ -170,18 +171,16 @@ def load_checkpoint(path: Path) -> dict:
     try:
         tie_tag = manifest.get("tie_tag")
         tie_group = None if tie_tag is None else make_group(tie_tag)
-        net = rebuild("params_file")
-        ema = rebuild("ema_file")
+        net, ema = rebuild("params_file"), rebuild("ema_file")
         adam = io.read_spdt(_require_file(base / manifest["adam_file"],
                                           "optimizer state"))
-        opt_state = (adam[0], adam[1], manifest["adam_step_count"])
-        steps_done = int(manifest["steps_done"])
+        return TrainResult(net=net, ema_net=ema,
+                           opt_state=(adam[0], adam[1], manifest["adam_step_count"]),
+                           steps_done=int(manifest["steps_done"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(
             f"checkpoint manifest {path} has a missing or malformed entry: {exc!r}"
         ) from exc
-    return {"net": net, "ema": ema, "opt_state": opt_state,
-            "steps_done": steps_done}
 
 
 def build_score(cfg: dict, s: Schedule, group: IsometryGroup | None,
@@ -192,12 +191,12 @@ def build_score(cfg: dict, s: Schedule, group: IsometryGroup | None,
         mix = build_mixture(cfg, group)
         field = AnalyticScoreField(mix, s)
     else:
-        ck = load_checkpoint(_checkpoint_path(cfg, out_dir))
-        tied = ck["ema"].tie_group
+        ema = load_checkpoint(_checkpoint_path(cfg, out_dir)).ema_net
+        tied = ema.tie_group
         if kind == "mlp+WT" and (tied is None or group is None or tied.name != group.name):
             raise ConfigError("model kind 'mlp+WT' needs a checkpoint whose tie_tag "
                               "names the config's group")
-        field = FlatField(ck["ema"], event_shape)
+        field = FlatField(ema, event_shape)
     if kind.endswith("+FA"):
         if group is None:
             raise ConfigError(f"model kind {kind!r} needs a group section")
@@ -286,13 +285,8 @@ def cmd_train(cfg: dict, out_dir: Path, seed_override: int | None, chash: str,
     data = _load_states(out_dir / "data.spdt", "dataset", group)
     flat = data.reshape(data.shape[0], -1)
 
-    resume = {}
-    if init_path:
-        ck = load_checkpoint(Path(init_path))
-        resume = {"init_net": ck["net"], "init_ema": ck["ema"],
-                  "init_opt_state": ck["opt_state"],
-                  "start_step": ck["steps_done"]}
-    result = train(tcfg, flat, s, group=group, mode=mode, **resume)
+    resume = load_checkpoint(Path(init_path)) if init_path else None
+    result = train(tcfg, flat, s, group=group, mode=mode, resume=resume)
 
     io.write_spdt(out_dir / "checkpoint.spdt", result.net.flat_parameters())
     io.write_spdt(out_dir / "checkpoint_ema.spdt",
@@ -338,7 +332,7 @@ def _event_shape(cfg: dict, group: IsometryGroup | None,
         return group.state_shape
     if "data" in cfg or cfg.get("model", {}).get("kind", "oracle").startswith("oracle"):
         return build_mixture(cfg, None).event_shape
-    return (load_checkpoint(_checkpoint_path(cfg, out_dir))["ema"].x_dim,)
+    return (load_checkpoint(_checkpoint_path(cfg, out_dir)).ema_net.x_dim,)
 
 
 def _prior_draws(s: Schedule, n: int, event_shape: tuple[int, ...],

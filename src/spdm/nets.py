@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,10 @@ class Mlp:
         subspace (weight tying).  Requires a matrix point group whose
         matrices are signed permutations and hidden widths divisible by
         the action dimension.
+
+    The parameters live in one flat vector ``theta``, every layer's
+    weights then every layer's biases; ``weights`` and ``biases`` are
+    views into it.
     """
 
     def __init__(self, x_dim: int, hidden=(64, 64), y_dim: int = 0,
@@ -71,24 +76,26 @@ class Mlp:
                  tie_group: IsometryGroup | None = None):
         if x_dim < 1 or y_dim < 0 or horizon <= 0:
             raise InvalidParams("x_dim >= 1, y_dim >= 0, horizon > 0 required")
+        for h in hidden:
+            # a positive integer, or a float holding one as a config's 16.0 does
+            if (isinstance(h, bool) or not isinstance(h, (numbers.Integral, float))
+                    or not h >= 1 or h % 1):
+                raise InvalidParams(f"hidden widths must be positive integers, got {h!r}")
         self.x_dim = int(x_dim)
         self.y_dim = int(y_dim)
         self.horizon = float(horizon)
         self.hidden = tuple(int(h) for h in hidden)
         self.sizes = [self.x_dim + self.y_dim + 3, *self.hidden, self.x_dim]
-        rng = np.random.default_rng(seed)
-        self.weights = [
-            rng.standard_normal((self.sizes[i + 1], self.sizes[i]))
-            / np.sqrt(self.sizes[i])
-            for i in range(len(self.sizes) - 1)
-        ]
-        self.biases = [np.zeros(self.sizes[i + 1]) for i in range(len(self.sizes) - 1)]
-        # (start, stop, shape) of each weight, then each bias, in the
-        # flat_parameters() vector
+        # (start, stop, shape) of each weight, then each bias, in theta
+        pairs = list(zip(self.sizes[1:], self.sizes[:-1]))
         self._layout, pos = [], 0
-        for p in (*self.weights, *self.biases):
-            self._layout.append((pos, pos + p.size, p.shape))
-            pos += p.size
+        for shape in (*pairs, *((n_out,) for n_out, _ in pairs)):
+            self._layout.append((pos, pos + math.prod(shape), shape))
+            pos += math.prod(shape)
+        self.theta = np.zeros(pos)
+        rng = np.random.default_rng(seed)
+        for w in self.weights:
+            w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[1])
         self.tie_group = tie_group
         self._tie_index = self._tie_sign = None
         if tie_group is not None:
@@ -134,7 +141,7 @@ class Mlp:
             return r
 
         reps = [rep(self.sizes[0], 3), *(rep(h) for h in self.sizes[1:])]
-        n_layers = len(self.weights)
+        n_layers = len(self.sizes) - 1
         signed = []
         for k, (start, stop, shape) in enumerate(self._layout):
             layer = k % n_layers   # the weights come first, then the biases
@@ -172,18 +179,20 @@ class Mlp:
     def _unflatten(self, flat: np.ndarray):
         """Weight and bias views of a flat parameter vector."""
         parts = [flat[a:b].reshape(shape) for a, b, shape in self._layout]
-        return parts[:len(self.weights)], parts[len(self.weights):]
+        return parts[:len(self.sizes) - 1], parts[len(self.sizes) - 1:]
+
+    weights = property(lambda self: self._unflatten(self.theta)[0],
+                       doc="Views of each layer's (out, in) weight matrix in theta.")
+    biases = property(lambda self: self._unflatten(self.theta)[1],
+                      doc="Views of each layer's bias in theta.")
 
     def _forward_parameters(self, work):
         """Weights and biases of the forward pass; tied ones in ``work``."""
-        if self._tie_index is None:
-            return self.weights, self.biases
-        return self._unflatten(self._effective(self.flat_parameters(), work))
+        return self._unflatten(self._effective(self.theta, work))
 
     def effective_parameters(self):
         """Weights and biases actually used in the forward pass."""
-        ws, bs = self._forward_parameters(_WorkArrays())
-        return list(ws), list(bs)
+        return self._forward_parameters(_WorkArrays())
 
     def free_parameter_count(self) -> int:
         """Dimension of the parameter space after tying.
@@ -193,7 +202,7 @@ class Mlp:
         layer (plus mean_g tr R_out(g) for the bias).
         """
         if self._tie_index is None:
-            return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+            return self.theta.size
         fixed = self._tie_index == np.arange(self._tie_index.shape[1])
         return int(round(float(np.sum(self._tie_sign * fixed)) / len(self._tie_index)))
 
@@ -244,18 +253,18 @@ class Mlp:
         return out, cache
 
     def __call__(self, x, *args):
-        if self.y_dim:
-            y, t = args
-            return self.forward(x, y, t)
-        (t,) = args
-        return self.forward(x, None, t)
+        """``net(x, t)``, or ``net(x, y, t)`` for a conditional net."""
+        if len(args) != 1 + bool(self.y_dim):
+            want = "(x, y, t)" if self.y_dim else "(x, t)"
+            raise ShapeMismatch(f"net takes {want}, got {1 + len(args)} arguments")
+        return self.forward(x, *args) if self.y_dim else self.forward(x, None, *args)
 
-    def backward(self, cache, out_adjoint: np.ndarray) -> "MlpGrads":
-        """Gradients of a scalar loss given d loss / d output (batch rows)."""
+    def backward(self, cache, out_adjoint: np.ndarray) -> np.ndarray:
+        """Flat gradient, laid out like ``theta``, of a scalar loss given
+        d loss / d output (batch rows); projected when tied."""
         adj = np.atleast_2d(np.asarray(out_adjoint, dtype=float))
-        grad = self._flat_grad(cache["inputs"], cache["eff_weights"], adj,
-                               np.empty(self._layout[-1][1]), self._work)
-        return MlpGrads(*self._unflatten(grad))
+        return self._flat_grad(cache["inputs"], cache["eff_weights"], adj,
+                               np.empty(self.theta.size), self._work)
 
     def _flat_grad(self, inputs, ws, adj, out: np.ndarray, work) -> np.ndarray:
         """Flat loss gradient (projected when tied) from the layer inputs.
@@ -280,20 +289,21 @@ class Mlp:
     # ---- parameter vector helpers ---------------------------------------
 
     def flat_parameters(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in (*self.weights, *self.biases)])
+        """A copy of ``theta``."""
+        return self.theta.copy()
 
     def set_flat_parameters(self, v: np.ndarray) -> None:
-        v = np.array(v, dtype=float)  # a copy: the caller keeps its vector
-        if v.shape != (self._layout[-1][1],):
+        """Replace ``theta`` by a copy of ``v``: the caller keeps its vector."""
+        v = np.array(v, dtype=float)
+        if v.shape != self.theta.shape:
             raise ShapeMismatch(f"parameter vector has {v.size} entries, "
-                                f"expected {self._layout[-1][1]}")
-        self.weights, self.biases = self._unflatten(v)
+                                f"expected {self.theta.size}")
+        self.theta = v
 
     def clone(self) -> "Mlp":
         """A copy with its own parameters and its own work arrays."""
         other = copy.copy(self)
-        other.weights = [w.copy() for w in self.weights]
-        other.biases = [b.copy() for b in self.biases]
+        other.theta = self.theta.copy()
         other._work = _WorkArrays()
         return other
 
@@ -313,17 +323,6 @@ def _layers(a: np.ndarray, ws, bs, work) -> list:
             np.tanh(a, out=a)
         inputs.append(a)
     return inputs
-
-
-@dataclass
-class MlpGrads:
-    """Per-parameter gradients mirroring Mlp.weights / Mlp.biases."""
-
-    weights: list
-    biases: list
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([g.ravel() for g in (*self.weights, *self.biases)])
 
 
 # ---- losses --------------------------------------------------------------
@@ -402,17 +401,18 @@ def dsm_loss(net: Mlp, schedule: Schedule, batch, rng: np.random.Generator,
 
     Samples t ~ Uniform(t_clip, T) and eps ~ N(0, I) per row, forms
     x_t = alpha_t x_0 + sigma_t eps, and returns the sigma^2-weighted loss
-    ``mean_i || sigma_i s_theta(x_t, t) + eps_i ||^2`` with its gradients.
+    ``mean_i || sigma_i s_theta(x_t, t) + eps_i ||^2`` with its flat
+    gradient.
     """
     x0 = np.atleast_2d(np.asarray(batch, dtype=float))
     if x0.shape[0] == 0:
         raise InvalidParams("batch must be nonempty")
     t, eps = _draw_t_eps(schedule, x0, rng)
     sigma, x_t = _diffuse(schedule, x0, t, eps)
-    grad = np.empty(net._layout[-1][1])
+    grad = np.empty(net.theta.size)
     loss = _dsm_terms(net, net._forward_parameters(net._work), net._features(x_t, y, t),
                       sigma, eps, grad)
-    return loss, MlpGrads(*net._unflatten(grad))
+    return loss, grad
 
 
 def equivariance_regularizer(net: Mlp, ema_net: Mlp, group: IsometryGroup,
@@ -422,7 +422,8 @@ def equivariance_regularizer(net: Mlp, ema_net: Mlp, group: IsometryGroup,
 
     For each batch row a group element k is drawn uniformly and the loss is
     ``mean_i || s_theta(k x_t, [k y], t) - k s_ema(x_t, [y], t) ||^2``.  The
-    EMA branch is treated as a constant; gradients flow only through theta.
+    EMA branch is treated as a constant; the flat gradient flows only
+    through theta.
     """
     x0 = np.atleast_2d(np.asarray(batch, dtype=float))
     if x0.shape[0] == 0:
@@ -431,12 +432,12 @@ def equivariance_regularizer(net: Mlp, ema_net: Mlp, group: IsometryGroup,
     _, x_t = _diffuse(schedule, x0, t, eps)
     ids = rng.integers(len(group), size=x0.shape[0])
     yk = None if y is None else _move_flat(group, ids, np.atleast_2d(y))
-    grad = np.empty(net._layout[-1][1])
+    grad = np.empty(net.theta.size)
     loss = _reg_terms(net, net._forward_parameters(net._work), ema_net,
                       ema_net._forward_parameters(ema_net._work), group, ids,
                       ema_net._features(x_t, y, t),
                       net._features(_move_flat(group, ids, x_t), yk, t), grad)
-    return loss, MlpGrads(*net._unflatten(grad))
+    return loss, grad
 
 
 def _ema_step(ema: np.ndarray, theta: np.ndarray, mu: float, tmp: np.ndarray) -> None:
@@ -450,10 +451,8 @@ def ema_update(ema_net: Mlp, net: Mlp, mu: float) -> Mlp:
     """Return a new EMA net with parameters mu * ema + (1 - mu) * current."""
     if not (0.0 <= mu < 1.0):
         raise InvalidParams(f"mu must be in [0, 1), got {mu}")
-    ema, theta = ema_net.flat_parameters(), net.flat_parameters()
-    _ema_step(ema, theta, mu, np.empty_like(theta))
     out = ema_net.clone()
-    out.set_flat_parameters(ema)
+    _ema_step(out.theta, net.theta, mu, np.empty_like(net.theta))
     return out
 
 
@@ -533,9 +532,11 @@ class TrainerConfig:
 
 @dataclass
 class TrainResult:
+    """A training run's nets, losses and the state that resumes it."""
+
     net: Mlp
     ema_net: Mlp
-    losses: np.ndarray
+    losses: np.ndarray = field(default_factory=lambda: np.zeros(0))
     reg_losses: np.ndarray | None = None
     free_parameters: int = 0
     opt_state: tuple | None = None
@@ -557,8 +558,7 @@ _BLOCK_ROWS = 4096
 
 def train(config: TrainerConfig, data, schedule: Schedule,
           group: IsometryGroup | None = None, mode: str = "plain",
-          init_net: Mlp | None = None, init_ema: Mlp | None = None,
-          init_opt_state: tuple | None = None, start_step: int = 0) -> TrainResult:
+          resume: TrainResult | None = None) -> TrainResult:
     """Train an MLP score net by denoising score matching.
 
     Parameters
@@ -572,13 +572,14 @@ def train(config: TrainerConfig, data, schedule: Schedule,
     mode : {"plain", "WT", "regularized"}
         "WT" ties the weights so the net is exactly equivariant;
         "regularized" adds reg_weight times the EMA equivariance penalty.
-    init_net, init_ema, init_opt_state, start_step : resume state
-        Passing the net, EMA net, optimizer state and step count of an
-        earlier run continues it exactly: step i draws from per-step
-        generator lanes keyed by start_step + i, so a resumed run is
-        bit-identical to an uninterrupted one.  Under "WT" the net must be
-        tied to ``group`` (the same group name, so the same tag and grid
-        shape); under the other modes it must be untied.
+    resume : TrainResult, optional
+        An earlier run to continue from its net, EMA net, optimizer state
+        (fresh Adam moments if None) and ``steps_done``.  Step i draws from
+        per-step generator lanes keyed by steps_done + i, so a resumed run
+        is bit-identical to an uninterrupted one.  Under "WT" the net must
+        be tied to ``group`` (the same group name, so the same tag and grid
+        shape); under the other modes it must be untied.  The earlier run's
+        arrays are read, never written.
 
     A regularizer weight of 0 skips the penalty entirely, so that case
     matches plain mode bit-exactly.  The parameters, gradients, Adam
@@ -590,8 +591,8 @@ def train(config: TrainerConfig, data, schedule: Schedule,
         raise InvalidParams(f"unknown mode {mode!r}")
     if mode in ("WT", "regularized") and group is None:
         raise InvalidParams(f"mode {mode!r} needs a group")
-    if init_net is not None:
-        tied = None if init_net.tie_group is None else init_net.tie_group.name
+    if resume is not None:
+        tied = None if resume.net.tie_group is None else resume.net.tie_group.name
         if tied != (group.name if mode == "WT" else None):
             raise InvalidParams(f"mode {mode!r} cannot resume a net tied to {tied}")
 
@@ -604,29 +605,27 @@ def train(config: TrainerConfig, data, schedule: Schedule,
         def draw(rng, n):
             return arr[rng.integers(arr.shape[0], size=n)]
 
-    if init_net is not None:
-        net = init_net.clone()
-        ema = (init_ema if init_ema is not None else init_net).clone()
+    start_step = 0
+    if resume is not None:
+        net, ema, start_step = resume.net.clone(), resume.ema_net.clone(), resume.steps_done
     else:
         probe = draw(_lane_rng(config.seed, 4, 0), 1)
         x_dim = probe.shape[1]
         net = Mlp(x_dim, hidden=config.hidden, horizon=schedule.T,
                   seed=config.seed, tie_group=group if mode == "WT" else None)
         ema = net.clone()
-    opt = Adam(net.flat_parameters().size, lr=config.learning_rate)
-    if init_opt_state is not None:
-        opt.m, opt.v, opt.step_count = (init_opt_state[0].copy(),
-                                        init_opt_state[1].copy(),
-                                        int(init_opt_state[2]))
+    opt = Adam(net.theta.size, lr=config.learning_rate)
+    if resume is not None and resume.opt_state is not None:
+        m, v, count = resume.opt_state
+        opt.m, opt.v, opt.step_count = m.copy(), v.copy(), int(count)
     losses = np.zeros(config.steps)
     reg_losses = np.zeros(config.steps) if mode == "regularized" else None
     use_reg = mode == "regularized" and config.reg_weight > 0
     rows = config.batch_size
     per_block = max(1, _BLOCK_ROWS // rows)
-    theta, ema_theta = net.flat_parameters(), ema.flat_parameters()
     # the step runs in the nets' work arrays, and the EMA is updated in place
     work = net._work
-    grad, reg_grad, ema_tmp = (work.get(key, theta.shape)
+    grad, reg_grad, ema_tmp = (work.get(key, net.theta.shape)
                                for key in ("grad", "reg_grad", "ema_tmp"))
 
     # an overflow is refused by the finiteness checks below, not warned of
@@ -658,11 +657,11 @@ def train(config: TrainerConfig, data, schedule: Schedule,
 
             for j, step in enumerate(steps):
                 r = slice(j * rows, (j + 1) * rows)
-                params = net._unflatten(net._effective(theta, work))
+                params = net._forward_parameters(work)
                 loss = _dsm_terms(net, params, feats[r], sigma[r], eps[r], grad)
                 loss_total = loss
                 if use_reg:
-                    ema_params = ema._unflatten(ema._effective(ema_theta, ema._work))
+                    ema_params = ema._forward_parameters(ema._work)
                     rloss = _reg_terms(net, params, ema, ema_params, group, ids[r],
                                        ema_feats[r], moved_feats[r], reg_grad)
                     # grad + reg_weight * reg_grad
@@ -673,16 +672,14 @@ def train(config: TrainerConfig, data, schedule: Schedule,
                 if not math.isfinite(loss_total):
                     raise DivergedLoss(f"loss became {loss_total} at step {step}")
                 losses[step] = loss
-                theta = opt.step(theta, grad)
-                _ema_step(ema_theta, theta, config.ema_mu, ema_tmp)
+                net.theta = opt.step(net.theta, grad)
+                _ema_step(ema.theta, net.theta, config.ema_mu, ema_tmp)
             # a finite loss can still give a gradient whose square overflows the
             # second moment, or a step that overflows the parameters
-            if not all(np.isfinite(v).all() for v in (theta, ema_theta, opt.m, opt.v)):
+            if not all(np.isfinite(v).all() for v in (net.theta, ema.theta, opt.m, opt.v)):
                 raise DivergedLoss(f"parameters or Adam moments became non-finite "
                                    f"in steps {steps[0]}..{steps[-1]}")
 
-    net.set_flat_parameters(theta)
-    ema.set_flat_parameters(ema_theta)
     return TrainResult(net=net, ema_net=ema, losses=losses, reg_losses=reg_losses,
                        free_parameters=net.free_parameter_count(),
                        opt_state=(opt.m.copy(), opt.v.copy(), opt.step_count),

@@ -306,7 +306,7 @@ def test_criterion_10_training():
     for tie in (None, make_point_group_2d(4)):
         net = Mlp(2, hidden=(4, 4), seed=2, tie_group=tie)
         out, cache = net.forward(x, None, 0.3, want_cache=True)
-        grads = net.backward(cache, out - target).flat()
+        grads = net.backward(cache, out - target)
         theta = net.flat_parameters()
         eps = 1e-6
         fd = np.zeros_like(theta)

@@ -599,8 +599,10 @@ def test_grid_average_results_never_alias_work_arrays():
 
 def test_warm_grid_average_allocates_only_its_output():
     # fresh multi-MB temporaries on every call page-fault in a hot loop;
-    # a warm 256-row D4 8x8 call allocates its 128 KB result and small
-    # per-row vectors (it allocated 3.7 MB when nothing was kept)
+    # the frame average of a symmetrized mixture is its one-block closed
+    # form, so a warm 256-row D4 8x8 call runs in the arrays the mixture
+    # keeps (GaussianMixture._work) and allocates its 128 KB result and
+    # small per-row vectors
     rng = np.random.default_rng(18)
     g = make_d4_group((8, 8))
     mix = symmetrize(GaussianMixture(weights=np.full(4, 0.25),

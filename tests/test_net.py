@@ -15,6 +15,7 @@ from spdm import (
     Mlp,
     ShapeMismatch,
     TrainerConfig,
+    TrainResult,
     UnsupportedSize,
     conv2d,
     diffused_score,
@@ -81,7 +82,7 @@ def test_gradients_match_finite_differences():
     for tie in (None, make_point_group_2d(4)):
         net = Mlp(2, hidden=(4, 4), seed=2, tie_group=tie)
         out, cache = net.forward(x, None, 0.3, want_cache=True)
-        grads = net.backward(cache, out - target).flat()
+        grads = net.backward(cache, out - target)
         theta = net.flat_parameters()
         eps = 1e-6
         fd = np.zeros_like(theta)
@@ -107,8 +108,8 @@ def test_linear_layer_gradients_analytic():
     adj = 2.0 * (out - target)
     grads = net.backward(cache, adj)
     feats = cache["inputs"][0]
-    np.testing.assert_allclose(grads.weights[0], adj.T @ feats, atol=1e-12)
-    np.testing.assert_allclose(grads.biases[0], adj.sum(axis=0), atol=1e-12)
+    np.testing.assert_allclose(net._unflatten(grads)[0][0], adj.T @ feats, atol=1e-12)
+    np.testing.assert_allclose(net._unflatten(grads)[1][0], adj.sum(axis=0), atol=1e-12)
 
 
 def test_conditional_net_uses_conditioning():
@@ -164,12 +165,12 @@ def test_dsm_minimizer_matches_least_squares():
     a = sigma * feats
     theta = np.linalg.solve(a.T @ a, -a.T @ eps[:, 0])
     net = Mlp(1, hidden=(), seed=13)
-    net.weights[0] = theta[:4].reshape(1, 4)
-    net.biases[0] = theta[4:].copy()
+    net.weights[0][...] = theta[:4].reshape(1, 4)
+    net.biases[0][...] = theta[4:]
     loss, grads = dsm_loss(net, s, x0, np.random.default_rng(12))
     resid = a @ theta + eps[:, 0]
     np.testing.assert_allclose(loss, float(np.mean(resid**2)), rtol=1e-12)
-    assert float(np.max(np.abs(grads.flat()))) < 1e-10
+    assert float(np.max(np.abs(grads))) < 1e-10
 
 
 def test_regularizer_zero_for_trivial_group():
@@ -203,9 +204,8 @@ def test_regularizer_gradients_match_finite_differences():
             net, ema, g, batch, np.random.default_rng(23), s)[0]
 
     theta = net.flat_parameters()
-    _, grads = equivariance_regularizer(
+    _, flat = equivariance_regularizer(
         net, ema, g, batch, np.random.default_rng(23), s)
-    flat = grads.flat()
     eps = 1e-6
     fd = np.array([(value(theta + eps * e) - value(theta - eps * e)) / (2 * eps)
                    for e in np.eye(theta.size)])
@@ -262,9 +262,7 @@ def test_train_resume_is_bit_exact():
     state = (*first.opt_state[:2], first.net.flat_parameters(),
              first.ema_net.flat_parameters())
     before = [a.copy() for a in state]
-    resumed = train(cfg_a, small_mixture(), vp_schedule(),
-                    init_net=first.net, init_ema=first.ema_net,
-                    init_opt_state=first.opt_state, start_step=first.steps_done)
+    resumed = train(cfg_a, small_mixture(), vp_schedule(), resume=first)
     straight = train(cfg_b, small_mixture(), vp_schedule())
     # the caller's resume state is read, never written
     for a, b in zip(before, (*first.opt_state[:2], first.net.flat_parameters(),
@@ -337,6 +335,13 @@ def test_net_refusals_are_typed():
         net.forward(x, y, 0.5)
     with pytest.raises(ShapeMismatch, match=r"y has shape \(3, 3\)"):
         net(x, y, 0.5)
+    with pytest.raises(ShapeMismatch, match=r"net takes \(x, y, t\)"):
+        net(x, 0.5)
+    with pytest.raises(ShapeMismatch, match=r"net takes \(x, t\)"):
+        Mlp(2, hidden=(4,))(x, x, 0.5)
+    for width in (-1, 0, 2.5):
+        with pytest.raises(InvalidParams, match="hidden widths must be positive integers"):
+            Mlp(2, hidden=(width,))
     with pytest.raises(ShapeMismatch, match="parameter vector has"):
         net.set_flat_parameters(np.zeros(net.flat_parameters().size + 1))
     plain = Mlp(2, hidden=(4,))
@@ -360,6 +365,18 @@ def test_set_flat_parameters_keeps_its_own_copy():
     before = net(x, 0.5)
     v[:] = 7.0  # the caller reuses its vector
     np.testing.assert_array_equal(net(x, 0.5), before)
+    np.testing.assert_array_equal(net.flat_parameters(), want)
+    # theta is the one parameter state: weights and biases are views of it
+    np.testing.assert_array_equal(net.weights[0], want[:net.weights[0].size].reshape(4, 5))
+    np.testing.assert_array_equal(net.biases[-1], want[-2:])
+    net.weights[0][0, 0] += 1.0
+    want[0] += 1.0
+    np.testing.assert_array_equal(net.flat_parameters(), want)
+    assert not np.array_equal(net(x, 0.5), before)
+    copy = net.clone()
+    copy.weights[0][...] = 0.0
+    copy.biases[0][...] = 3.0
+    copy.set_flat_parameters(copy.flat_parameters() - 1.0)
     np.testing.assert_array_equal(net.flat_parameters(), want)
 
 
@@ -546,16 +563,15 @@ def test_train_matches_reference_loop_bit_for_bit(case):
     mode = {"WT_C4": "WT", "WT_D4": "WT", "regularized": "regularized"}.get(kind, "plain")
     init = Mlp(2, hidden=cfg.hidden, horizon=s.T, seed=cfg.seed,
                tie_group=group if mode == "WT" else None)
-    resume = {}
+    resume = None
     ref_start = dict(net=init, ema=init)
     if case == "resumed":
         first = train(TrainerConfig(steps=5, seed=6, hidden=(8, 8), batch_size=1000,
                                     learning_rate=1e-2, ema_mu=0.9), data, s)
-        resume = dict(init_net=first.net, init_ema=first.ema_net,
-                      init_opt_state=first.opt_state, start_step=first.steps_done)
+        resume = first
         ref_start = dict(net=first.net, ema=first.ema_net, opt_state=first.opt_state,
                          start_step=first.steps_done)
-    res = train(cfg, data, s, group=group, mode=mode, **resume)
+    res = train(cfg, data, s, group=group, mode=mode, resume=resume)
     net, ema, losses, reg_losses, (m, v, count) = _reference_train(
         cfg, data, s, group=group, mode=mode, **ref_start)
     np.testing.assert_array_equal(res.net.flat_parameters(), net)
@@ -586,11 +602,10 @@ def test_public_step_functions_reproduce_one_train_step(mode):
     ema = net.clone()
     rng = _lane_rng(cfg.seed, 2, 0)
     x0 = data[rng.integers(len(data), size=cfg.batch_size)]
-    loss, grads = dsm_loss(net, s, x0, rng)
-    grad = grads.flat()
+    loss, grad = dsm_loss(net, s, x0, rng)
     if mode == "regularized":
-        rloss, rgrads = equivariance_regularizer(net, ema, g, x0, _lane_rng(cfg.seed, 3, 0), s)
-        grad = grad + cfg.reg_weight * rgrads.flat()
+        rloss, rgrad = equivariance_regularizer(net, ema, g, x0, _lane_rng(cfg.seed, 3, 0), s)
+        grad = grad + cfg.reg_weight * rgrad
         assert res.reg_losses[0] == rloss
     opt = Adam(grad.size, lr=cfg.learning_rate)
     net.set_flat_parameters(opt.step(net.flat_parameters(), grad))
@@ -617,15 +632,18 @@ def test_work_arrays_of_other_calls_leave_training_bits_alone(tie):
     def fresh():
         return Mlp(2, hidden=cfg.hidden, horizon=s.T, seed=cfg.seed, tie_group=group)
 
-    want = train(cfg, data, s, group=group, mode=mode, init_net=fresh())
+    want = train(cfg, data, s, group=group, mode=mode,
+                 resume=TrainResult(net=fresh(), ema_net=fresh()))
     used = fresh()
     x = np.random.default_rng(39).standard_normal((1000, 2))
     used.forward(x, t=0.5)
     used.forward(x[0], t=0.5)
     dsm_loss(used, s, data[:7], np.random.default_rng(40))
-    train(cfg, data, s, group=group, mode=mode, init_net=used.clone())
-    for got in (train(cfg, data, s, group=group, mode=mode, init_net=used),
-                train(cfg, data, s, group=group, mode=mode, init_net=used)):
+    resume = TrainResult(net=used, ema_net=used)
+    train(cfg, data, s, group=group, mode=mode,
+          resume=TrainResult(net=used.clone(), ema_net=used.clone()))
+    for got in (train(cfg, data, s, group=group, mode=mode, resume=resume),
+                train(cfg, data, s, group=group, mode=mode, resume=resume)):
         np.testing.assert_array_equal(got.net.flat_parameters(), want.net.flat_parameters())
         np.testing.assert_array_equal(got.ema_net.flat_parameters(),
                                       want.ema_net.flat_parameters())
@@ -636,7 +654,7 @@ def test_work_arrays_of_other_calls_leave_training_bits_alone(tie):
         a = dsm_loss(used, s, batch, np.random.default_rng(41))
         b = dsm_loss(fresh(), s, batch, np.random.default_rng(41))
         assert a[0] == b[0]
-        np.testing.assert_array_equal(a[1].flat(), b[1].flat())
+        np.testing.assert_array_equal(a[1], b[1])
 
 
 def test_clone_has_its_own_work_arrays():
@@ -654,7 +672,7 @@ def test_clone_has_its_own_work_arrays():
     want, want_grads = equivariance_regularizer(net, twin, g, batch,
                                                 np.random.default_rng(44), s)
     assert loss == want > 0
-    np.testing.assert_array_equal(grads.flat(), want_grads.flat())
+    np.testing.assert_array_equal(grads, want_grads)
 
 
 def test_train_weight_tied_mode():
