@@ -148,8 +148,9 @@ def load_checkpoint(path: Path) -> TrainResult:
     """Load a checkpoint manifest plus its tensor files: the nets and the
     optimizer state and step count that ``train(resume=...)`` continues.
 
-    An unreadable manifest raises IoError; a missing or malformed entry,
-    an unknown ``tie_tag`` included, raises ConfigError.
+    An unreadable manifest, or an optimizer state that is not the (2, P)
+    moments of the net's P parameters, raises IoError; a missing or
+    malformed entry, an unknown ``tie_tag`` included, raises ConfigError.
     """
     _require_file(path, "checkpoint manifest")
     try:
@@ -172,8 +173,11 @@ def load_checkpoint(path: Path) -> TrainResult:
         tie_tag = manifest.get("tie_tag")
         tie_group = None if tie_tag is None else make_group(tie_tag)
         net, ema = rebuild("params_file"), rebuild("ema_file")
-        adam = io.read_spdt(_require_file(base / manifest["adam_file"],
-                                          "optimizer state"))
+        adam_path = _require_file(base / manifest["adam_file"], "optimizer state")
+        adam = io.read_spdt(adam_path)
+        if adam.shape != (2, net.theta.size):
+            raise IoError(f"optimizer state {adam_path} has shape {adam.shape}, "
+                          f"expected {(2, net.theta.size)} for the net's parameters")
         return TrainResult(net=net, ema_net=ema,
                            opt_state=(adam[0], adam[1], manifest["adam_step_count"]),
                            steps_done=int(manifest["steps_done"]))

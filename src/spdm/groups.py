@@ -569,36 +569,6 @@ def canonicalize(group: IsometryGroup, x: np.ndarray) -> GroupElement:
     return group.elements[int(canonical_ids(group, np.asarray(x)[None])[0])]
 
 
-class _WorkArrays:
-    """Float work arrays kept between calls, one grow-only buffer per key.
-
-    ``get(key, shape)`` returns a C-contiguous view of the first
-    ``prod(shape)`` entries of the key's flat buffer, replacing the buffer
-    by a larger one when it is too small.  Reusing the buffers keeps a
-    hot loop from allocating and page-faulting fresh large temporaries on
-    every call; they hold the largest call's size until their owner goes.
-    A view is valid until the next ``get`` of its key, so owners return
-    fresh arrays to their callers and are not shared between threads.  A
-    get in the shape of the key's last get returns that same view.
-    """
-
-    def __init__(self):
-        self._bufs: dict = {}
-        self._last: dict = {}    # key -> (shape, view) of its last get
-
-    def get(self, key, shape) -> np.ndarray:
-        last = self._last.get(key)
-        if last is not None and last[0] == shape:
-            return last[1]
-        size = math.prod(shape)
-        buf = self._bufs.get(key)
-        if buf is None or buf.size < size:
-            buf = self._bufs[key] = np.empty(size)
-        view = buf[:size].reshape(shape)
-        self._last[key] = (shape, view)
-        return view
-
-
 class FrameAveragedField:
     """Group average of a vector field: s~(x) = mean_k k^-1 s(k x).
 

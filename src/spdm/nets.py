@@ -33,8 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DivergedLoss, InvalidParams, ShapeMismatch, UnsupportedSize
-from .groups import (IsometryGroup, _WorkArrays, apply_elements,
-                     equivariance_residuals, make_group)
+from .groups import IsometryGroup, apply_elements, equivariance_residuals, make_group
 from .process import Schedule
 
 
@@ -43,6 +42,13 @@ def time_embed(t, horizon: float) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     w = 2.0 * np.pi * t / horizon
     return np.stack([t / horizon, np.sin(w), np.cos(w)], axis=-1)
+
+
+def _whole(n, least: int) -> bool:
+    """Whether n is an integer >= least, or a float holding one as a
+    config's 16.0 does."""
+    return (not isinstance(n, bool) and isinstance(n, (numbers.Integral, float))
+            and n >= least and not n % 1)
 
 
 class Mlp:
@@ -68,18 +74,19 @@ class Mlp:
 
     The parameters live in one flat vector ``theta``, every layer's
     weights then every layer's biases; ``weights`` and ``biases`` are
-    views into it.
+    views into it.  A net keeps no other arrays than ``theta`` and its
+    tying tables: every call computes in fresh arrays, so one net may be
+    called from several threads at once.
     """
 
     def __init__(self, x_dim: int, hidden=(64, 64), y_dim: int = 0,
                  horizon: float = 1.0, seed: int = 0,
                  tie_group: IsometryGroup | None = None):
-        if x_dim < 1 or y_dim < 0 or horizon <= 0:
-            raise InvalidParams("x_dim >= 1, y_dim >= 0, horizon > 0 required")
+        if not (_whole(x_dim, 1) and _whole(y_dim, 0) and horizon > 0):
+            raise InvalidParams(f"x_dim >= 1 and y_dim >= 0 integers, horizon > 0 "
+                                f"required, got {x_dim!r}, {y_dim!r}, {horizon!r}")
         for h in hidden:
-            # a positive integer, or a float holding one as a config's 16.0 does
-            if (isinstance(h, bool) or not isinstance(h, (numbers.Integral, float))
-                    or not h >= 1 or h % 1):
+            if not _whole(h, 1):
                 raise InvalidParams(f"hidden widths must be positive integers, got {h!r}")
         self.x_dim = int(x_dim)
         self.y_dim = int(y_dim)
@@ -100,7 +107,6 @@ class Mlp:
         self._tie_index = self._tie_sign = None
         if tie_group is not None:
             self._build_tying(tie_group)
-        self._work = _WorkArrays()
 
     # ---- weight tying ----------------------------------------------------
 
@@ -154,27 +160,18 @@ class Mlp:
         self._tie_index = np.abs(signed).astype(np.int64) - 1
         self._tie_sign = np.sign(signed)
 
-    def _project(self, flat: np.ndarray, out: np.ndarray, work) -> np.ndarray:
-        """The tied vector ``sum_k sign[k] flat[index[k]] / |G|``, into ``out``.
-
-        The gathered rows are summed along the element axis in id order.
+    def _effective(self, flat: np.ndarray) -> np.ndarray:
+        """The flat parameters the forward pass uses: ``flat`` itself, or
+        for a tied net the fresh vector ``sum_k sign[k] flat[index[k]] / |G|``,
+        its gathered rows summed along the element axis in id order.
         """
-        gathered = work.get("gather", self._tie_index.shape)
-        np.take(flat, self._tie_index, out=gathered, mode="wrap")
-        gathered *= self._tie_sign
-        np.add.reduce(gathered, axis=0, out=out)
-        out /= len(gathered)
-        return out
-
-    def _effective(self, flat: np.ndarray, work=None) -> np.ndarray:
-        """The flat parameters the forward pass uses: tied, or ``flat`` itself.
-
-        A tied vector goes to ``work``, or to a fresh array without one.
-        """
-        work = _WorkArrays() if work is None else work
         if self._tie_index is None:
             return flat
-        return self._project(flat, work.get("tied", flat.shape), work)
+        gathered = np.take(flat, self._tie_index)
+        gathered *= self._tie_sign
+        tied = np.add.reduce(gathered, axis=0)
+        tied /= len(gathered)
+        return tied
 
     def _unflatten(self, flat: np.ndarray):
         """Weight and bias views of a flat parameter vector."""
@@ -186,13 +183,14 @@ class Mlp:
     biases = property(lambda self: self._unflatten(self.theta)[1],
                       doc="Views of each layer's bias in theta.")
 
-    def _forward_parameters(self, work):
-        """Weights and biases of the forward pass; tied ones in ``work``."""
-        return self._unflatten(self._effective(self.theta, work))
+    def _forward_parameters(self):
+        """Weights and biases of the forward pass; ``effective_parameters``
+        is its public name."""
+        return self._unflatten(self._effective(self.theta))
 
     def effective_parameters(self):
         """Weights and biases actually used in the forward pass."""
-        return self._forward_parameters(_WorkArrays())
+        return self._forward_parameters()
 
     def free_parameter_count(self) -> int:
         """Dimension of the parameter space after tying.
@@ -232,25 +230,20 @@ class Mlp:
 
         A lone row runs as two equal rows: numpy hands a one-row product
         to gemv, which sums in another order than the gemm of a batch, so
-        a lone state rounds like the same row inside a batch.  The layers
-        run in the net's work arrays, and the output is a fresh array; a
-        cache for ``backward`` holds fresh arrays of its own.
+        a lone state rounds like the same row inside a batch.  The output,
+        and a cache for ``backward``, are fresh arrays.
         """
         single = np.asarray(x).ndim == 1
         a = self._features(x, y, t)
-        work = _WorkArrays() if want_cache else self._work
-        ws, bs = self._forward_parameters(work)
+        ws, bs = self._forward_parameters()
         if len(a) == 1:
-            inputs = [v[:1] for v in _layers(np.concatenate([a, a]), ws, bs, work)]
+            inputs = [v[:1] for v in _layers(np.concatenate([a, a]), ws, bs)]
         else:
-            inputs = _layers(a, ws, bs, work)
-        out = inputs[-1] if want_cache else inputs[-1].copy()
-        if single:
-            out = out[0]
+            inputs = _layers(a, ws, bs)
+        out = inputs[-1][0] if single else inputs[-1]
         if not want_cache:
             return out
-        cache = {"inputs": inputs, "eff_weights": ws}
-        return out, cache
+        return out, {"inputs": inputs, "eff_weights": ws}
 
     def __call__(self, x, *args):
         """``net(x, t)``, or ``net(x, y, t)`` for a conditional net."""
@@ -263,28 +256,22 @@ class Mlp:
         """Flat gradient, laid out like ``theta``, of a scalar loss given
         d loss / d output (batch rows); projected when tied."""
         adj = np.atleast_2d(np.asarray(out_adjoint, dtype=float))
-        return self._flat_grad(cache["inputs"], cache["eff_weights"], adj,
-                               np.empty(self.theta.size), self._work)
+        return self._flat_grad(cache["inputs"], cache["eff_weights"], adj)
 
-    def _flat_grad(self, inputs, ws, adj, out: np.ndarray, work) -> np.ndarray:
-        """Flat loss gradient (projected when tied) from the layer inputs.
-
-        The gradient goes to ``out``; the adjoints of the hidden layers,
-        and the unprojected gradient of a tied net, go to ``work``.
-        """
-        grad = out if self._tie_index is None else work.get("raw_grad", out.shape)
+    def _flat_grad(self, inputs, ws, adj) -> np.ndarray:
+        """Flat loss gradient (projected when tied) from the layer inputs."""
+        grad = np.empty(self.theta.size)
         gw, gb = self._unflatten(grad)
         for layer in range(len(ws) - 1, -1, -1):
             np.matmul(adj.T, inputs[layer], out=gw[layer])
             np.add.reduce(adj, axis=0, out=gb[layer])
             if layer > 0:
                 # (adj @ W) * (1 - a**2), a the layer's tanh input
-                a = inputs[layer]
-                slope = np.square(a, out=work.get("slope", a.shape))
+                slope = np.square(inputs[layer])
                 np.subtract(1.0, slope, out=slope)
-                adj = np.matmul(adj, ws[layer], out=work.get(("adjoint", layer), a.shape))
+                adj = adj @ ws[layer]
                 adj *= slope
-        return grad if self._tie_index is None else self._project(grad, out, work)
+        return self._effective(grad)
 
     # ---- parameter vector helpers ---------------------------------------
 
@@ -301,23 +288,22 @@ class Mlp:
         self.theta = v
 
     def clone(self) -> "Mlp":
-        """A copy with its own parameters and its own work arrays."""
+        """A copy with its own parameters."""
         other = copy.copy(self)
         other.theta = self.theta.copy()
-        other._work = _WorkArrays()
         return other
 
 
-def _layers(a: np.ndarray, ws, bs, work) -> list:
+def _layers(a: np.ndarray, ws, bs) -> list:
     """Every layer's input, the features first, and the output last.
 
     Layer l computes ``tanh(a @ W.T + b)`` (no tanh on the last) in the
-    work array of its output.
+    fresh array of its product.
     """
     inputs = [a]
     last = len(ws) - 1
     for layer, (w, b) in enumerate(zip(ws, bs)):
-        a = np.matmul(a, w.T, out=work.get(("layer", layer), (len(a), len(b))))
+        a = a @ w.T
         a += b
         if layer != last:
             np.tanh(a, out=a)
@@ -344,31 +330,26 @@ def _diffuse(schedule: Schedule, x0: np.ndarray, t: np.ndarray, eps: np.ndarray)
     return sigma, alpha[:, None] * x0 + sigma * eps
 
 
-def _mean_row_square(resid: np.ndarray, work) -> float:
+def _mean_row_square(resid: np.ndarray) -> float:
     """``mean_i ||resid_i||^2``, summed as ``np.mean(np.sum(resid**2, axis=1))``."""
-    square = np.square(resid, out=work.get("square", resid.shape))
-    rows = np.add.reduce(square, axis=1, out=work.get("row_sums", resid.shape[:1]))
+    rows = np.add.reduce(np.square(resid), axis=1)
     return float(np.add.reduce(rows)) / len(rows)
 
 
-def _dsm_terms(net: Mlp, params, feats, sigma, eps, out: np.ndarray) -> float:
-    """Weighted DSM loss of one noisy batch; its flat gradient goes to ``out``.
+def _dsm_terms(net: Mlp, params, feats, sigma, eps):
+    """Weighted DSM loss of one noisy batch and its flat gradient.
 
     ``params`` are the (weights, biases) the forward pass uses, ``feats``
-    the net inputs at x_t and ``sigma`` the (rows, 1) noise scales.  The
-    passes run in the net's work arrays.
+    the net inputs at x_t and ``sigma`` the (rows, 1) noise scales.
     """
-    work = net._work
-    inputs = _layers(feats, *params, work)
-    resid = np.multiply(sigma, inputs[-1], out=work.get("resid", eps.shape))
+    inputs = _layers(feats, *params)
+    resid = sigma * inputs[-1]
     resid += eps
-    loss = _mean_row_square(resid, work)
-    # the adjoint 2 sigma resid / rows
-    adj = np.multiply(np.multiply(sigma, 2.0, out=work.get("two_sigma", sigma.shape)),
-                      resid, out=work.get("out_adjoint", eps.shape))
-    adj /= len(feats)
-    net._flat_grad(inputs, params[0], adj, out, work)
-    return loss
+    loss = _mean_row_square(resid)
+    # the adjoint 2 sigma resid / rows, in resid's array
+    resid *= 2.0 * sigma
+    resid /= len(feats)
+    return loss, net._flat_grad(inputs, params[0], resid)
 
 
 def _move_flat(group: IsometryGroup, ids, rows: np.ndarray) -> np.ndarray:
@@ -377,22 +358,20 @@ def _move_flat(group: IsometryGroup, ids, rows: np.ndarray) -> np.ndarray:
     return apply_elements(group, ids, shaped).reshape(rows.shape)
 
 
-def _reg_terms(net: Mlp, params, ema: Mlp, ema_params, group, ids, feats,
-               moved_feats, out: np.ndarray) -> float:
-    """Equivariance penalty of one batch; its flat gradient goes to ``out``.
+def _reg_terms(net: Mlp, params, ema_params, group, ids, feats, moved_feats):
+    """Equivariance penalty of one batch and its flat gradient.
 
     ``feats`` are the EMA net's inputs at x_t, ``moved_feats`` the trained
     net's inputs at k x_t (and k y), row i moved by element ``ids[i]``.
     """
-    target = _move_flat(group, ids, _layers(feats, *ema_params, ema._work)[-1])
-    work = net._work
-    inputs = _layers(moved_feats, *params, work)
-    resid = np.subtract(inputs[-1], target, out=work.get("resid", target.shape))
-    loss = _mean_row_square(resid, work)
-    adj = np.multiply(resid, 2.0, out=work.get("out_adjoint", target.shape))
-    adj /= len(feats)
-    net._flat_grad(inputs, params[0], adj, out, work)
-    return loss
+    target = _move_flat(group, ids, _layers(feats, *ema_params)[-1])
+    inputs = _layers(moved_feats, *params)
+    resid = inputs[-1] - target
+    loss = _mean_row_square(resid)
+    # the adjoint 2 resid / rows, in resid's array
+    resid *= 2.0
+    resid /= len(feats)
+    return loss, net._flat_grad(inputs, params[0], resid)
 
 
 def dsm_loss(net: Mlp, schedule: Schedule, batch, rng: np.random.Generator,
@@ -409,10 +388,7 @@ def dsm_loss(net: Mlp, schedule: Schedule, batch, rng: np.random.Generator,
         raise InvalidParams("batch must be nonempty")
     t, eps = _draw_t_eps(schedule, x0, rng)
     sigma, x_t = _diffuse(schedule, x0, t, eps)
-    grad = np.empty(net.theta.size)
-    loss = _dsm_terms(net, net._forward_parameters(net._work), net._features(x_t, y, t),
-                      sigma, eps, grad)
-    return loss, grad
+    return _dsm_terms(net, net._forward_parameters(), net._features(x_t, y, t), sigma, eps)
 
 
 def equivariance_regularizer(net: Mlp, ema_net: Mlp, group: IsometryGroup,
@@ -432,19 +408,9 @@ def equivariance_regularizer(net: Mlp, ema_net: Mlp, group: IsometryGroup,
     _, x_t = _diffuse(schedule, x0, t, eps)
     ids = rng.integers(len(group), size=x0.shape[0])
     yk = None if y is None else _move_flat(group, ids, np.atleast_2d(y))
-    grad = np.empty(net.theta.size)
-    loss = _reg_terms(net, net._forward_parameters(net._work), ema_net,
-                      ema_net._forward_parameters(ema_net._work), group, ids,
-                      ema_net._features(x_t, y, t),
-                      net._features(_move_flat(group, ids, x_t), yk, t), grad)
-    return loss, grad
-
-
-def _ema_step(ema: np.ndarray, theta: np.ndarray, mu: float, tmp: np.ndarray) -> None:
-    """``ema <- mu * ema + (1 - mu) * theta`` in place, with the bits of
-    that expression; ``tmp`` is a work array shaped like theta."""
-    ema *= mu
-    ema += np.multiply(theta, 1.0 - mu, out=tmp)
+    return _reg_terms(net, net._forward_parameters(), ema_net._forward_parameters(),
+                      group, ids, ema_net._features(x_t, y, t),
+                      net._features(_move_flat(group, ids, x_t), yk, t))
 
 
 def ema_update(ema_net: Mlp, net: Mlp, mu: float) -> Mlp:
@@ -452,7 +418,9 @@ def ema_update(ema_net: Mlp, net: Mlp, mu: float) -> Mlp:
     if not (0.0 <= mu < 1.0):
         raise InvalidParams(f"mu must be in [0, 1), got {mu}")
     out = ema_net.clone()
-    _ema_step(out.theta, net.theta, mu, np.empty_like(net.theta))
+    # in place, with the bits of that expression
+    out.theta *= mu
+    out.theta += net.theta * (1.0 - mu)
     return out
 
 
@@ -480,7 +448,6 @@ class Adam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.step_count = 0
-        self._work = _WorkArrays()
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """Update the moments in place; return the new parameters.
@@ -492,16 +459,14 @@ class Adam:
         """
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2
-        tmp = self._work.get("tmp", grad.shape)
         self.m *= b1
-        self.m += np.multiply(grad, 1.0 - b1, out=tmp)
+        self.m += grad * (1.0 - b1)
         self.v *= b2
-        scaled_sq = np.square(grad, out=tmp)
+        scaled_sq = np.square(grad)
         scaled_sq *= 1.0 - b2
         self.v += scaled_sq
-        mh = np.divide(self.m, 1.0 - b1**self.step_count, out=tmp)
-        vh = np.divide(self.v, 1.0 - b2**self.step_count,
-                       out=self._work.get("vh", grad.shape))
+        mh = self.m / (1.0 - b1**self.step_count)
+        vh = self.v / (1.0 - b2**self.step_count)
         np.sqrt(vh, out=vh)
         vh += self.eps
         mh *= self.lr
@@ -623,10 +588,7 @@ def train(config: TrainerConfig, data, schedule: Schedule,
     use_reg = mode == "regularized" and config.reg_weight > 0
     rows = config.batch_size
     per_block = max(1, _BLOCK_ROWS // rows)
-    # the step runs in the nets' work arrays, and the EMA is updated in place
-    work = net._work
-    grad, reg_grad, ema_tmp = (work.get(key, net.theta.shape)
-                               for key in ("grad", "reg_grad", "ema_tmp"))
+    mu = config.ema_mu
 
     # an overflow is refused by the finiteness checks below, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
@@ -657,13 +619,13 @@ def train(config: TrainerConfig, data, schedule: Schedule,
 
             for j, step in enumerate(steps):
                 r = slice(j * rows, (j + 1) * rows)
-                params = net._forward_parameters(work)
-                loss = _dsm_terms(net, params, feats[r], sigma[r], eps[r], grad)
+                params = net._forward_parameters()
+                loss, grad = _dsm_terms(net, params, feats[r], sigma[r], eps[r])
                 loss_total = loss
                 if use_reg:
-                    ema_params = ema._forward_parameters(ema._work)
-                    rloss = _reg_terms(net, params, ema, ema_params, group, ids[r],
-                                       ema_feats[r], moved_feats[r], reg_grad)
+                    rloss, reg_grad = _reg_terms(net, params, ema._forward_parameters(),
+                                                 group, ids[r], ema_feats[r],
+                                                 moved_feats[r])
                     # grad + reg_weight * reg_grad
                     reg_grad *= config.reg_weight
                     grad += reg_grad
@@ -673,7 +635,9 @@ def train(config: TrainerConfig, data, schedule: Schedule,
                     raise DivergedLoss(f"loss became {loss_total} at step {step}")
                 losses[step] = loss
                 net.theta = opt.step(net.theta, grad)
-                _ema_step(ema.theta, net.theta, config.ema_mu, ema_tmp)
+                # ema_update's arithmetic, in ema's own array
+                ema.theta *= mu
+                ema.theta += net.theta * (1.0 - mu)
             # a finite loss can still give a gradient whose square overflows the
             # second moment, or a step that overflows the parameters
             if not all(np.isfinite(v).all() for v in (net.theta, ema.theta, opt.m, opt.v)):

@@ -46,6 +46,7 @@ ground truth the rest of the toolkit is checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -53,10 +54,34 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateCoupling, InvalidParams, ShapeMismatch, TimeOutOfRange
-from .groups import FrameAveragedField, IsometryGroup, _move_blocks, _WorkArrays
+from .groups import FrameAveragedField, IsometryGroup, _move_blocks
 from .process import GaussianParams, Schedule, bridge_coefficients
 
 _WEIGHT_ATOL = 1e-12
+
+
+class _WorkArrays:
+    """Float work arrays kept between calls, one grow-only buffer per key.
+
+    ``get(key, shape)`` returns a C-contiguous view of the first
+    ``prod(shape)`` entries of the key's flat buffer, replacing the buffer
+    by a larger one when it is too small.  A mixture keeps one set for
+    ``diffused_score``, whose (rows, columns) log-terms would otherwise be
+    large fresh temporaries, allocated and page-faulted on every call; the
+    buffers hold the largest call's size until the mixture goes.  A view is
+    valid until the next ``get`` of its key, so the score returns fresh
+    arrays and one mixture is not scored from two threads at once.
+    """
+
+    def __init__(self):
+        self._bufs: dict = {}
+
+    def get(self, key, shape) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._bufs.get(key)
+        if buf is None or buf.size < size:
+            buf = self._bufs[key] = np.empty(size)
+        return buf[:size].reshape(shape)
 
 
 class _Components(NamedTuple):

@@ -1,4 +1,10 @@
-"""Resource use of one call, measured in a fresh interpreter.
+"""Code run in a fresh interpreter that imports spdm from this checkout.
+
+``run_fresh(code, *args, env=...)`` runs the Python source ``code`` with
+``sys.argv[1:]`` set to ``args`` and the given environment variables
+added, and returns its completed process; a non-zero exit fails the
+caller.  A process started so reads variables such as
+``OPENBLAS_NUM_THREADS`` before numpy loads.
 
 ``usage(setup, call)`` runs the Python source ``setup`` and then ``call``
 in a new interpreter that imports spdm from this checkout's ``src/``.  It
@@ -50,14 +56,21 @@ class Usage(NamedTuple):
     growth_mb: float  # how far the call raised the peak set by the setup
 
 
+def run_fresh(code: str, *args, env: dict | None = None,
+              timeout: float = 300.0) -> subprocess.CompletedProcess:
+    """Run ``code`` with arguments ``args`` in a fresh interpreter."""
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *map(str, args)],
+                          capture_output=True, text=True, timeout=timeout, check=False,
+                          env={**os.environ, **(env or {}), "PYTHONPATH": path})
+    if proc.returncode != 0:
+        raise AssertionError(f"fresh process failed:\n{proc.stderr}")
+    return proc
+
+
 def usage(setup: str, call: str, timeout: float = 300.0) -> Usage:
     """Resource use of ``call`` after ``setup`` in a fresh interpreter."""
     code = "\n".join([textwrap.dedent(setup), _BEFORE, textwrap.dedent(call), _AFTER])
-    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=timeout, check=False,
-                          env={**os.environ, "PYTHONPATH": path})
-    if proc.returncode != 0:
-        raise AssertionError(f"fresh process failed:\n{proc.stderr}")
+    proc = run_fresh(code, timeout=timeout)
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     return Usage(out["maxrss_mb"], out["minflt"], out["growth_mb"])

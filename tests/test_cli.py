@@ -6,8 +6,6 @@ on-disk outputs.
 """
 
 import json
-import os
-import subprocess
 import sys
 import warnings
 
@@ -18,7 +16,7 @@ from spdm import cli, io, metrics, sampling
 from spdm.cli import main
 from spdm.io import read_spdt, write_spdt
 
-from fresh_process import ROOT, needs_resource, usage
+from fresh_process import ROOT, needs_resource, run_fresh, usage
 
 
 def run(cmd, cfg, out_dir, extra=()):
@@ -587,6 +585,22 @@ def test_damaged_checkpoint_exits_2(tmp_path, capsys, damage):
     cfg["sampler"] = {"steps": 5, "n_samples": 2, "seed": 0}
     assert run("sample", cfg, out) == 2
     assert "checkpoint manifest" in capsys.readouterr().err
+
+
+def test_resume_from_a_wrong_size_adam_file_exits_2_naming_it(tmp_path, capsys):
+    # the optimizer state must hold the two moments of every net parameter
+    out = tmp_path / "run"
+    cfg = train_config(steps=5, hidden=[8])
+    assert run("gen-data", cfg, out) == 0
+    assert run("train", cfg, out) == 0
+    adam = out / "checkpoint_adam.spdt"
+    write_spdt(adam, np.zeros((2, 5)))
+    size = read_spdt(out / "checkpoint.spdt").size
+    cfg["train"]["init_checkpoint"] = str(out / "checkpoint.json")
+    capsys.readouterr()
+    assert run("train", cfg, out) == 2
+    err = capsys.readouterr().err
+    assert str(adam) in err and "(2, 5)" in err and f"(2, {size})" in err
 
 
 # ---- sample --------------------------------------------------------------
@@ -1219,15 +1233,40 @@ def test_data_commands_do_not_import_the_verify_suite(tmp_path):
     # only ``spdm verify`` needs the self-check suite
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(base_config()), "utf-8")
-    code = (f"import sys\nfrom spdm.cli import main\n"
-            f"code = main(['gen-data', '--config', {str(cfg_path)!r}, "
-            f"'--out', {str(tmp_path / 'run')!r}])\n"
-            f"print(code, 'spdm.verify' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120, check=False, env=env)
+    proc = run_fresh("""
+        import sys
+        from spdm.cli import main
+        code = main(['gen-data', '--config', sys.argv[1], '--out', sys.argv[2]])
+        print(code, 'spdm.verify' in sys.modules)
+        """, cfg_path, tmp_path / "run", timeout=120)
     assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
+def test_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a tiny pipeline in fresh processes under one and two OpenBLAS threads:
+    # gen-data, a tied train, EN sample and nll write the same bytes
+    cfg = train_config(mode="WT", steps=20, hidden=[8], batch_size=64)
+    cfg["data"]["n_samples"] = 64
+    cfg["model"] = {"kind": "mlp+WT"}
+    cfg["sampler"] = {"lam": 1.0, "steps": 8, "n_samples": 64, "seed": 1,
+                      "equivariant_noise": True}
+    cfg["nll"] = {"points": 2, "steps": 4}
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        (out / "config.json").write_text(json.dumps(cfg), "utf-8")
+        run_fresh("""
+            import sys
+            from spdm.cli import main
+            for cmd in ("gen-data", "train", "sample", "nll"):
+                if main([cmd, "--config", sys.argv[1], "--out", sys.argv[2]]):
+                    sys.exit(f"{cmd} failed")
+            """, out / "config.json", out, env={"OPENBLAS_NUM_THREADS": threads})
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                            if p.name != "run.log"}
+    assert {"checkpoint.spdt", "samples.spdt", "nll.csv"} <= set(outputs["1"])
+    assert outputs["1"] == outputs["2"]
 
 
 @needs_resource

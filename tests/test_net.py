@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from spdm import (
     DivergedLoss,
     GaussianMixture,
     InvalidParams,
+    IsometryGroup,
     Mlp,
     ShapeMismatch,
     TrainerConfig,
@@ -342,6 +345,13 @@ def test_net_refusals_are_typed():
     for width in (-1, 0, 2.5):
         with pytest.raises(InvalidParams, match="hidden widths must be positive integers"):
             Mlp(2, hidden=(width,))
+    # the sizes follow the widths' rule; y_dim may also be 0
+    for sizes in ({"x_dim": 2.5}, {"x_dim": True}, {"x_dim": float("nan")},
+                  {"y_dim": 1.5}, {"y_dim": -1}, {"y_dim": float("inf")}):
+        with pytest.raises(InvalidParams, match="x_dim >= 1 and y_dim >= 0 integers"):
+            Mlp(**{"x_dim": 2, "hidden": (4,), **sizes})
+    whole = Mlp(2.0, hidden=(4,), y_dim=2.0)
+    assert (whole.x_dim, whole.y_dim) == (2, 2) and type(whole.x_dim) is int
     with pytest.raises(ShapeMismatch, match="parameter vector has"):
         net.set_flat_parameters(np.zeros(net.flat_parameters().size + 1))
     plain = Mlp(2, hidden=(4,))
@@ -618,9 +628,9 @@ def test_public_step_functions_reproduce_one_train_step(mode):
 
 
 @pytest.mark.parametrize("tie", [None, "C4"])
-def test_work_arrays_of_other_calls_leave_training_bits_alone(tie):
-    # the step's work arrays are per net and grow only: calls on batches of
-    # other sizes, and training a clone, do not move a bit of later training
+def test_earlier_calls_and_clones_leave_training_bits_alone(tie):
+    # calls on batches of other sizes, and training a clone, do not move a
+    # bit of later training
     s = vp_schedule()
     g = make_point_group_2d(4)
     data = small_mixture().sample(np.random.default_rng(38), 300)
@@ -657,9 +667,9 @@ def test_work_arrays_of_other_calls_leave_training_bits_alone(tie):
         np.testing.assert_array_equal(a[1], b[1])
 
 
-def test_clone_has_its_own_work_arrays():
-    # a tied net and its EMA clone each project into their own arrays, so the
-    # regularizer sees two different nets, as with an independent copy
+def test_regularizer_sees_a_clone_as_an_independent_net():
+    # a tied net and its changed EMA clone are two different nets to the
+    # regularizer, as an independent copy is
     g = make_point_group_2d(4)
     s = vp_schedule()
     net = Mlp(2, hidden=(8, 8), seed=11, tie_group=g)
@@ -673,6 +683,42 @@ def test_clone_has_its_own_work_arrays():
                                                 np.random.default_rng(44), s)
     assert loss == want > 0
     np.testing.assert_array_equal(grads, want_grads)
+
+
+def test_one_net_called_from_threads_returns_the_serial_bits():
+    # every call computes in fresh arrays, so concurrent calls on batches
+    # of different sizes cannot write into each other's layers
+    net = Mlp(2, hidden=(16, 16), seed=12, tie_group=make_point_group_2d(4))
+    rng = np.random.default_rng(45)
+    batches = [rng.standard_normal((n, 2)) for n in rng.integers(300, 1001, size=400)]
+    want = [net(x, 0.5) for x in batches]
+    start = threading.Barrier(4, timeout=60)
+
+    def calls(k):
+        start.wait()
+        return [net(x, 0.5) for x in batches[k::4]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(calls, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    wrong = sum(not np.array_equal(out, want[i])
+                for k in range(4) for out, i in zip(got[k], range(k, 400, 4)))
+    assert wrong == 0
+
+
+def test_a_net_keeps_only_its_parameters_and_tie_tables():
+    # nothing of a call stays on the net, whatever batch size it ran
+    net = Mlp(2, hidden=(16, 16), seed=13, tie_group=make_point_group_2d(4))
+    net.forward(np.random.default_rng(46).standard_normal((20000, 2)), t=0.5)
+    dsm_loss(net, vp_schedule(), small_mixture().sample(np.random.default_rng(47), 64),
+             np.random.default_rng(48))
+    held = {name for name, value in vars(net).items()
+            if not isinstance(value, (int, float, tuple, list, IsometryGroup))}
+    assert held == {"theta", "_tie_index", "_tie_sign"}
 
 
 def test_train_weight_tied_mode():
